@@ -36,7 +36,7 @@ from .superop import (
     choi_min_eigenvalue,
     square_matrix_to_json,
 )
-from .tower import element_from_json, load_element
+from .tower import check_nonnegative, element_from_json, load_element
 
 
 def _parse_time_grid(text: str) -> tuple:
@@ -134,16 +134,18 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_choi(args) -> int:
+    tol = check_nonnegative("--tol", args.tol)
+    t = check_nonnegative("--t", args.t)
     gen = _make_generator(args.generator, args.level)
     if args.generator == "transpose":
         # the injected non-CP control is certified directly, not exponentiated
         target = gen
         label = "transpose map"
     else:
-        target = SemigroupMap(gen, args.t)
-        label = f"semigroup at t={args.t}"
+        target = SemigroupMap(gen, t)
+        label = f"semigroup at t={t}"
     min_eig = choi_min_eigenvalue(target)
-    psd = min_eig >= -args.tol
+    psd = min_eig >= -tol
     print(
         f"choi: level={args.level} {label}: min eigenvalue {min_eig:.6e} "
         f"-> {'completely positive' if psd else 'NOT completely positive'}"

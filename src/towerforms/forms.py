@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import PropertyReport
+from .report import PropertyReport, worst_of
 from .tower import (
     AlgebraElement,
     clamp_spectrum,
@@ -172,9 +172,9 @@ def dirichlet_check(
         contraction = eval_form_matrix(form, wedged) - eval_form_matrix(form, a)
         g = gaussian_general(d, rng)
         reality = abs(eval_form_matrix(form, g.conj().T) - eval_form_matrix(form, g))
-        margin = max(contraction, reality)
-        worst = max(worst, margin)
-        if margin > tol:
+        margin = worst_of(contraction, reality)
+        worst = worst_of(worst, margin)
+        if not margin <= tol:
             failures += 1
     return PropertyReport(
         suite="dirichlet",
@@ -298,6 +298,7 @@ def family_compatibility_margin(family: CompatibleFamily):
     The quadratic forms agree on a level iff the associated sesquilinear
     forms agree on all pairs of matrix units, which is what is compared.
     Returns (worst, witness) with witness = (level, (i, j), (k, l), lhs, rhs).
+    A NaN deviation is kept as the worst, with the first NaN as witness.
     """
     worst = 0.0
     witness = None
@@ -316,7 +317,7 @@ def family_compatibility_margin(family: CompatibleFamily):
                 probe[i, j] = 0.0
                 dev = np.abs(lhs_mat - rhs_mat)
                 local = float(dev.max(initial=0.0))
-                if local > worst:
+                if not local <= worst and not np.isnan(worst):
                     k, l = np.unravel_index(np.argmax(dev), dev.shape)
                     worst = local
                     witness = (
@@ -348,7 +349,7 @@ def build_from_family(
             f"ambient level {ambient_level} does not match family top level {top}"
         )
     worst, witness = family_compatibility_margin(family)
-    if worst > tol:
+    if not worst <= tol:
         level, unit, entry, lhs, rhs = witness
         raise FamilyCompatibilityError(level, unit, entry, lhs, rhs)
 
@@ -364,8 +365,8 @@ def build_from_family(
                     eval_form(family.forms[n - 1], cond_expect(lifted, n))
                     for n in range(m, top + 1)
                 ]
-                spread = max(values) - min(values)
-                if spread > stabilization_tol:
+                spread = np.ptp(values)
+                if not spread <= stabilization_tol:
                     raise FamilyCompatibilityError(
                         m, (i, j), (i, j), values[0], values[-1]
                     )

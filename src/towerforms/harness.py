@@ -16,8 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import PropertyReport
-from .tower import AlgebraElement, gaussian_general, gns_inner, normalized_trace
+from .report import PropertyReport, worst_of
+from .tower import (
+    AlgebraElement,
+    check_nonnegative,
+    gaussian_general,
+    gns_inner,
+    normalized_trace,
+)
 from .expectations import cond_expect, project_P, project_Q
 from .forms import (
     CompatibleFamily,
@@ -26,6 +32,7 @@ from .forms import (
     build_from_family,
     commutator_form,
     commutator_form_eval,
+    commutator_generator,
     diagonal_form,
     dirichlet_check,
     eval_form,
@@ -34,7 +41,6 @@ from .forms import (
 from .derivation import bimodule_inner, bimodule_left, bimodule_right, derive
 from .superop import (
     DiagonalComplement,
-    DoubleCommutatorFamily,
     ScaledMap,
     SemigroupMap,
     TransposeMap,
@@ -89,9 +95,9 @@ class RunConfig:
             raise ValueError(f"working level must be >= 1, got {self.level}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        times = tuple(float(t) for t in self.times)
-        if any(t < 0 for t in times):
-            raise ValueError(f"time grid must be nonnegative, got {times}")
+        check_nonnegative("tol", self.tol)
+        check_nonnegative("eig_tol", self.eig_tol)
+        times = tuple(check_nonnegative("time grid entry", t) for t in self.times)
         if any(a > b for a, b in zip(times, times[1:])):
             raise ValueError(f"time grid must be ascending, got {times}")
         object.__setattr__(self, "times", times)
@@ -172,8 +178,8 @@ def _run_choi(cfg: RunConfig) -> list[PropertyReport]:
         failures = 0
         for t in cfg.times:
             margin = -choi_min_eigenvalue(SemigroupMap(gen, t))
-            worst = max(worst, margin)
-            if margin > cfg.tol:
+            worst = worst_of(worst, margin)
+            if not margin <= cfg.tol:
                 failures += 1
         reports.append(
             PropertyReport(
@@ -215,16 +221,18 @@ def _run_leibniz(cfg: RunConfig) -> list[PropertyReport]:
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
             lhs = derive(a @ b, n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = max(
-                np.abs(l.entries - r.entries).max(initial=0.0)
-                for l, r in zip(lhs.components, rhs.components)
+            margin = worst_of(
+                *(
+                    np.abs(l.entries - r.entries).max(initial=0.0)
+                    for l, r in zip(lhs.components, rhs.components)
+                )
             )
             amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
             df = derive(amb, n)
             energy = normalized_trace(bimodule_inner(df, df)).real
-            margin = max(margin, abs(energy - commutator_form_eval(amb, n)))
-            worst = max(worst, margin)
-            if margin > cfg.tol:
+            margin = worst_of(margin, abs(energy - commutator_form_eval(amb, n)))
+            worst = worst_of(worst, margin)
+            if not margin <= cfg.tol:
                 failures += 1
         reports.append(
             PropertyReport(
@@ -248,15 +256,15 @@ def _run_compatibility(cfg: RunConfig) -> list[PropertyReport]:
         tuple(commutator_form(n) for n in range(1, cfg.level + 1))
     )
     worst, _ = family_compatibility_margin(family)
-    failures = 1 if worst > cfg.eig_tol else 0
+    failures = 0 if worst <= cfg.eig_tol else 1
 
     recovered = build_from_family(family, ambient_level=cfg.level, tol=cfg.eig_tol)
     direct = commutator_form(cfg.level)
     recovery_dev = np.abs(
         densify(recovered.generator).matrix - densify(direct.generator).matrix
     ).max(initial=0.0)
-    worst = max(worst, float(recovery_dev))
-    if recovery_dev > cfg.eig_tol:
+    worst = worst_of(worst, recovery_dev)
+    if not recovery_dev <= cfg.eig_tol:
         failures += 1
 
     if cfg.level >= 2:
@@ -301,14 +309,14 @@ def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
                 commutator_form_eval(a, n)
                 - 2.0 * eval_form(form_n, cond_expect(a, n))
             )
-            worst = max(worst, bridge)
-            if bridge > cfg.eig_tol:
+            worst = worst_of(worst, bridge)
+            if not bridge <= cfg.eig_tol:
                 failures += 1
-        double = densify(DoubleCommutatorFamily(_diag_projections_nd(2 ** n))).matrix
+        double = densify(commutator_generator(n)).matrix
         twice = 2.0 * densify(DiagonalComplement(2 ** n)).matrix
-        generator_dev = float(np.abs(double - twice).max(initial=0.0))
-        worst = max(worst, generator_dev)
-        if generator_dev > cfg.eig_tol:
+        generator_dev = np.abs(double - twice).max(initial=0.0)
+        worst = worst_of(worst, generator_dev)
+        if not generator_dev <= cfg.eig_tol:
             failures += 1
         reports.append(
             PropertyReport(
@@ -322,15 +330,6 @@ def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
             )
         )
     return reports
-
-
-def _diag_projections_nd(dim: int) -> list[np.ndarray]:
-    ps = []
-    for i in range(dim):
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        p[i, i] = 1.0
-        ps.append(p)
-    return ps
 
 
 def _run_convergence(cfg: RunConfig) -> list[PropertyReport]:
@@ -357,11 +356,11 @@ def _run_convergence(cfg: RunConfig) -> list[PropertyReport]:
                 - math.sqrt(max(e_q, 0.0))
             )
             tail = e_q - gns_inner(qa, qa).real
-            margin = max(margin, chain, tail)
+            margin = worst_of(margin, chain, tail)
             if n == cfg.level:
                 top_tail = e_q
-        worst = max(worst, margin, top_tail)
-        if margin > cfg.tol or top_tail > cfg.eig_tol:
+        worst = worst_of(worst, margin, top_tail)
+        if not (margin <= cfg.tol and top_tail <= cfg.eig_tol):
             failures += 1
     return [
         PropertyReport(

@@ -5,7 +5,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-__all__ = ["PropertyReport"]
+import numpy as np
+
+__all__ = ["PropertyReport", "worst_of"]
+
+
+def worst_of(*margins) -> float:
+    """The largest margin, NaN when any margin is NaN.
+
+    Python's max drops a NaN that is not its first argument, which would
+    let a NaN sample read as slack; a suite folds its margins with this
+    and counts a failure when ``not margin <= tol``.
+    """
+    return float(np.max(margins))
 
 
 @dataclass(frozen=True)

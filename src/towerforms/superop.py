@@ -2,7 +2,9 @@
 
 Maps are stored structurally (diagonal complement, double-commutator
 families, Schur multipliers, tower projections, sums/compositions) and
-materialized to a dense matrix on vectorized inputs only on demand.
+materialized to a dense matrix on vectorized inputs only on demand: each
+class with a closed form writes its dense body directly, the others probe
+the matrix-unit basis. Choi matrices are index reshuffles of dense bodies.
 
 Vectorization convention (normative for dense bodies and Choi blocks):
 row stacking, ``vec(a) = a.reshape(-1)`` in C order, so the matrix unit
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import PropertyReport
-from .tower import AlgebraElement, random_matrix
+from .report import PropertyReport, worst_of
+from .tower import AlgebraElement, check_nonnegative, random_matrix
 from .expectations import diagonal_part, partial_trace_matrix
 
 __all__ = [
@@ -62,6 +64,16 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(dim, dim)
 
 
+def _schur_body(coeffs: np.ndarray) -> np.ndarray:
+    """Dense body of entrywise multiplication by coeffs: diag(vec(coeffs))."""
+    return np.diag(vec(coeffs).astype(np.complex128))
+
+
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """Exactly diagonal: every nonzero entry lies on the diagonal."""
+    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+
+
 def _check_hermitian(mat: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
     scale = 1.0 + np.abs(mat).max(initial=0.0)
@@ -96,6 +108,23 @@ class SuperOperator:
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def dense_body(self) -> np.ndarray:
+        """The dim^2 x dim^2 matrix of the map on row-stacked inputs.
+
+        This default probes every matrix unit e_kl (column k*dim + l);
+        classes with a closed form override it. No budget check here:
+        callers go through ``densify`` or ``choi_matrix``.
+        """
+        d = self.dim
+        dense = np.empty((d * d, d * d), dtype=np.complex128)
+        probe = np.zeros((d, d), dtype=np.complex128)
+        for k in range(d):
+            for l in range(d):
+                probe[k, l] = 1.0
+                dense[:, k * d + l] = vec(self.apply_matrix(probe))
+                probe[k, l] = 0.0
+        return dense
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -128,6 +157,9 @@ class DiagonalComplement(SuperOperator):
     def diagonal_expectation(self, mat: np.ndarray) -> np.ndarray:
         return diagonal_part(np.asarray(mat, dtype=np.complex128))
 
+    def dense_body(self):
+        return _schur_body(1.0 - np.eye(self.dim))
+
 
 class SchurMultiplier(SuperOperator):
     """Entrywise multiplication by a Hermitian coefficient matrix."""
@@ -144,6 +176,9 @@ class SchurMultiplier(SuperOperator):
     def apply_matrix(self, mat):
         return self.coeffs * np.asarray(mat, dtype=np.complex128)
 
+    def dense_body(self):
+        return _schur_body(self.coeffs)
+
 
 class TransposeMap(SuperOperator):
     """The transpose map: positive but not completely positive."""
@@ -153,12 +188,26 @@ class TransposeMap(SuperOperator):
     def apply_matrix(self, mat):
         return np.asarray(mat, dtype=np.complex128).T.copy()
 
+    def dense_body(self):
+        # the swap permutation: vec(a^T)[i*d + j] = vec(a)[j*d + i]
+        d = self.dim
+        rows = np.arange(d * d)
+        body = np.zeros((d * d, d * d), dtype=np.complex128)
+        body[rows, (rows % d) * d + rows // d] = 1.0
+        return body
+
 
 class DoubleCommutatorFamily(SuperOperator):
     """a -> sum_i [m_i, [m_i, a]] + h a + a h with Hermitian m_i and h.
 
     With all m_i the rank-one diagonal projections and h = 0 this equals
     twice the diagonal complement.
+
+    When every m_i and h are exactly diagonal, with diagonals mu_i and
+    eta, the family is the Schur multiplier with coefficients
+    sum_i (mu_i[j] - mu_i[k])^2 + eta[j] + eta[k]; it is collapsed to
+    those coefficients (``schur``) at construction. Otherwise ``schur`` is
+    None and the family is evaluated with matrix products.
     """
 
     hermiticity_preserving = True
@@ -181,9 +230,22 @@ class DoubleCommutatorFamily(SuperOperator):
             if h.shape != (dim, dim):
                 raise ValueError("h must match the dimension of the m_i")
             self.h = h
+        self.schur = None
+        if all(map(_is_diagonal, self.ms)) and (self.h is None or _is_diagonal(self.h)):
+            coeffs = np.zeros((dim, dim), dtype=np.complex128)
+            for m in self.ms:
+                mu = np.diagonal(m)
+                delta = mu[:, None] - mu[None, :]
+                coeffs += delta * delta
+            if h is not None:
+                eta = np.diagonal(h)
+                coeffs += eta[:, None] + eta[None, :]
+            self.schur = coeffs
 
     def apply_matrix(self, mat):
         mat = np.asarray(mat, dtype=np.complex128)
+        if self.schur is not None:
+            return self.schur * mat
         out = np.zeros_like(mat)
         for m in self.ms:
             c = m @ mat - mat @ m
@@ -191,6 +253,24 @@ class DoubleCommutatorFamily(SuperOperator):
         if self.h is not None:
             out += self.h @ mat + mat @ self.h
         return out
+
+    def dense_body(self):
+        if self.schur is not None:
+            return _schur_body(self.schur)
+        # Row stacking gives vec(x a y) = (x kron y^T) vec(a), so the body is
+        # L kron I + I kron L^T - 2 sum_i m_i kron m_i^T with L = sum_i m_i^2 + h.
+        d = self.dim
+        left = sum(m @ m for m in self.ms)
+        if self.h is not None:
+            left = left + self.h
+        body = np.zeros((d * d, d * d), dtype=np.complex128)
+        grid = body.reshape(d, d, d, d)  # [i, j, k, l]: row i*d + j, column k*d + l
+        for j in range(d):
+            grid[:, j, :, j] += left
+            grid[j, :, j, :] += left.T
+        for m in self.ms:
+            body -= np.kron(2.0 * m, m.T)
+        return body
 
 
 class DenseMap(SuperOperator):
@@ -211,6 +291,9 @@ class DenseMap(SuperOperator):
 
     def apply_matrix(self, mat):
         return unvec(self.matrix @ vec(np.asarray(mat, dtype=np.complex128)), self.dim)
+
+    def dense_body(self):
+        return self.matrix
 
 
 class TowerProjection(SuperOperator):
@@ -249,6 +332,9 @@ class ScaledMap(SuperOperator):
 
     def apply_matrix(self, mat):
         return self.factor * self.inner.apply_matrix(mat)
+
+    def dense_body(self):
+        return self.factor * self.inner.dense_body()
 
 
 class SumMap(SuperOperator):
@@ -342,20 +428,10 @@ def _check_budget(dim: int, max_dim: int, what: str) -> None:
 
 
 def densify(op: SuperOperator, max_dim: int = DENSIFY_DIM_CAP) -> DenseMap:
-    """Materialize the map as a dense matrix on row-stacked inputs by
-    probing the matrix-unit basis."""
-    if isinstance(op, DenseMap):
-        return op
+    """Materialize the map as a dense matrix on row-stacked inputs (see
+    ``SuperOperator.dense_body``)."""
     _check_budget(op.dim, max_dim, "densification")
-    d = op.dim
-    dense = np.empty((d * d, d * d), dtype=np.complex128)
-    probe = np.zeros((d, d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            probe[k, l] = 1.0
-            dense[:, k * d + l] = vec(op.apply_matrix(probe))
-            probe[k, l] = 0.0
-    return DenseMap(dense, hermiticity_preserving=op.hermiticity_preserving)
+    return DenseMap(op.dense_body(), hermiticity_preserving=op.hermiticity_preserving)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +439,16 @@ class SpectralResolution:
     """Eigendecomposition of a GNS-self-adjoint map.
 
     eigenvalues are ascending; eigenvectors[k] is the matrix u_k, the
-    family being orthonormal for the GNS inner product.
+    family being orthonormal for the GNS inner product. asymmetry is the
+    measured defect max|D - D*| / (1 + max|D|) of the dense body D that
+    was resolved, so a cached resolution can be rechecked against a
+    stricter tolerance.
     """
 
     dim: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # shape (dim*dim, dim, dim)
+    asymmetry: float = 0.0
 
     @property
     def min_eigenvalue(self) -> float:
@@ -391,6 +471,13 @@ class SpectralResolution:
     def reconstruct(self, mat: np.ndarray) -> np.ndarray:
         return self.apply_function(lambda lam: lam, mat)
 
+    def function_body(self, func) -> np.ndarray:
+        """Dense body of f(map): V f(Lambda) V* / dim, the columns of V
+        being the vectorized u_k."""
+        d2 = self.dim * self.dim
+        v = self.eigenvectors.reshape(d2, d2).T
+        return (v * (func(self.eigenvalues) / self.dim)) @ v.conj().T
+
 
 def spectral_resolve(
     op: SuperOperator,
@@ -402,14 +489,23 @@ def spectral_resolve(
     GNS self-adjointness is equivalent to Hermiticity of the dense body
     (the GNS inner product is a positive multiple of the Euclidean one on
     vectorized matrices); non-self-adjoint inputs are rejected with the
-    largest asymmetry entry as witness.
+    largest asymmetry entry as witness. The resolution is cached on the
+    map together with its measured asymmetry, which every later call
+    checks against its own sym_tol.
     """
-    if op._spectral is not None:
-        return op._spectral
+    res = op._spectral
+    if res is not None:
+        if not res.asymmetry <= sym_tol:
+            raise ValueError(
+                f"map is not GNS-self-adjoint: relative asymmetry "
+                f"{res.asymmetry:.3e} exceeds sym_tol={sym_tol:.1e}"
+            )
+        return res
     dense = densify(op, max_dim=max_dim).matrix
     asym = np.abs(dense - dense.conj().T)
     defect = asym.max(initial=0.0)
-    if defect > sym_tol * (1.0 + np.abs(dense).max(initial=0.0)):
+    relative = float(defect / (1.0 + np.abs(dense).max(initial=0.0)))
+    if not relative <= sym_tol:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         raise ValueError(
             f"map is not GNS-self-adjoint: |D - D*| has max {defect:.3e} "
@@ -418,7 +514,9 @@ def spectral_resolve(
     w, v = np.linalg.eigh(0.5 * (dense + dense.conj().T))
     d = op.dim
     vectors = (v.T.reshape(d * d, d, d)) * np.sqrt(d)
-    res = SpectralResolution(dim=d, eigenvalues=w, eigenvectors=vectors)
+    res = SpectralResolution(
+        dim=d, eigenvalues=w, eigenvectors=vectors, asymmetry=relative
+    )
     op._spectral = res
     return res
 
@@ -428,21 +526,25 @@ def spectral_resolve(
 # --------------------------------------------------------------------------
 
 
-def _semigroup_matrix(
-    op: SuperOperator, t: float, mat: np.ndarray, eig_tol: float = 1e-12
-) -> np.ndarray:
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    mat = np.asarray(mat, dtype=np.complex128)
-    if isinstance(op, DiagonalComplement):
-        # e^{-t(I-B)} = e^{-t} id + (1 - e^{-t}) B since B is a projection
-        decay = np.exp(-t)
-        return decay * mat + (1.0 - decay) * op.diagonal_expectation(mat)
+def _positive_resolution(op: SuperOperator, eig_tol: float) -> SpectralResolution:
     res = spectral_resolve(op)
     if res.min_eigenvalue < -eig_tol:
         raise ValueError(
             f"generator is not positive: min eigenvalue {res.min_eigenvalue:.3e}"
         )
+    return res
+
+
+def _semigroup_matrix(
+    op: SuperOperator, t: float, mat: np.ndarray, eig_tol: float = 1e-12
+) -> np.ndarray:
+    check_nonnegative("semigroup time", t)
+    mat = np.asarray(mat, dtype=np.complex128)
+    if isinstance(op, DiagonalComplement):
+        # e^{-t(I-B)} = e^{-t} id + (1 - e^{-t}) B since B is a projection
+        decay = np.exp(-t)
+        return decay * mat + (1.0 - decay) * op.diagonal_expectation(mat)
+    res = _positive_resolution(op, eig_tol)
     return res.apply_function(lambda lam: np.exp(-t * lam), mat)
 
 
@@ -467,16 +569,22 @@ class SemigroupMap(SuperOperator):
     expected (Choi certification in particular)."""
 
     def __init__(self, generator: SuperOperator, t: float, eig_tol: float = 1e-12):
-        if t < 0:
-            raise ValueError(f"semigroup time must be nonnegative, got {t}")
         super().__init__(generator.dim)
         self.generator = generator
-        self.t = float(t)
+        self.t = check_nonnegative("semigroup time", t)
         self.eig_tol = float(eig_tol)
         self.hermiticity_preserving = generator.hermiticity_preserving
 
     def apply_matrix(self, mat):
         return _semigroup_matrix(self.generator, self.t, mat, self.eig_tol)
+
+    def dense_body(self):
+        if isinstance(self.generator, DiagonalComplement):
+            coeffs = np.full((self.dim, self.dim), np.exp(-self.t))
+            np.fill_diagonal(coeffs, 1.0)
+            return _schur_body(coeffs)
+        res = _positive_resolution(self.generator, self.eig_tol)
+        return res.function_body(lambda lam: np.exp(-self.t * lam))
 
 
 # --------------------------------------------------------------------------
@@ -488,18 +596,14 @@ def choi_matrix(op: SuperOperator, max_dim: int = DENSIFY_DIM_CAP) -> np.ndarray
     """Block matrix whose (k, l) block is the image of the matrix unit e_kl.
 
     The map is completely positive iff the result is positive
-    semidefinite.
+    semidefinite. It is the index reshuffle of the dense body D (Choi,
+    Linear Algebra Appl. 10, 1975): entry (k*d + i, l*d + j) of the Choi
+    matrix is S(e_kl)_ij = D[i*d + j, k*d + l].
     """
     _check_budget(op.dim, max_dim, "Choi matrix")
     d = op.dim
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    probe = np.zeros((d, d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            probe[k, l] = 1.0
-            choi[k * d:(k + 1) * d, l * d:(l + 1) * d] = op.apply_matrix(probe)
-            probe[k, l] = 0.0
-    return choi
+    body = op.dense_body().reshape(d, d, d, d)
+    return body.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def choi_min_eigenvalue(
@@ -509,7 +613,7 @@ def choi_min_eigenvalue(
     completely positive. Rejects maps whose Choi matrix is not Hermitian."""
     choi = choi_matrix(op, max_dim=max_dim)
     defect = np.abs(choi - choi.conj().T).max(initial=0.0)
-    if defect > sym_tol * (1.0 + np.abs(choi).max(initial=0.0)):
+    if not defect <= sym_tol * (1.0 + np.abs(choi).max(initial=0.0)):
         raise ValueError(
             f"Choi matrix is not Hermitian (defect {defect:.3e}); "
             "PSD test is undefined"
@@ -541,9 +645,9 @@ def markov_check(
         for t in t_samples:
             y = _semigroup_matrix(op, t, x)
             ev = np.linalg.eigvalsh(0.5 * (y + y.conj().T))
-            margin = max(margin, -ev[0], ev[-1] - 1.0)
-        worst = max(worst, margin)
-        if margin > tol:
+            margin = worst_of(margin, -ev[0], ev[-1] - 1.0)
+        worst = worst_of(worst, margin)
+        if not margin <= tol:
             failures += 1
     return PropertyReport(
         suite="markov",
@@ -576,10 +680,10 @@ def symmetry_conservativity_check(
     conserv = -np.inf
     for t in t_samples:
         drift = np.abs(_semigroup_matrix(op, t, eye) - eye).max()
-        conserv = max(conserv, float(drift))
+        conserv = worst_of(conserv, drift)
 
     worst = conserv
-    failures = 1 if conserv > tol else 0
+    failures = 0 if conserv <= tol else 1
     for _ in range(samples):
         x = random_matrix(d, "general", rng)
         y = random_matrix(d, "general", rng)
@@ -587,9 +691,9 @@ def symmetry_conservativity_check(
         for t in t_samples:
             lhs = np.trace(_semigroup_matrix(op, t, x) @ y) / d
             rhs = np.trace(x @ _semigroup_matrix(op, t, y)) / d
-            margin = max(margin, abs(lhs - rhs))
-        worst = max(worst, margin)
-        if margin > tol:
+            margin = worst_of(margin, abs(lhs - rhs))
+        worst = worst_of(worst, margin)
+        if not margin <= tol:
             failures += 1
     return PropertyReport(
         suite="symmetry",

@@ -19,6 +19,7 @@ __all__ = [
     "AlgebraElement",
     "Tolerance",
     "DEFAULT_TOLERANCE",
+    "check_nonnegative",
     "RANDOM_KINDS",
     "identity",
     "zero",
@@ -41,6 +42,14 @@ __all__ = [
 ]
 
 
+def check_nonnegative(what: str, value) -> float:
+    """Return value as a float, rejecting NaN, infinities and negatives."""
+    value = float(value)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{what} must be finite and nonnegative, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical tolerances shared by the property suites.
@@ -53,8 +62,8 @@ class Tolerance:
     eig_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.eig_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        check_nonnegative("abs_tol", self.abs_tol)
+        check_nonnegative("eig_tol", self.eig_tol)
 
 
 DEFAULT_TOLERANCE = Tolerance()

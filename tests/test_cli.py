@@ -56,6 +56,26 @@ def test_verify_unknown_suite_lists_names(tmp_path, capsys):
     assert "bogus" in err and "dirichlet" in err and "markov" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--eig-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_verify_rejects_bad_tolerance(flag, value, capsys):
+    code = main(
+        ["verify", "--suite", "dirichlet,compatibility", "--level", "2", flag, value]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "finite and nonnegative" in captured.err
+    assert "failures" not in captured.out
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--t"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_choi_rejects_bad_tolerance_and_time(flag, value, capsys):
+    code = main(["choi", "--level", "1", flag, value])
+    assert code == 2
+    assert f"{flag} must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_converge_writes_table(tmp_path):
     a = random_element(3, "hermitian", 500)
     inp = tmp_path / "a.json"
@@ -86,6 +106,16 @@ def test_evolve_writes_trajectory(tmp_path):
     assert lines[0] == "t,trace_re,trace_im,gns_norm,energy,min_eig,max_eig"
     assert len(lines) == 4
     assert float(lines[1].split(",")[0]) == 0.0
+
+
+def test_evolve_rejects_nan_time_without_output(tmp_path, capsys):
+    inp = tmp_path / "x.json"
+    save_element(AlgebraElement(1, X), inp)
+    out = tmp_path / "traj.csv"
+    code = main(["evolve", "--t-grid", "nan,1", "--input", str(inp), "--out", str(out)])
+    assert code == 2
+    assert "semigroup time must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_choi_diagonal_is_cp(tmp_path, capsys):

@@ -9,7 +9,13 @@ from towerforms.tower import (
     random_element,
 )
 from towerforms.expectations import cond_expect, project_P
-from towerforms.superop import ScaledMap, ZeroMap, densify, spectral_resolve
+from towerforms.superop import (
+    DiagonalComplement,
+    ScaledMap,
+    ZeroMap,
+    densify,
+    spectral_resolve,
+)
 from towerforms.forms import (
     CompatibleFamily,
     FamilyCompatibilityError,
@@ -228,6 +234,16 @@ def test_dirichlet_check_flags_a_non_dirichlet_form():
     assert rep.worst_margin > 0.1
 
 
+def test_dirichlet_check_fails_closed_on_nan_generator():
+    nan_form = QuadraticForm(
+        ScaledMap(float("nan"), DiagonalComplement(4)), label="nan"
+    )
+    rep = dirichlet_check(nan_form, samples=5, seed=153, tol=1e-10)
+    assert rep.failures == 5
+    assert np.isnan(rep.worst_margin)
+    assert not rep.passed
+
+
 # --------------------------------------------------------------------------
 # amplification
 # --------------------------------------------------------------------------
@@ -408,6 +424,17 @@ def test_perturbed_family_rejected_with_witness():
     assert err.value.level in (1, 2)
     assert err.value.unit is not None
     assert abs(err.value.lhs - err.value.rhs) > 1e-6
+
+
+def test_nan_family_member_is_kept_as_worst_and_rejected():
+    forms = list(_commutator_family(3).forms)
+    forms[1] = QuadraticForm(ScaledMap(float("nan"), forms[1].generator), label="nan")
+    fam = CompatibleFamily(tuple(forms))
+    worst, witness = family_compatibility_margin(fam)
+    assert np.isnan(worst)
+    assert witness[0] == 1  # the first level pair that touches the NaN member
+    with pytest.raises(FamilyCompatibilityError):
+        build_from_family(fam)
 
 
 def test_family_levels_validated():

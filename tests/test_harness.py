@@ -41,6 +41,22 @@ def test_config_rejects_bad_values():
         RunConfig(times=(-1.0, 0.5))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", float("nan")),
+        ("tol", -1e-10),
+        ("eig_tol", float("nan")),
+        ("eig_tol", float("inf")),
+        ("times", (0.1, float("nan"))),
+        ("times", (0.1, float("inf"))),
+    ],
+)
+def test_config_rejects_non_finite_or_negative_tolerances_and_times(field, value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        RunConfig(**{field: value})
+
+
 def test_config_rejects_unknown_suite_listing_names():
     with pytest.raises(ValueError) as err:
         RunConfig(suites=("markov", "nonsense"))

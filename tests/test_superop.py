@@ -14,6 +14,7 @@ from towerforms.superop import (
     SchurMultiplier,
     SemigroupMap,
     SumMap,
+    SuperOperator,
     TowerProjection,
     TransposeMap,
     ZeroMap,
@@ -453,3 +454,130 @@ def test_level_of_non_power_of_two_dim_rejected():
     amp = BlockwiseMap(DiagonalComplement(2), 3)
     with pytest.raises(ValueError, match="power of two"):
         _ = amp.level
+
+
+# --------------------------------------------------------------------------
+# closed-form dense bodies against the matrix-unit probe reference
+# --------------------------------------------------------------------------
+
+
+def _hermitian(rng, d):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (m + m.conj().T)
+
+
+def _real_diagonal(rng, d):
+    return np.diag(rng.standard_normal(d)).astype(complex)
+
+
+def _closed_form_cases(n):
+    """(name, map) pairs covering every closed-form dense body at level n."""
+    d = 2 ** n
+    rng = np.random.default_rng([81, n])
+    diag_ms = [_real_diagonal(rng, d) for _ in range(3)]
+    full_ms = [_hermitian(rng, d) / d for _ in range(3)]
+    psd = _hermitian(rng, d)
+    psd = psd @ psd / d
+    lindblad = DoubleCommutatorFamily(full_ms, h=psd)
+    return [
+        ("diagonal complement", DiagonalComplement(d)),
+        ("schur", SchurMultiplier(_hermitian(rng, d))),
+        ("transpose", TransposeMap(d)),
+        ("commutator diag m, diag h",
+         DoubleCommutatorFamily(diag_ms, h=_real_diagonal(rng, d))),
+        ("commutator diag m, full h", DoubleCommutatorFamily(diag_ms, h=psd)),
+        ("commutator full m, h", lindblad),
+        ("scaled", ScaledMap(0.7 - 0.2j, lindblad)),
+        ("semigroup diagonal", SemigroupMap(DiagonalComplement(d), 0.5)),
+        ("semigroup lindblad", SemigroupMap(lindblad, 0.5)),
+        ("dense", DenseMap(rng.standard_normal((d * d, d * d)))),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_bodies_match_probe_reference(n):
+    for name, op in _closed_form_cases(n):
+        body = op.dense_body()
+        reference = SuperOperator.dense_body(op)
+        scale = 1.0 + np.abs(reference).max()
+        assert np.abs(body - reference).max() <= 1e-13 * scale, name
+        np.testing.assert_array_equal(densify(op).matrix, body)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_commutator_family_collapses_only_when_exactly_diagonal(n):
+    d = 2 ** n
+    rng = np.random.default_rng([82, n])
+    diag_ms = [_real_diagonal(rng, d) for _ in range(2)]
+    eta = rng.standard_normal(d)
+    collapsed = DoubleCommutatorFamily(diag_ms, h=np.diag(eta))
+    expected = eta[:, None] + eta[None, :]
+    for m in diag_ms:
+        mu = np.diag(m)
+        expected = expected + (mu[:, None] - mu[None, :]) ** 2
+    np.testing.assert_allclose(collapsed.schur, expected, rtol=0, atol=1e-13)
+    full_h = np.diag(eta).astype(complex)
+    full_h[0, 1] = full_h[1, 0] = 1e-300
+    assert DoubleCommutatorFamily(diag_ms, h=full_h).schur is None
+    assert DoubleCommutatorFamily([_hermitian(rng, d)]).schur is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_matrix_is_block_of_images(n):
+    d = 2 ** n
+    ops = [op for _, op in _closed_form_cases(n)]
+    ops += [TowerProjection(n, n - 1), ComposedMap([TransposeMap(d), DiagonalComplement(d)])]
+    for op in ops:
+        blocks = np.zeros((d * d, d * d), dtype=complex)
+        for k in range(d):
+            for l in range(d):
+                e_kl = np.zeros((d, d), dtype=complex)
+                e_kl[k, l] = 1.0
+                blocks[k * d:(k + 1) * d, l * d:(l + 1) * d] = op.apply_matrix(e_kl)
+        scale = 1.0 + np.abs(blocks).max()
+        assert np.abs(choi_matrix(op) - blocks).max() <= 1e-13 * scale, repr(op)
+
+
+def test_semigroup_body_rejects_non_positive_generator():
+    phi = SemigroupMap(ScaledMap(-1.0, densify(DiagonalComplement(2))), 1.0)
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        phi.apply_matrix(np.eye(2))
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        phi.dense_body()
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        choi_matrix(phi)
+
+
+@pytest.mark.parametrize("t", [-0.1, float("nan"), float("inf")])
+def test_semigroup_rejects_bad_time(t):
+    with pytest.raises(ValueError, match="semigroup time"):
+        SemigroupMap(DiagonalComplement(2), t)
+    with pytest.raises(ValueError, match="semigroup time"):
+        semigroup_apply(DiagonalComplement(2), t, identity(1))
+
+
+def test_spectral_cache_rechecks_caller_tolerance():
+    rng = np.random.default_rng(83)
+    body = densify(DoubleCommutatorFamily([_hermitian(rng, 2)])).matrix
+    body = body + 1e-6 * rng.standard_normal(body.shape)  # slightly non-self-adjoint
+    with pytest.raises(ValueError, match="self-adjoint"):
+        spectral_resolve(DenseMap(body), sym_tol=1e-10)
+    op = DenseMap(body)
+    res = spectral_resolve(op, sym_tol=1e-3)
+    assert 1e-10 < res.asymmetry <= 1e-3
+    assert spectral_resolve(op, sym_tol=1e-3) is res
+    with pytest.raises(ValueError, match="self-adjoint"):
+        spectral_resolve(op, sym_tol=1e-10)
+
+
+def test_choi_certificate_rejects_nan_map():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        choi_min_eigenvalue(ScaledMap(float("nan"), IdentityMap(2)))
+
+
+def test_nan_generator_fails_markov_and_symmetry_closed():
+    bad = ScaledMap(float("nan"), DiagonalComplement(2))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        markov_check(bad, t_samples=(1.0,), n_samples=2, seed=84, tol=1e-10)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        symmetry_conservativity_check(bad, samples=2, seed=84, tol=1e-10)
