@@ -3,8 +3,6 @@ derivations on the tower of 2^n x 2^n matrix algebras."""
 
 from .tower import (
     AlgebraElement,
-    Tolerance,
-    DEFAULT_TOLERANCE,
     identity,
     zero,
     matrix_unit,

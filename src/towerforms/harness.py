@@ -118,6 +118,22 @@ def _suite_seed(base: int, suite: str, level: int) -> int:
     return (base + zlib.crc32(f"{suite}:{level}".encode())) % (2 ** 31)
 
 
+_DEVIATION_BLOCK_ROWS = 64
+
+
+def _max_abs_deviation(x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> float:
+    """max |x - scale * y| over every entry, NaN when any entry is NaN.
+
+    Taken over blocks of rows, so that the temporaries stay small beside
+    two dense bodies of side 4^n.
+    """
+    worst = 0.0
+    for start in range(0, x.shape[0], _DEVIATION_BLOCK_ROWS):
+        rows = slice(start, start + _DEVIATION_BLOCK_ROWS)
+        worst = worst_of(worst, np.abs(x[rows] - scale * y[rows]).max(initial=0.0))
+    return worst
+
+
 # --------------------------------------------------------------------------
 # individual suites
 # --------------------------------------------------------------------------
@@ -221,12 +237,7 @@ def _run_leibniz(cfg: RunConfig) -> list[PropertyReport]:
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
             lhs = derive(a @ b, n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = worst_of(
-                *(
-                    np.abs(l.entries - r.entries).max(initial=0.0)
-                    for l, r in zip(lhs.components, rhs.components)
-                )
-            )
+            margin = np.abs(lhs.stack - rhs.stack).max()
             amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
             df = derive(amb, n)
             energy = normalized_trace(bimodule_inner(df, df)).real
@@ -260,9 +271,9 @@ def _run_compatibility(cfg: RunConfig) -> list[PropertyReport]:
 
     recovered = build_from_family(family, ambient_level=cfg.level, tol=cfg.eig_tol)
     direct = commutator_form(cfg.level)
-    recovery_dev = np.abs(
-        densify(recovered.generator).matrix - densify(direct.generator).matrix
-    ).max(initial=0.0)
+    recovery_dev = _max_abs_deviation(
+        densify(recovered.generator).matrix, densify(direct.generator).matrix
+    )
     worst = worst_of(worst, recovery_dev)
     if not recovery_dev <= cfg.eig_tol:
         failures += 1
@@ -312,9 +323,11 @@ def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
             worst = worst_of(worst, bridge)
             if not bridge <= cfg.eig_tol:
                 failures += 1
-        double = densify(commutator_generator(n)).matrix
-        twice = 2.0 * densify(DiagonalComplement(2 ** n)).matrix
-        generator_dev = np.abs(double - twice).max(initial=0.0)
+        generator_dev = _max_abs_deviation(
+            densify(commutator_generator(n)).matrix,
+            densify(DiagonalComplement(2 ** n)).matrix,
+            scale=2.0,
+        )
         worst = worst_of(worst, generator_dev)
         if not generator_dev <= cfg.eig_tol:
             failures += 1

@@ -17,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "AlgebraElement",
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "check_nonnegative",
     "RANDOM_KINDS",
     "identity",
@@ -48,25 +46,6 @@ def check_nonnegative(what: str, value) -> float:
     if not 0.0 <= value < np.inf:
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     return value
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical tolerances shared by the property suites.
-
-    abs_tol gates entrywise/scalar comparisons, eig_tol gates eigenvalue
-    based checks (PSD certificates, spectral reconstructions).
-    """
-
-    abs_tol: float = 1e-10
-    eig_tol: float = 1e-12
-
-    def __post_init__(self):
-        check_nonnegative("abs_tol", self.abs_tol)
-        check_nonnegative("eig_tol", self.eig_tol)
-
-
-DEFAULT_TOLERANCE = Tolerance()
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,11 +239,14 @@ def _parse_square(part, d: int, key: str) -> np.ndarray:
         raise ValueError(
             f"field {key!r} must have shape ({d}, {d}), got {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"field {key!r} has non-finite entries (NaN or inf)")
     return arr
 
 
 def element_from_json(obj: dict) -> AlgebraElement:
-    """Parse the matrix JSON format, rejecting shape mismatches."""
+    """Parse the matrix JSON format, rejecting shape mismatches and
+    non-finite entries."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     missing = {"level", "re", "im"} - set(obj)

@@ -154,6 +154,49 @@ def test_choi_lindblad_dimension_mismatch(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+def test_verify_sampled_suites_at_level_six(tmp_path):
+    out = tmp_path / "reports"
+    code = main(
+        [
+            "verify", "--suite", "dirichlet,leibniz,convergence", "--level", "6",
+            "--samples", "3", "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    reports = [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+    assert len(reports) == 13
+    assert all(r["failures"] == 0 for r in reports)
+
+
+def _nan_matrix_json(level):
+    obj = element_to_json(AlgebraElement(level, np.eye(2 ** level)))
+    obj["re"][0][1] = float("nan")
+    return obj
+
+
+def test_converge_and_evolve_reject_non_finite_input(tmp_path, capsys):
+    inp = tmp_path / "nan.json"
+    inp.write_text(json.dumps(_nan_matrix_json(1)))
+    out = tmp_path / "o.csv"
+    assert main(["converge", "--level", "1", "--input", str(inp), "--out", str(out)]) == 2
+    assert "'re'" in capsys.readouterr().err
+    assert main(["evolve", "--t-grid", "0,1", "--input", str(inp), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["ms", "h"])
+def test_choi_lindblad_rejects_non_finite_data(tmp_path, capsys, field):
+    p1 = element_to_json(AlgebraElement(1, np.diag([1.0, 0.0])))
+    bad = _nan_matrix_json(1)
+    lind = {"ms": [bad], "h": None} if field == "ms" else {"ms": [p1], "h": bad}
+    path = tmp_path / "lind.json"
+    path.write_text(json.dumps(lind))
+    code = main(["choi", "--level", "1", "--generator", f"lindblad:{path}"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_bad_input_file_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"level": 1, "re": [[1, 0]], "im": [[0, 0]]}))

@@ -4,6 +4,7 @@ import pytest
 from towerforms.tower import (
     AlgebraElement,
     diagonal_projection,
+    gaussian_general,
     identity,
     normalized_trace,
     random_element,
@@ -76,10 +77,55 @@ def test_derive_vanishes_iff_expectation_diagonal():
 
 
 def test_bimodule_vector_validates_shape():
-    with pytest.raises(ValueError, match="components"):
-        BimoduleVector(1, (identity(1),))
-    with pytest.raises(ValueError, match="carrier"):
-        BimoduleVector(1, (identity(1), identity(2)))
+    """A level-1 vector needs a (2, d, d) stack with d a power of two."""
+    for shape in [(1, 2, 2), (4, 2, 2), (2, 2, 4), (2, 3, 3), (2, 0, 0), (2, 2), (2, 2, 2, 2)]:
+        with pytest.raises(ValueError, match="stack of shape"):
+            BimoduleVector(1, np.zeros(shape))
+
+
+def test_stack_is_read_only_and_writable_input_is_copied():
+    raw = np.ones((2, 4, 4))
+    f = BimoduleVector(1, raw)
+    assert f.stack.dtype == np.complex128 and f.carrier_level == 2
+    raw[0, 0, 0] = 5.0
+    assert f.stack[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        f.stack[0, 0, 0] = 2.0
+    g = derive(AlgebraElement(1, X), 1)
+    assert not g.stack.flags.writeable
+    assert BimoduleVector(1, g.stack).stack is g.stack  # read-only input is shared
+    for comp, row in zip(g.components, g.stack):
+        np.testing.assert_array_equal(comp.entries, row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_layers_match_componentwise_loops(n):
+    """derive, both actions and the inner product against the per-component
+    loops they replace, on a derived vector and on a generic stack."""
+    rng = np.random.default_rng(100 + n)
+    d = 2 ** n
+    a = AlgebraElement(n, gaussian_general(d, rng))
+    amb = AlgebraElement(5, gaussian_general(32, rng))
+    b = cond_expect(amb, n).entries
+    f = derive(amb, n)
+    loop = np.zeros((d, d, d), dtype=complex)
+    for j in range(d):
+        loop[j, j, :] = b[j, :]
+        loop[j, :, j] -= b[:, j]
+    np.testing.assert_array_equal(f.stack, loop)
+
+    g = BimoduleVector(n, rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d)))
+    for v in (f, g):
+        left = bimodule_left(a, v).stack
+        right = bimodule_right(v, a).stack
+        for j in range(d):
+            np.testing.assert_allclose(left[j], a.entries @ v.stack[j], atol=1e-12)
+            np.testing.assert_allclose(right[j], v.stack[j] @ a.entries, atol=1e-12)
+    inner = sum(cf.conj().T @ cg for cf, cg in zip(f.stack, g.stack))
+    np.testing.assert_allclose(bimodule_inner(f, g).entries, inner, atol=1e-11)
+    np.testing.assert_allclose(
+        (f + g).stack - (f - g).stack, 2.0 * g.stack, atol=1e-12
+    )
 
 
 def test_unit_acts_trivially():

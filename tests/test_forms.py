@@ -3,6 +3,7 @@ import pytest
 
 from towerforms.tower import (
     AlgebraElement,
+    diagonal_projection,
     embed,
     gns_inner,
     identity,
@@ -132,6 +133,21 @@ def test_commutator_eval_frozen_examples():
     assert commutator_form_eval(AlgebraElement(1, np.diag([5.0, -1.0])), 1) == 0.0
     x_padded = AlgebraElement(2, np.kron(X, np.eye(2)))
     assert abs(commutator_form_eval(x_padded, 1) - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_commutator_eval_matches_dense_projection_sum(n):
+    """The O(d^2) row/column formula against sum_i ||p_i b - b p_i||^2 / d
+    with the rank-one projections built densely."""
+    a = random_element(5, "general", 130 + n)
+    b = cond_expect(a, n).entries
+    d = 2 ** n
+    expected = 0.0
+    for i in range(d):
+        p = diagonal_projection(n, i).entries
+        c = p @ b - b @ p
+        expected += np.trace(c @ c.conj().T).real / d
+    assert abs(commutator_form_eval(a, n) - expected) <= 1e-12 * expected
 
 
 def test_commutator_form_generator_matches_literal_sum():

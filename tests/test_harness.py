@@ -178,6 +178,27 @@ def test_different_seed_changes_margins(tmp_path):
     assert any(a.worst_margin != b.worst_margin for a, b in zip(r1, r2))
 
 
+def test_leibniz_nan_sample_gives_nan_margin_and_fails(monkeypatch):
+    """A NaN entry in one drawn sample must surface as a NaN worst margin
+    and count as exactly one failed sample, not be dropped by the fold."""
+    import towerforms.harness as harness
+
+    draws = []
+    real = harness.gaussian_general
+
+    def poisoned(dim, rng):
+        g = real(dim, rng)
+        draws.append(dim)
+        if len(draws) == 4:  # `a` of the second sample
+            g[0, 1] = np.nan
+        return g
+
+    monkeypatch.setattr(harness, "gaussian_general", poisoned)
+    (rep,) = run_suite(RunConfig(level=1, samples=3, suites=("leibniz",)))
+    assert np.isnan(rep.worst_margin)
+    assert rep.failures == 1
+
+
 def test_write_table_csv_format(tmp_path):
     path = tmp_path / "t.csv"
     rows = [{"n": 1, "E_n": 0.5, "E_Q_n": 0.0, "Q_n_norm_sq": 1.0, "sqrt_gap": 0.125}]

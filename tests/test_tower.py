@@ -3,7 +3,6 @@ import pytest
 
 from towerforms.tower import (
     AlgebraElement,
-    Tolerance,
     diagonal_projection,
     element_from_json,
     element_to_json,
@@ -64,11 +63,6 @@ def test_element_arithmetic_checks_levels():
         _ = a + b
     with pytest.raises(ValueError, match="level mismatch"):
         _ = a @ b
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=-1.0)
 
 
 # --------------------------------------------------------------------------
@@ -291,6 +285,15 @@ def test_json_shape_mismatch_rejected():
     ragged = dict(good, im=[[0.0, 0.0], [0.0]])
     with pytest.raises(ValueError):
         element_from_json(ragged)
+
+
+@pytest.mark.parametrize("field", ["re", "im"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_non_finite_entries_rejected(field, value):
+    obj = element_to_json(identity(1))
+    obj[field][1][0] = value
+    with pytest.raises(ValueError, match=f"'{field}' has non-finite"):
+        element_from_json(obj)
 
 
 def test_json_missing_fields_rejected():
