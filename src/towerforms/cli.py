@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,31 +40,56 @@ from .superop import (
 from .tower import check_nonnegative, element_from_json, load_element
 
 
+MAX_TIME_GRID_ROWS = 10 ** 6
+
+
 def _parse_time_grid(text: str) -> tuple:
     """Either 'start:step:stop' (inclusive stop, up to rounding) or a
-    comma-separated list of times."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"time grid {text!r} must be start:step:stop or a comma list"
-            )
-        try:
-            start, step, stop = (float(p) for p in parts)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad time grid {text!r}") from exc
-        if step <= 0:
-            raise argparse.ArgumentTypeError("time grid step must be positive")
-        grid = []
-        t = start
-        while t <= stop + 1e-12:
-            grid.append(round(t, 12))
-            t = start + (len(grid)) * step
-        return tuple(grid)
+    comma-separated list of times.
+
+    The result is a non-empty, ascending tuple of finite nonnegative times
+    with at most MAX_TIME_GRID_ROWS entries; anything else is rejected,
+    and a range is rejected before its grid is built.
+    """
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise argparse.ArgumentTypeError(
+            f"time grid {text!r} must be start:step:stop or a comma list"
+        )
     try:
-        return tuple(float(p) for p in text.split(","))
+        if len(parts) == 1:
+            return _list_grid(tuple(float(p) for p in text.split(",")))
+        return _range_grid(*(float(p) for p in parts))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad time grid {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad time grid {text!r}: {exc}") from exc
+
+
+def _range_grid(start: float, step: float, stop: float) -> tuple:
+    """The checked range, ascending, finite and within the row cap by
+    construction."""
+    for name, value in (("start", start), ("step", step), ("stop", stop)):
+        check_nonnegative(f"time grid {name}", value)
+    if step <= 0:
+        raise ValueError("time grid step must be positive")
+    if stop < start:
+        raise ValueError(f"time grid stop {stop} is below its start {start}")
+    span = (stop - start + 1e-12) / step
+    if not span < MAX_TIME_GRID_ROWS:
+        raise ValueError(f"time grid has more than {MAX_TIME_GRID_ROWS} rows")
+    return tuple(round(start + i * step, 12) for i in range(math.floor(span) + 1))
+
+
+def _list_grid(grid: tuple) -> tuple:
+    if len(grid) > MAX_TIME_GRID_ROWS:
+        raise ValueError(
+            f"time grid has more than {MAX_TIME_GRID_ROWS} rows, got {len(grid)}"
+        )
+    for t in grid:
+        check_nonnegative("semigroup time", t)
+    for a, b in zip(grid, grid[1:]):
+        if a > b:
+            raise ValueError(f"time grid must be ascending, {b} follows {a}")
+    return grid
 
 
 def _load_lindblad(path: str) -> DoubleCommutatorFamily:
@@ -218,7 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage or error
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -6,9 +6,11 @@ with every rank-one diagonal projection; the carrier is the direct sum of
 and an algebra-valued inner product. The bimodule is a direct sum of
 trivial bimodules by construction, which is the strong-locality witness.
 
-A vector is stored as one read-only complex array ``stack`` of shape
-(2^level, d, d), component j being ``stack[j]``, so the actions and the
-inner product are batched matrix products over all components at once.
+A vector is stored as rank factors: read-only complex arrays ``left`` of
+shape (2^level, d, r) and ``right`` of shape (2^level, r, d), component j
+being ``left[j] @ right[j]``. Every component of ``derive`` has rank at
+most 2, so the actions and the inner product cost O(k d^2 r) instead of
+the O(k d^3) of dense components; ranks add under ``+`` and ``-``.
 """
 
 from __future__ import annotations
@@ -30,35 +32,60 @@ __all__ = [
 ]
 
 
+def _frozen_complex(x) -> np.ndarray:
+    """x as a read-only complex128 array; a writable or non-complex input
+    is copied, a read-only complex128 one is taken as is."""
+    x = np.asarray(x)
+    if x.dtype != np.complex128 or x.flags.writeable:
+        x = np.array(x, dtype=np.complex128)
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class BimoduleVector:
-    """2^level components at a common carrier level, stacked as one
-    (2^level, d, d) complex array with d = 2^carrier_level.
+    """2^level components at a common carrier level d = 2^carrier_level,
+    held as rank factors: component j is ``left[j] @ right[j]`` with
+    ``left`` of shape (2^level, d, r) and ``right`` of shape (2^level, r, d).
 
-    A writable or non-complex input is copied; a read-only complex128
-    array is taken as is. The stored stack is read-only.
+    A writable or non-complex factor is copied; a read-only complex128 one
+    is taken as is. The stored factors are read-only.
     """
 
     level: int
-    stack: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
     def __post_init__(self):
-        stack = np.asarray(self.stack)
-        if stack.dtype != np.complex128 or stack.flags.writeable:
-            stack = np.array(stack, dtype=np.complex128)
+        left = _frozen_complex(self.left)
+        right = _frozen_complex(self.right)
         k = 2 ** self.level
-        d = stack.shape[-1] if stack.ndim == 3 else 0
-        if stack.shape != (k, d, d) or d < 1 or d & (d - 1):
+        d, r = left.shape[1:] if left.ndim == 3 else (0, 0)
+        if (
+            left.shape != (k, d, r)
+            or right.shape != (k, r, d)
+            or r < 1
+            or d < 1
+            or d & (d - 1)
+        ):
             raise ValueError(
-                f"level-{self.level} vector needs a stack of shape ({k}, d, d) "
-                f"with d a power of two, got {stack.shape}"
+                f"level-{self.level} vector needs factors of shapes ({k}, d, r) "
+                f"and ({k}, r, d) with d a power of two and r >= 1, got "
+                f"{left.shape} and {right.shape}"
             )
-        stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def carrier_level(self) -> int:
-        return self.stack.shape[-1].bit_length() - 1
+        return self.left.shape[1].bit_length() - 1
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The components as one read-only (2^level, d, d) array."""
+        stack = self.left @ self.right
+        stack.setflags(write=False)
+        return stack
 
     @property
     def components(self) -> tuple[AlgebraElement, ...]:
@@ -66,12 +93,19 @@ class BimoduleVector:
         return tuple(AlgebraElement(self.carrier_level, c) for c in self.stack)
 
     def __add__(self, other: "BimoduleVector") -> "BimoduleVector":
-        self._check_compatible(other)
-        return _wrap(self.level, self.stack + other.stack)
+        return self._concat(other, other.left)
 
     def __sub__(self, other: "BimoduleVector") -> "BimoduleVector":
+        return self._concat(other, -other.left)
+
+    def _concat(self, other: "BimoduleVector", other_left: np.ndarray) -> "BimoduleVector":
+        """The sum of self and the vector with factors (other_left, other.right)."""
         self._check_compatible(other)
-        return _wrap(self.level, self.stack - other.stack)
+        return _wrap(
+            self.level,
+            np.concatenate((self.left, other_left), axis=2),
+            np.concatenate((self.right, other.right), axis=1),
+        )
 
     def _check_compatible(self, other: "BimoduleVector") -> None:
         if self.level != other.level or self.carrier_level != other.carrier_level:
@@ -81,10 +115,12 @@ class BimoduleVector:
             )
 
 
-def _wrap(level: int, stack: np.ndarray) -> BimoduleVector:
-    """A vector over a freshly computed stack, frozen without a copy."""
-    stack.setflags(write=False)
-    return BimoduleVector(level, stack)
+def _wrap(level: int, left: np.ndarray, right: np.ndarray) -> BimoduleVector:
+    """A vector over freshly computed (or already frozen) factors, frozen
+    without a copy."""
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return BimoduleVector(level, left, right)
 
 
 def _check_carrier(a: AlgebraElement, f: BimoduleVector) -> None:
@@ -95,39 +131,49 @@ def _check_carrier(a: AlgebraElement, f: BimoduleVector) -> None:
 
 
 def derive(a: AlgebraElement, n: int) -> BimoduleVector:
-    """Component j is [p_j, E_n a]: row j of b minus column j of b, with b
-    the level-n expectation of a; zero exactly when b is diagonal."""
+    """Component j is [p_j, E_n a] = e_j b[j, :] - b[:, j] e_j^T, with b the
+    level-n expectation of a: rank 2, with left[j] = [e_j, -b[:, j]] and
+    right[j] = [b[j, :]; e_j^T]. Zero exactly when b is diagonal."""
     b = cond_expect(a, n).entries
     d = b.shape[0]
     j = np.arange(d)
-    stack = np.zeros((d, d, d), dtype=np.complex128)
-    stack[j, j, :] = b  # stack[j, j, :] = b[j, :]
-    stack[j, :, j] -= b.T  # stack[j, :, j] -= b[:, j]
-    return _wrap(n, stack)
+    left = np.zeros((d, d, 2), dtype=np.complex128)
+    left[j, j, 0] = 1.0
+    left[:, :, 1] = -b.T  # left[j, :, 1] = -b[:, j]
+    right = np.zeros((d, 2, d), dtype=np.complex128)
+    right[:, 0, :] = b  # right[j, 0, :] = b[j, :]
+    right[j, 1, j] = 1.0
+    return _wrap(n, left, right)
 
 
 def bimodule_left(a: AlgebraElement, f: BimoduleVector) -> BimoduleVector:
-    """(a . f)(j) = a f(j)."""
+    """(a . f)(j) = a f(j): left[j] <- a left[j], one (d, d) @ (d, r)
+    product per component, so each component rounds as a f(j) alone."""
     _check_carrier(a, f)
-    return _wrap(f.level, a.entries @ f.stack)
+    return _wrap(f.level, a.entries @ f.left, f.right)
 
 
 def bimodule_right(f: BimoduleVector, a: AlgebraElement) -> BimoduleVector:
-    """(f . a)(j) = f(j) a, as one product of the row-stacked components."""
+    """(f . a)(j) = f(j) a: right[j] <- right[j] a, as one product of the
+    row-stacked right factors."""
     _check_carrier(a, f)
-    k, d, _ = f.stack.shape
-    return _wrap(f.level, (f.stack.reshape(k * d, d) @ a.entries).reshape(k, d, d))
+    k, r, d = f.right.shape
+    right = (f.right.reshape(k * r, d) @ a.entries).reshape(k, r, d)
+    return _wrap(f.level, f.left, right)
 
 
 def bimodule_inner(f: BimoduleVector, g: BimoduleVector) -> AlgebraElement:
     """Algebra-valued inner product sum_j f(j)* g(j); <f, f> is PSD.
 
-    Row-stacking the components turns the sum into one product F* G.
+    With the small Gram blocks G_j = left_f[j]* left_g[j] of shape
+    (r_f, r_g), the sum is sum_j right_f[j]* G_j right_g[j]: one product of
+    the row-stacked right_f with the row-stacked G_j right_g[j].
     """
     f._check_compatible(g)
-    k, d, _ = f.stack.shape
-    rows_f = f.stack.reshape(k * d, d)
-    rows_g = g.stack.reshape(k * d, d)
+    k, rf, d = f.right.shape
+    gram = f.left.conj().transpose(0, 2, 1) @ g.left
+    rows_g = (gram @ g.right).reshape(k * rf, d)
+    rows_f = f.right.reshape(k * rf, d)
     return AlgebraElement(f.carrier_level, rows_f.conj().T @ rows_g)
 
 

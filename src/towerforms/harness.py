@@ -40,6 +40,7 @@ from .forms import (
 )
 from .derivation import bimodule_inner, bimodule_left, bimodule_right, derive
 from .superop import (
+    DENSIFY_DIM_CAP,
     DiagonalComplement,
     ScaledMap,
     SemigroupMap,
@@ -73,7 +74,6 @@ SUITE_NAMES = (
     "normalization-bridge",
     "convergence",
 )
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -109,6 +109,14 @@ class RunConfig:
             raise ValueError(
                 f"unknown suite name(s) {unknown}; valid names: "
                 f"{', '.join(SUITE_NAMES)} (or 'all')"
+            )
+        dense = [s for s in _DENSIFYING_SUITES if s in suites]
+        if dense and 2 ** self.level > DENSIFY_DIM_CAP:
+            raise ValueError(
+                f"working level {self.level} has dimension {2 ** self.level}, "
+                f"above the densification cap {DENSIFY_DIM_CAP} that suite(s) "
+                f"{', '.join(dense)} need; choose level <= "
+                f"{DENSIFY_DIM_CAP.bit_length() - 1} or drop them"
             )
         object.__setattr__(self, "suites", suites)
 
@@ -398,6 +406,10 @@ _SUITE_RUNNERS = {
     "normalization-bridge": _run_normalization_bridge,
     "convergence": _run_convergence,
 }
+
+# Suites whose runners densify generators of the working dimension 2^level;
+# RunConfig checks their level against DENSIFY_DIM_CAP before any suite runs.
+_DENSIFYING_SUITES = ("compatibility", "normalization-bridge")
 
 
 def run_suite(cfg: RunConfig) -> list[PropertyReport]:

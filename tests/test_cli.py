@@ -1,9 +1,14 @@
+import argparse
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from towerforms.cli import main, _parse_time_grid
+import towerforms.cli as cli
+from towerforms.cli import MAX_TIME_GRID_ROWS, main, _parse_time_grid
 from towerforms.tower import AlgebraElement, element_to_json, random_element, save_element
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -19,12 +24,80 @@ def test_time_grid_comma_form():
 
 
 def test_time_grid_bad_input_rejected():
-    import argparse
-
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_time_grid("0:0:1:2")
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_time_grid("a,b")
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("0:1:inf", "stop must be finite"),
+        ("0:1:1e300", "more than"),
+        ("0:5e-324:1", "more than"),
+        ("0:1e-9:1", "more than"),
+        ("nan:1:2", "start must be finite"),
+        ("0:nan:1", "step must be finite"),
+        ("0:-1:1", "step must be finite and nonnegative"),
+        ("0:0:1", "step must be positive"),
+        ("0:1:-1", "stop must be finite and nonnegative"),
+        ("2:1:1", "below its start"),
+        ("-1:1:2", "start must be finite and nonnegative"),
+        ("nan,1", "semigroup time must be finite"),
+        ("0,inf", "semigroup time must be finite"),
+        ("1,0.5", "ascending"),
+        ("", "could not convert"),
+    ],
+)
+def test_time_grid_fails_closed(text, reason):
+    with pytest.raises(argparse.ArgumentTypeError, match=reason):
+        _parse_time_grid(text)
+
+
+def test_time_grid_row_cap_is_inclusive():
+    assert len(_parse_time_grid(f"0:1:{MAX_TIME_GRID_ROWS - 1}")) == MAX_TIME_GRID_ROWS
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        _parse_time_grid(f"0:1:{MAX_TIME_GRID_ROWS}")
+
+
+_grid_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.sampled_from(["nan", "inf", "-0", "1e-300", "5e-324", "1e308", "0.1", ""]),
+).map(str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=20),
+        st.tuples(_grid_numbers, _grid_numbers, _grid_numbers).map(":".join),
+        st.lists(_grid_numbers, max_size=6).map(",".join),
+    )
+)
+def test_time_grid_property(text):
+    """Any string gives a non-empty, finite, ascending grid within the row
+    cap or is rejected; the cap is lowered so that large grids stay cheap."""
+    cap = 1000
+    with mock.patch.object(cli, "MAX_TIME_GRID_ROWS", cap):
+        try:
+            grid = _parse_time_grid(text)
+        except argparse.ArgumentTypeError:
+            return
+    assert isinstance(grid, tuple) and 1 <= len(grid) <= cap
+    assert all(math.isfinite(t) and t >= 0 for t in grid)
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
+
+
+@pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:2", "0:1:-1", "0:nan:1", "1,0"])
+def test_evolve_rejects_bad_time_grid_without_output(tmp_path, capsys, grid):
+    inp = tmp_path / "x.json"
+    save_element(AlgebraElement(1, X), inp)
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--t-grid", grid, "--input", str(inp), "--out", str(out)]) == 2
+    assert "--t-grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_passes_and_writes_reports(tmp_path, capsys):
@@ -166,6 +239,46 @@ def test_verify_sampled_suites_at_level_six(tmp_path):
     reports = [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
     assert len(reports) == 13
     assert all(r["failures"] == 0 for r in reports)
+
+
+def test_verify_sampled_suites_at_level_seven(tmp_path, capsys):
+    """dirichlet, leibniz and convergence never densify, so level 7 runs
+    under the densification cap."""
+    out = tmp_path / "reports"
+    code = main(
+        [
+            "verify", "--suite", "dirichlet,leibniz,convergence", "--level", "7",
+            "--samples", "2", "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == 15
+    assert lines[-1].startswith("15 reports, 0 failures")
+    reports = [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+    assert len(reports) == 15 and all(r["failures"] == 0 for r in reports)
+
+
+def test_verify_checks_level_budget_before_any_suite(tmp_path, capsys, monkeypatch):
+    import towerforms.harness as harness
+
+    called = []
+    runners = {
+        name: (lambda cfg, name=name: called.append(name) or [])
+        for name in harness.SUITE_NAMES
+    }
+    monkeypatch.setattr(harness, "_SUITE_RUNNERS", runners)
+    out = tmp_path / "reports"
+    code = main(
+        [
+            "verify", "--level", "7", "--suite", "markov,normalization-bridge",
+            "--samples", "2", "--out-dir", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "normalization-bridge" in err and "cap 64" in err
+    assert called == [] and not out.exists()
 
 
 def _nan_matrix_json(level):

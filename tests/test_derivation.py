@@ -77,35 +77,63 @@ def test_derive_vanishes_iff_expectation_diagonal():
 
 
 def test_bimodule_vector_validates_shape():
-    """A level-1 vector needs a (2, d, d) stack with d a power of two."""
-    for shape in [(1, 2, 2), (4, 2, 2), (2, 2, 4), (2, 3, 3), (2, 0, 0), (2, 2), (2, 2, 2, 2)]:
-        with pytest.raises(ValueError, match="stack of shape"):
-            BimoduleVector(1, np.zeros(shape))
+    """A level-1 vector needs factors of shapes (2, d, r) and (2, r, d) with
+    d a power of two and r >= 1."""
+    bad = [
+        ((2, 4, 2), (2, 3, 4)),  # mismatched rank
+        ((4, 4, 2), (4, 2, 4)),  # wrong component count
+        ((2, 4, 2), (4, 2, 4)),  # component counts differ
+        ((2, 3, 2), (2, 2, 3)),  # d not a power of two
+        ((2, 4, 2), (2, 2, 8)),  # carrier sizes differ
+        ((2, 4, 0), (2, 0, 4)),  # empty rank
+        ((2, 0, 1), (2, 1, 0)),  # empty carrier
+        ((2, 4), (2, 4)),  # wrong ndim
+        ((2, 4, 1), (2, 1, 4, 1)),
+    ]
+    for left, right in bad:
+        with pytest.raises(ValueError, match="factors of shapes"):
+            BimoduleVector(1, np.zeros(left), np.zeros(right))
 
 
 def test_stack_is_read_only_and_writable_input_is_copied():
-    raw = np.ones((2, 4, 4))
-    f = BimoduleVector(1, raw)
-    assert f.stack.dtype == np.complex128 and f.carrier_level == 2
-    raw[0, 0, 0] = 5.0
-    assert f.stack[0, 0, 0] == 1.0
-    with pytest.raises(ValueError):
-        f.stack[0, 0, 0] = 2.0
+    raw_left, raw_right = np.ones((2, 4, 1)), np.ones((2, 1, 4))
+    f = BimoduleVector(1, raw_left, raw_right)
+    assert f.left.dtype == f.right.dtype == np.complex128 and f.carrier_level == 2
+    raw_left[0, 0, 0] = raw_right[0, 0, 0] = 5.0
+    assert f.left[0, 0, 0] == f.right[0, 0, 0] == 1.0
+    np.testing.assert_array_equal(f.stack, np.ones((2, 4, 4)))
+    for arr in (f.left, f.right, f.stack):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 2.0
+    frozen_real = np.ones((2, 4, 1))
+    frozen_real.setflags(write=False)
+    assert BimoduleVector(1, frozen_real, raw_right).left.dtype == np.complex128
     g = derive(AlgebraElement(1, X), 1)
-    assert not g.stack.flags.writeable
-    assert BimoduleVector(1, g.stack).stack is g.stack  # read-only input is shared
+    assert not (g.left.flags.writeable or g.right.flags.writeable)
+    h = BimoduleVector(1, g.left, g.right)
+    assert h.left is g.left and h.right is g.right  # read-only input is shared
     for comp, row in zip(g.components, g.stack):
         np.testing.assert_array_equal(comp.entries, row)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def _generic_vector(n: int, rng) -> BimoduleVector:
+    """A full-rank vector: left is the identity in every component, so the
+    components are the random dense stack right."""
+    d = 2 ** n
+    left = np.broadcast_to(np.eye(d), (d, d, d))
+    right = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    return BimoduleVector(n, left, right)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_batched_layers_match_componentwise_loops(n):
     """derive, both actions and the inner product against the per-component
-    loops they replace, on a derived vector and on a generic stack."""
+    loops they replace, on a derived vector and on a generic full-rank one."""
     rng = np.random.default_rng(100 + n)
     d = 2 ** n
+    top = max(n, 5)
     a = AlgebraElement(n, gaussian_general(d, rng))
-    amb = AlgebraElement(5, gaussian_general(32, rng))
+    amb = AlgebraElement(top, gaussian_general(2 ** top, rng))
     b = cond_expect(amb, n).entries
     f = derive(amb, n)
     loop = np.zeros((d, d, d), dtype=complex)
@@ -114,18 +142,42 @@ def test_batched_layers_match_componentwise_loops(n):
         loop[j, :, j] -= b[:, j]
     np.testing.assert_array_equal(f.stack, loop)
 
-    g = BimoduleVector(n, rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d)))
+    g = _generic_vector(n, rng)
+    np.testing.assert_array_equal(g.stack, g.right)
     for v in (f, g):
+        stack = v.stack
         left = bimodule_left(a, v).stack
         right = bimodule_right(v, a).stack
         for j in range(d):
-            np.testing.assert_allclose(left[j], a.entries @ v.stack[j], atol=1e-12)
-            np.testing.assert_allclose(right[j], v.stack[j] @ a.entries, atol=1e-12)
-    inner = sum(cf.conj().T @ cg for cf, cg in zip(f.stack, g.stack))
-    np.testing.assert_allclose(bimodule_inner(f, g).entries, inner, atol=1e-11)
-    np.testing.assert_allclose(
-        (f + g).stack - (f - g).stack, 2.0 * g.stack, atol=1e-12
-    )
+            np.testing.assert_allclose(left[j], a.entries @ stack[j], atol=1e-12)
+            np.testing.assert_allclose(right[j], stack[j] @ a.entries, atol=1e-12)
+    for v, w in [(f, g), (g, f), (g, g)]:
+        inner = sum(cv.conj().T @ cw for cv, cw in zip(v.stack, w.stack))
+        np.testing.assert_allclose(bimodule_inner(v, w).entries, inner, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ranks_of_derive_actions_and_sums(n):
+    """derive has rank 2, the actions keep the rank, + and - add ranks; the
+    components agree with the per-component loops."""
+    rng = np.random.default_rng(200 + n)
+    d = 2 ** n
+    a = AlgebraElement(n, gaussian_general(d, rng))
+    f = derive(AlgebraElement(n, gaussian_general(d, rng)), n)
+    g = _generic_vector(n, rng)
+    assert f.left.shape == (d, d, 2) and f.right.shape == (d, 2, d)
+    for v in (f, g):
+        rank = v.left.shape[-1]
+        for acted in (bimodule_left(a, v), bimodule_right(v, a)):
+            assert acted.left.shape[-1] == acted.right.shape[1] == rank
+    f_stack, g_stack = f.stack, g.stack
+    for total, sign in [(f + g, 1.0), (f - g, -1.0)]:
+        assert total.left.shape[-1] == total.right.shape[1] == 2 + d
+        stack = total.stack
+        for j in range(d):
+            np.testing.assert_allclose(
+                stack[j], f_stack[j] + sign * g_stack[j], atol=1e-12
+            )
 
 
 def test_unit_acts_trivially():
@@ -256,15 +308,38 @@ def test_energy_identity():
 def test_actions_are_componentwise_by_construction():
     """Strong-locality witness: the carrier is a direct sum of trivial
     one-component bimodules, i.e. both actions touch components
-    independently."""
+    independently. Component j of a.f is a f(j) and of f.a is f(j) a,
+    computed on the rank factors of f(j) alone, bit for bit; changing one
+    component of f leaves every other component of a.f and f.a unchanged
+    bit for bit."""
     rng = np.random.default_rng(96)
     f = derive(AlgebraElement(2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))), 2)
     a = random_element(2, "general", 97)
     left = bimodule_left(a, f)
     right = bimodule_right(f, a)
+    np.testing.assert_array_equal(left.right, f.right)
+    np.testing.assert_array_equal(right.left, f.left)
     for j in range(len(f.components)):
-        np.testing.assert_array_equal(left.components[j].entries, (a @ f.components[j]).entries)
-        np.testing.assert_array_equal(right.components[j].entries, (f.components[j] @ a).entries)
+        a_left = a.entries @ f.left[j]
+        right_a = f.right[j] @ a.entries
+        np.testing.assert_array_equal(left.left[j], a_left)
+        np.testing.assert_array_equal(right.right[j], right_a)
+        np.testing.assert_array_equal(left.stack[j], a_left @ f.right[j])
+        np.testing.assert_array_equal(right.stack[j], f.left[j] @ right_a)
+        # against the dense component, (a L) R rounds apart from a (L R)
+        np.testing.assert_allclose(
+            left.components[j].entries, (a @ f.components[j]).entries, rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            right.components[j].entries, (f.components[j] @ a).entries, rtol=0, atol=1e-14
+        )
+    changed_left, changed_right = np.array(f.left), np.array(f.right)
+    changed_left[0] += 1.0
+    changed_right[0] -= 1.0
+    g = BimoduleVector(2, changed_left, changed_right)
+    for acted_f, acted_g in [(left, bimodule_left(a, g)), (right, bimodule_right(g, a))]:
+        np.testing.assert_array_equal(acted_f.stack[1:], acted_g.stack[1:])
+        assert np.abs(acted_f.stack[0] - acted_g.stack[0]).max() > 0.1
 
 
 def test_bimodule_serializes_as_matrix_array():

@@ -66,6 +66,45 @@ def test_config_rejects_unknown_suite_listing_names():
         assert name in msg
 
 
+@pytest.mark.parametrize(
+    "suites", [("compatibility",), ("normalization-bridge",), ("all",)]
+)
+def test_config_rejects_level_above_densify_cap_for_dense_suites(suites):
+    RunConfig(level=6, suites=suites)
+    with pytest.raises(ValueError) as err:
+        RunConfig(level=7, suites=suites)
+    msg = str(err.value)
+    assert "cap 64" in msg and "dimension 128" in msg
+    for name in ("compatibility", "normalization-bridge"):
+        assert (name in msg) == (name in suites or suites == ("all",))
+
+
+def test_config_allows_level_above_densify_cap_for_sampled_suites():
+    cfg = RunConfig(level=7, suites=("dirichlet", "markov", "leibniz", "convergence"))
+    assert cfg.level == 7
+
+
+def test_densifying_suites_are_exactly_those_that_densify_the_working_level(monkeypatch):
+    """The up-front level gate names the suites whose runners ask for a
+    dense body (densify or Choi) of the working dimension; the others stay
+    at or below their level caps."""
+    from towerforms import harness, superop
+
+    budget = superop._check_budget
+    dims = []
+    monkeypatch.setattr(
+        superop, "_check_budget", lambda dim, *args: dims.append(dim) or budget(dim, *args)
+    )
+    level = 4
+    densifying = set()
+    for name in SUITE_NAMES:
+        dims.clear()
+        run_suite(RunConfig(level=level, suites=(name,), samples=2))
+        if 2 ** level in dims:
+            densifying.add(name)
+    assert densifying == set(harness._DENSIFYING_SUITES)
+
+
 # --------------------------------------------------------------------------
 # convergence table
 # --------------------------------------------------------------------------
