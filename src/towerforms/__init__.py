@@ -22,8 +22,6 @@ from .tower import (
 from .expectations import cond_expect, project_P, project_Q, diag_expect
 from .superop import (
     SuperOperator,
-    IdentityMap,
-    ZeroMap,
     DiagonalComplement,
     SchurMultiplier,
     TransposeMap,

@@ -95,7 +95,7 @@ def _list_grid(grid: tuple) -> tuple:
 def _load_lindblad(path: str) -> DoubleCommutatorFamily:
     """Lindblad data file: {"ms": [matrix JSON, ...], "h": matrix JSON or null}."""
     obj = json.loads(Path(path).read_text())
-    if not isinstance(obj, dict) or "ms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("ms"), list):
         raise ValueError(f"{path}: expected an object with an 'ms' list")
     ms = [element_from_json(m) for m in obj["ms"]]
     h = obj.get("h")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .report import worst_of
 from .tower import AlgebraElement, element_to_json
 from .expectations import cond_expect
 
@@ -30,6 +31,9 @@ __all__ = [
     "bimodule_inner",
     "bimodule_to_json",
 ]
+
+# Components multiplied out at a time by ``max_abs``.
+_MAX_ABS_BLOCK = 16
 
 
 def _frozen_complex(x) -> np.ndarray:
@@ -86,6 +90,17 @@ class BimoduleVector:
         stack = self.left @ self.right
         stack.setflags(write=False)
         return stack
+
+    def max_abs(self) -> float:
+        """max |entry| over the components, NaN when any entry is NaN;
+        taken over blocks of components so that no full stack is held."""
+        b = _MAX_ABS_BLOCK
+        return worst_of(
+            *(
+                np.abs(self.left[s:s + b] @ self.right[s:s + b]).max()
+                for s in range(0, len(self.left), b)
+            )
+        )
 
     @property
     def components(self) -> tuple[AlgebraElement, ...]:

@@ -40,13 +40,12 @@ from .forms import (
 )
 from .derivation import bimodule_inner, bimodule_left, bimodule_right, derive
 from .superop import (
-    DENSIFY_DIM_CAP,
     DiagonalComplement,
     ScaledMap,
     SemigroupMap,
+    SuperOperator,
     TransposeMap,
     choi_min_eigenvalue,
-    densify,
     markov_check,
     semigroup_apply,
     symmetry_conservativity_check,
@@ -75,6 +74,10 @@ SUITE_NAMES = (
     "convergence",
 )
 
+# The markov, symmetry and choi suites run levels 1 .. min(level, cap).
+SEMIGROUP_LEVEL_CAP = 3
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one harness run; see SUITE_NAMES for valid suites."""
@@ -86,8 +89,6 @@ class RunConfig:
     tol: float = 1e-10
     eig_tol: float = 1e-12
     times: tuple = (0.1, 1.0, 10.0)
-    semigroup_level_cap: int = 3
-    choi_level_cap: int = 3
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -110,14 +111,6 @@ class RunConfig:
                 f"unknown suite name(s) {unknown}; valid names: "
                 f"{', '.join(SUITE_NAMES)} (or 'all')"
             )
-        dense = [s for s in _DENSIFYING_SUITES if s in suites]
-        if dense and 2 ** self.level > DENSIFY_DIM_CAP:
-            raise ValueError(
-                f"working level {self.level} has dimension {2 ** self.level}, "
-                f"above the densification cap {DENSIFY_DIM_CAP} that suite(s) "
-                f"{', '.join(dense)} need; choose level <= "
-                f"{DENSIFY_DIM_CAP.bit_length() - 1} or drop them"
-            )
         object.__setattr__(self, "suites", suites)
 
 
@@ -126,20 +119,12 @@ def _suite_seed(base: int, suite: str, level: int) -> int:
     return (base + zlib.crc32(f"{suite}:{level}".encode())) % (2 ** 31)
 
 
-_DEVIATION_BLOCK_ROWS = 64
-
-
-def _max_abs_deviation(x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> float:
-    """max |x - scale * y| over every entry, NaN when any entry is NaN.
-
-    Taken over blocks of rows, so that the temporaries stay small beside
-    two dense bodies of side 4^n.
-    """
-    worst = 0.0
-    for start in range(0, x.shape[0], _DEVIATION_BLOCK_ROWS):
-        rows = slice(start, start + _DEVIATION_BLOCK_ROWS)
-        worst = worst_of(worst, np.abs(x[rows] - scale * y[rows]).max(initial=0.0))
-    return worst
+def _schur_deviation(x: SuperOperator, y: SuperOperator, scale: float = 1.0) -> float:
+    """max |c_x - scale * c_y| over the Schur coefficients of two maps: inf
+    when either map is not a Schur multiplier, NaN when a coefficient is."""
+    if x.schur is None or y.schur is None:
+        return math.inf
+    return float(np.abs(x.schur - scale * y.schur).max())
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +148,7 @@ def _run_dirichlet(cfg: RunConfig) -> list[PropertyReport]:
 
 def _run_markov(cfg: RunConfig) -> list[PropertyReport]:
     reports = []
-    for n in range(1, min(cfg.level, cfg.semigroup_level_cap) + 1):
+    for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1):
         reports.append(
             markov_check(
                 DiagonalComplement(2 ** n),
@@ -178,7 +163,7 @@ def _run_markov(cfg: RunConfig) -> list[PropertyReport]:
 
 def _run_symmetry(cfg: RunConfig) -> list[PropertyReport]:
     reports = []
-    for n in range(1, min(cfg.level, cfg.semigroup_level_cap) + 1):
+    for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1):
         reports.append(
             symmetry_conservativity_check(
                 DiagonalComplement(2 ** n),
@@ -196,7 +181,7 @@ def _run_choi(cfg: RunConfig) -> list[PropertyReport]:
     positive; the transpose map is the injected negative control and must
     be flagged non-CP with smallest Choi eigenvalue -1."""
     reports = []
-    for n in range(1, min(cfg.level, cfg.choi_level_cap) + 1):
+    for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1):
         gen = DiagonalComplement(2 ** n)
         worst = -np.inf
         failures = 0
@@ -245,7 +230,7 @@ def _run_leibniz(cfg: RunConfig) -> list[PropertyReport]:
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
             lhs = derive(a @ b, n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = np.abs(lhs.stack - rhs.stack).max()
+            margin = (lhs - rhs).max_abs()
             amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
             df = derive(amb, n)
             energy = normalized_trace(bimodule_inner(df, df)).real
@@ -279,9 +264,7 @@ def _run_compatibility(cfg: RunConfig) -> list[PropertyReport]:
 
     recovered = build_from_family(family, ambient_level=cfg.level, tol=cfg.eig_tol)
     direct = commutator_form(cfg.level)
-    recovery_dev = _max_abs_deviation(
-        densify(recovered.generator).matrix, densify(direct.generator).matrix
-    )
+    recovery_dev = _schur_deviation(recovered.generator, direct.generator)
     worst = worst_of(worst, recovery_dev)
     if not recovery_dev <= cfg.eig_tol:
         failures += 1
@@ -313,8 +296,8 @@ def _run_compatibility(cfg: RunConfig) -> list[PropertyReport]:
 def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
     """The commutator sum equals twice the diagonal-form energy of the
     conditioned element, and the double-commutator generator over the
-    diagonal projections densifies to exactly twice the diagonal
-    complement."""
+    diagonal projections has exactly twice the Schur coefficients of the
+    diagonal complement."""
     reports = []
     for n in range(1, cfg.level + 1):
         seed = _suite_seed(cfg.seed, "normalization-bridge", n)
@@ -331,10 +314,8 @@ def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
             worst = worst_of(worst, bridge)
             if not bridge <= cfg.eig_tol:
                 failures += 1
-        generator_dev = _max_abs_deviation(
-            densify(commutator_generator(n)).matrix,
-            densify(DiagonalComplement(2 ** n)).matrix,
-            scale=2.0,
+        generator_dev = _schur_deviation(
+            commutator_generator(n), DiagonalComplement(2 ** n), scale=2.0
         )
         worst = worst_of(worst, generator_dev)
         if not generator_dev <= cfg.eig_tol:
@@ -406,10 +387,6 @@ _SUITE_RUNNERS = {
     "normalization-bridge": _run_normalization_bridge,
     "convergence": _run_convergence,
 }
-
-# Suites whose runners densify generators of the working dimension 2^level;
-# RunConfig checks their level against DENSIFY_DIM_CAP before any suite runs.
-_DENSIFYING_SUITES = ("compatibility", "normalization-bridge")
 
 
 def run_suite(cfg: RunConfig) -> list[PropertyReport]:

@@ -24,8 +24,6 @@ from .expectations import diagonal_part, partial_trace_matrix
 __all__ = [
     "DENSIFY_DIM_CAP",
     "SuperOperator",
-    "IdentityMap",
-    "ZeroMap",
     "DiagonalComplement",
     "SchurMultiplier",
     "TransposeMap",
@@ -88,15 +86,20 @@ class SuperOperator:
 
     Instances are immutable after construction; ``apply_matrix`` is a pure
     function of its input. Spectral resolutions are cached lazily.
+    ``schur`` is the coefficient matrix c when the map is entrywise
+    multiplication by c, else None: the dense body is then diag(vec(c))
+    and the semigroup the Schur multiplier e^{-tc}.
     """
 
     hermiticity_preserving: bool = False
+    schur: np.ndarray | None = None
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
         self._spectral: SpectralResolution | None = None
+        self._schur_rates: tuple[np.ndarray, float, float] | None = None
 
     @property
     def level(self) -> int:
@@ -111,10 +114,12 @@ class SuperOperator:
     def dense_body(self) -> np.ndarray:
         """The dim^2 x dim^2 matrix of the map on row-stacked inputs.
 
-        This default probes every matrix unit e_kl (column k*dim + l);
-        classes with a closed form override it. No budget check here:
-        callers go through ``densify`` or ``choi_matrix``.
+        Besides diag(vec(schur)), this default probes every matrix unit
+        e_kl (column k*dim + l); classes with a closed form override it.
+        No budget check here: callers go through ``densify`` or ``choi_matrix``.
         """
+        if self.schur is not None:
+            return _schur_body(self.schur)
         d = self.dim
         dense = np.empty((d * d, d * d), dtype=np.complex128)
         probe = np.zeros((d, d), dtype=np.complex128)
@@ -129,20 +134,6 @@ class SuperOperator:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-class IdentityMap(SuperOperator):
-    hermiticity_preserving = True
-
-    def apply_matrix(self, mat):
-        return np.array(mat, dtype=np.complex128)
-
-
-class ZeroMap(SuperOperator):
-    hermiticity_preserving = True
-
-    def apply_matrix(self, mat):
-        return np.zeros((self.dim, self.dim), dtype=np.complex128)
-
-
 class DiagonalComplement(SuperOperator):
     """a -> a minus its diagonal part: the complement of the expectation
     onto the diagonal subalgebra. An orthogonal projection for the GNS
@@ -150,15 +141,13 @@ class DiagonalComplement(SuperOperator):
 
     hermiticity_preserving = True
 
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self.schur = 1.0 - np.eye(self.dim)
+
     def apply_matrix(self, mat):
         mat = np.asarray(mat, dtype=np.complex128)
         return mat - diagonal_part(mat)
-
-    def diagonal_expectation(self, mat: np.ndarray) -> np.ndarray:
-        return diagonal_part(np.asarray(mat, dtype=np.complex128))
-
-    def dense_body(self):
-        return _schur_body(1.0 - np.eye(self.dim))
 
 
 class SchurMultiplier(SuperOperator):
@@ -171,13 +160,10 @@ class SchurMultiplier(SuperOperator):
         if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
             raise ValueError("Schur coefficient matrix must be square")
         super().__init__(coeffs.shape[0])
-        self.coeffs = coeffs
+        self.schur = coeffs
 
     def apply_matrix(self, mat):
-        return self.coeffs * np.asarray(mat, dtype=np.complex128)
-
-    def dense_body(self):
-        return _schur_body(self.coeffs)
+        return self.schur * np.asarray(mat, dtype=np.complex128)
 
 
 class TransposeMap(SuperOperator):
@@ -230,7 +216,6 @@ class DoubleCommutatorFamily(SuperOperator):
             if h.shape != (dim, dim):
                 raise ValueError("h must match the dimension of the m_i")
             self.h = h
-        self.schur = None
         if all(map(_is_diagonal, self.ms)) and (self.h is None or _is_diagonal(self.h)):
             coeffs = np.zeros((dim, dim), dtype=np.complex128)
             for m in self.ms:
@@ -256,7 +241,7 @@ class DoubleCommutatorFamily(SuperOperator):
 
     def dense_body(self):
         if self.schur is not None:
-            return _schur_body(self.schur)
+            return super().dense_body()
         # Row stacking gives vec(x a y) = (x kron y^T) vec(a), so the body is
         # L kron I + I kron L^T - 2 sum_i m_i kron m_i^T with L = sum_i m_i^2 + h.
         d = self.dim
@@ -341,7 +326,7 @@ class SumMap(SuperOperator):
     def __init__(self, terms):
         terms = tuple(terms)
         if not terms:
-            raise ValueError("sum of zero maps is ambiguous; use ZeroMap")
+            raise ValueError("empty sum is ambiguous; use SchurMultiplier(zeros)")
         if len({t.dim for t in terms}) != 1:
             raise ValueError("sum terms must share one dimension")
         super().__init__(terms[0].dim)
@@ -362,7 +347,7 @@ class ComposedMap(SuperOperator):
     def __init__(self, maps):
         maps = tuple(maps)
         if not maps:
-            raise ValueError("composition of zero maps is ambiguous; use IdentityMap")
+            raise ValueError("empty composition; use SchurMultiplier(ones)")
         if len({m.dim for m in maps}) != 1:
             raise ValueError("composition factors must share one dimension")
         super().__init__(maps[0].dim)
@@ -535,15 +520,36 @@ def _positive_resolution(op: SuperOperator, eig_tol: float) -> SpectralResolutio
     return res
 
 
+def _schur_semigroup(
+    op: SuperOperator, t: float, eig_tol: float, sym_tol: float = 1e-10
+) -> np.ndarray:
+    """Coefficients e^{-t Re c} of the semigroup of a Schur generator c,
+    checked as the spectral path checks the body diag(vec(c)): relative
+    asymmetry 2 max|Im c| / (1 + max|c|) <= sym_tol and min Re c >= -eig_tol,
+    NaN failing both. The measurements are cached on the generator."""
+    if op._schur_rates is None:
+        c = op.schur
+        rates = c.real.astype(np.float64)
+        asym = 2.0 * np.abs(c.imag).max() / (1.0 + np.abs(c).max())
+        op._schur_rates = (rates, float(asym), float(rates.min()))
+    rates, asym, lowest = op._schur_rates
+    if not asym <= sym_tol:
+        raise ValueError(
+            f"map is not GNS-self-adjoint: relative asymmetry "
+            f"{asym:.3e} exceeds sym_tol={sym_tol:.1e}"
+        )
+    if not lowest >= -eig_tol:
+        raise ValueError(f"generator is not positive: min eigenvalue {lowest:.3e}")
+    return np.exp(-t * rates)
+
+
 def _semigroup_matrix(
     op: SuperOperator, t: float, mat: np.ndarray, eig_tol: float = 1e-12
 ) -> np.ndarray:
     check_nonnegative("semigroup time", t)
     mat = np.asarray(mat, dtype=np.complex128)
-    if isinstance(op, DiagonalComplement):
-        # e^{-t(I-B)} = e^{-t} id + (1 - e^{-t}) B since B is a projection
-        decay = np.exp(-t)
-        return decay * mat + (1.0 - decay) * op.diagonal_expectation(mat)
+    if op.schur is not None:
+        return _schur_semigroup(op, t, eig_tol) * mat
     res = _positive_resolution(op, eig_tol)
     return res.apply_function(lambda lam: np.exp(-t * lam), mat)
 
@@ -553,8 +559,8 @@ def semigroup_apply(
 ) -> AlgebraElement:
     """Evaluate e^{-t op} on an element.
 
-    The generator must be GNS-self-adjoint and positive; the diagonal
-    complement uses its projection closed form, everything else goes
+    The generator must be GNS-self-adjoint and positive; a Schur
+    generator c gives the Schur multiplier e^{-tc}, everything else goes
     through the spectral resolution.
     """
     if op.dim != a.dim:
@@ -579,10 +585,8 @@ class SemigroupMap(SuperOperator):
         return _semigroup_matrix(self.generator, self.t, mat, self.eig_tol)
 
     def dense_body(self):
-        if isinstance(self.generator, DiagonalComplement):
-            coeffs = np.full((self.dim, self.dim), np.exp(-self.t))
-            np.fill_diagonal(coeffs, 1.0)
-            return _schur_body(coeffs)
+        if self.generator.schur is not None:
+            return _schur_body(_schur_semigroup(self.generator, self.t, self.eig_tol))
         res = _positive_resolution(self.generator, self.eig_tol)
         return res.function_body(lambda lam: np.exp(-self.t * lam))
 

@@ -233,7 +233,7 @@ def _parse_square(part, d: int, key: str) -> np.ndarray:
     arr = np.asarray(part, dtype=object)
     try:
         arr = arr.astype(np.float64)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"field {key!r} is not a rectangular numeric array") from exc
     if arr.shape != (d, d):
         raise ValueError(
@@ -253,8 +253,9 @@ def element_from_json(obj: dict) -> AlgebraElement:
     if missing:
         raise ValueError(f"matrix JSON missing fields: {sorted(missing)}")
     level = obj["level"]
-    if not isinstance(level, int) or level < 0:
-        raise ValueError(f"'level' must be a nonnegative integer, got {level!r}")
+    # no array has a side of 2^64: reject larger levels before computing 2^level
+    if type(level) is not int or not 0 <= level < 64:
+        raise ValueError(f"'level' must be an integer in [0, 64), got {level!r}")
     d = 2 ** level
     re = _parse_square(obj["re"], d, "re")
     im = _parse_square(obj["im"], d, "im")

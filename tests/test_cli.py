@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import towerforms.cli as cli
 from towerforms.cli import MAX_TIME_GRID_ROWS, main, _parse_time_grid
-from towerforms.tower import AlgebraElement, element_to_json, random_element, save_element
+from towerforms.tower import (
+    AlgebraElement,
+    element_from_json,
+    element_to_json,
+    random_element,
+    save_element,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -242,8 +248,8 @@ def test_verify_sampled_suites_at_level_six(tmp_path):
 
 
 def test_verify_sampled_suites_at_level_seven(tmp_path, capsys):
-    """dirichlet, leibniz and convergence never densify, so level 7 runs
-    under the densification cap."""
+    """dirichlet, leibniz and convergence run at level 7 on sampled
+    elements alone."""
     out = tmp_path / "reports"
     code = main(
         [
@@ -259,26 +265,19 @@ def test_verify_sampled_suites_at_level_seven(tmp_path, capsys):
     assert len(reports) == 15 and all(r["failures"] == 0 for r in reports)
 
 
-def test_verify_checks_level_budget_before_any_suite(tmp_path, capsys, monkeypatch):
-    import towerforms.harness as harness
-
-    called = []
-    runners = {
-        name: (lambda cfg, name=name: called.append(name) or [])
-        for name in harness.SUITE_NAMES
-    }
-    monkeypatch.setattr(harness, "_SUITE_RUNNERS", runners)
+def test_verify_all_suites_at_level_seven(tmp_path, capsys):
+    """No suite densifies the working level, so every suite runs at level 7."""
     out = tmp_path / "reports"
     code = main(
         [
-            "verify", "--level", "7", "--suite", "markov,normalization-bridge",
-            "--samples", "2", "--out-dir", str(out),
+            "verify", "--suite", "all", "--level", "7", "--samples", "2",
+            "--out-dir", str(out),
         ]
     )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "normalization-bridge" in err and "cap 64" in err
-    assert called == [] and not out.exists()
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == 33
+    assert lines[-1].startswith("33 reports, 0 failures")
 
 
 def _nan_matrix_json(level):
@@ -308,6 +307,96 @@ def test_choi_lindblad_rejects_non_finite_data(tmp_path, capsys, field):
     code = main(["choi", "--level", "1", "--generator", f"lindblad:{path}"])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ms", [None, 5, "m"])
+def test_choi_lindblad_rejects_ms_that_is_not_a_list(tmp_path, capsys, ms):
+    path = tmp_path / "lind.json"
+    path.write_text(json.dumps({"ms": ms, "h": None}))
+    code = main(["choi", "--level", "1", "--generator", f"lindblad:{path}"])
+    assert code == 2
+    assert "'ms' list" in capsys.readouterr().err
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+_float_entries = st.one_of(
+    st.floats(-1e3, 1e3), st.integers(), st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def _hermitian_json(draw):
+    """Level-1 matrix JSON, real symmetric (diagonal when b is 0)."""
+    a, b, c = (draw(_float_entries) for _ in range(3))
+    b = draw(st.sampled_from([0.0, b]))
+    return {"level": 1, "re": [[a, b], [b, c]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+_matrix_json = st.one_of(
+    _hermitian_json(),
+    st.fixed_dictionaries(
+        {
+            "level": st.one_of(
+                st.integers(-1, 2), st.integers(), st.booleans(), _json_values
+            ),
+            "re": _json_values,
+            "im": _json_values,
+        }
+    ),
+    _json_values,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_json)
+def test_element_from_json_property(obj):
+    """Any JSON value is rejected with ValueError or parses to a finite
+    element of shape (2^level, 2^level)."""
+    try:
+        a = element_from_json(obj)
+    except ValueError:
+        return
+    assert type(obj["level"]) is int and a.level == obj["level"]
+    assert a.entries.shape == (2 ** a.level, 2 ** a.level)
+    assert np.isfinite(a.entries).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.fixed_dictionaries(
+            {
+                "ms": st.one_of(
+                    st.lists(_hermitian_json(), min_size=1, max_size=2),
+                    st.lists(_matrix_json, max_size=3),
+                    _json_values,
+                )
+            },
+            optional={"h": st.one_of(st.none(), _hermitian_json(), _matrix_json)},
+        ),
+        _json_values,
+    )
+)
+def test_choi_lindblad_json_property(tmp_path_factory, lind):
+    """Any JSON value as Lindblad data gives exit status 0, 1 or 2 and
+    never an exception out of main."""
+    path = tmp_path_factory.mktemp("lindblad") / "data.json"
+    path.write_text(json.dumps(lind))
+    assert main(["choi", "--level", "1", "--generator", f"lindblad:{path}"]) in (0, 1, 2)
 
 
 def test_bad_input_file_reports_error(tmp_path, capsys):

@@ -13,7 +13,7 @@ from towerforms.expectations import cond_expect, project_P
 from towerforms.superop import (
     DiagonalComplement,
     ScaledMap,
-    ZeroMap,
+    SchurMultiplier,
     densify,
     spectral_resolve,
 )
@@ -425,7 +425,10 @@ def test_build_from_family_recovers_top_form():
 
 def test_build_from_zero_family():
     fam = CompatibleFamily(
-        tuple(QuadraticForm(ZeroMap(2 ** n), label="zero") for n in (1, 2))
+        tuple(
+            QuadraticForm(SchurMultiplier(np.zeros((2 ** n, 2 ** n))), label="zero")
+            for n in (1, 2)
+        )
     )
     recovered = build_from_family(fam)
     assert eval_form(recovered, random_element(2, "general", 191)) == 0.0

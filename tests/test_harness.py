@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from towerforms.superop import ScaledMap
 from towerforms.tower import AlgebraElement, embed, identity, random_element
 from towerforms.harness import (
     CONVERGE_COLUMNS,
@@ -66,29 +67,16 @@ def test_config_rejects_unknown_suite_listing_names():
         assert name in msg
 
 
-@pytest.mark.parametrize(
-    "suites", [("compatibility",), ("normalization-bridge",), ("all",)]
-)
-def test_config_rejects_level_above_densify_cap_for_dense_suites(suites):
-    RunConfig(level=6, suites=suites)
-    with pytest.raises(ValueError) as err:
-        RunConfig(level=7, suites=suites)
-    msg = str(err.value)
-    assert "cap 64" in msg and "dimension 128" in msg
-    for name in ("compatibility", "normalization-bridge"):
-        assert (name in msg) == (name in suites or suites == ("all",))
-
-
 def test_config_allows_level_above_densify_cap_for_sampled_suites():
     cfg = RunConfig(level=7, suites=("dirichlet", "markov", "leibniz", "convergence"))
     assert cfg.level == 7
 
 
 def test_densifying_suites_are_exactly_those_that_densify_the_working_level(monkeypatch):
-    """The up-front level gate names the suites whose runners ask for a
-    dense body (densify or Choi) of the working dimension; the others stay
-    at or below their level caps."""
-    from towerforms import harness, superop
+    """No suite asks for a dense body (densify or Choi) of the working
+    dimension: the generator comparisons read Schur coefficients, and the
+    semigroup suites stay at or below SEMIGROUP_LEVEL_CAP."""
+    from towerforms import superop
 
     budget = superop._check_budget
     dims = []
@@ -102,7 +90,7 @@ def test_densifying_suites_are_exactly_those_that_densify_the_working_level(monk
         run_suite(RunConfig(level=level, suites=(name,), samples=2))
         if 2 ** level in dims:
             densifying.add(name)
-    assert densifying == set(harness._DENSIFYING_SUITES)
+    assert densifying == set()
 
 
 # --------------------------------------------------------------------------
@@ -236,6 +224,24 @@ def test_leibniz_nan_sample_gives_nan_margin_and_fails(monkeypatch):
     (rep,) = run_suite(RunConfig(level=1, samples=3, suites=("leibniz",)))
     assert np.isnan(rep.worst_margin)
     assert rep.failures == 1
+
+
+@pytest.mark.parametrize("suite", ["compatibility", "normalization-bridge"])
+def test_generator_comparison_fails_closed_without_schur(monkeypatch, suite):
+    """A commutator generator without Schur coefficients cannot be compared
+    coefficientwise: its deviation is inf and counts as one failure."""
+    import towerforms.forms as forms
+    import towerforms.harness as harness
+
+    real = forms.commutator_generator
+
+    def unstructured(level):
+        return ScaledMap(1.0, real(level))
+
+    monkeypatch.setattr(forms, "commutator_generator", unstructured)
+    monkeypatch.setattr(harness, "commutator_generator", unstructured)
+    reports = run_suite(RunConfig(level=2, samples=2, suites=(suite,)))
+    assert all(r.failures == 1 and r.worst_margin == np.inf for r in reports)
 
 
 def test_write_table_csv_format(tmp_path):

@@ -9,15 +9,12 @@ from towerforms.superop import (
     DenseMap,
     DiagonalComplement,
     DoubleCommutatorFamily,
-    IdentityMap,
     ScaledMap,
     SchurMultiplier,
     SemigroupMap,
     SumMap,
-    SuperOperator,
     TowerProjection,
     TransposeMap,
-    ZeroMap,
     apply,
     choi_matrix,
     choi_min_eigenvalue,
@@ -137,7 +134,7 @@ def test_densify_diagonal_complement_level1_spectrum():
 
 
 def test_densify_identity():
-    np.testing.assert_array_equal(densify(IdentityMap(2)).matrix, np.eye(4))
+    np.testing.assert_array_equal(densify(SchurMultiplier(np.ones((2, 2)))).matrix, np.eye(4))
 
 
 def test_densify_round_trip_on_random_inputs():
@@ -185,7 +182,7 @@ def test_spectral_eigenvalues_in_zero_one_only():
 
 
 def test_spectral_of_zero_map():
-    res = spectral_resolve(ZeroMap(2))
+    res = spectral_resolve(SchurMultiplier(np.zeros((2, 2))))
     assert np.abs(res.eigenvalues).max() == 0.0
 
 
@@ -217,7 +214,7 @@ def test_spectral_reconstruction_and_parseval():
 
 def test_spectral_rejects_non_self_adjoint():
     k = np.array([[0.0, 1.0], [0.0, 0.0]])  # left multiplication by a nilpotent
-    dense = densify(IdentityMap(2)).matrix @ np.kron(k, np.eye(2))
+    dense = densify(SchurMultiplier(np.ones((2, 2)))).matrix @ np.kron(k, np.eye(2))
     with pytest.raises(ValueError, match="self-adjoint"):
         spectral_resolve(DenseMap(dense))
 
@@ -243,16 +240,59 @@ def test_semigroup_preserves_unit():
         np.testing.assert_allclose(semigroup_apply(dc, t, one).entries, np.eye(4), atol=1e-15)
 
 
+def _schur_generators(n):
+    """Schur generators at level n with real nonnegative coefficients: the
+    diagonal complement, a collapsed commutator family with diagonal h >= 0
+    and a Schur multiplier."""
+    d = 2 ** n
+    rng = np.random.default_rng([85, n])
+    ms = [_real_diagonal(rng, d) for _ in range(2)]
+    h = np.diag(rng.uniform(0.0, 1.0, d))
+    c = rng.uniform(0.0, 1.0, (d, d))
+    return [
+        DiagonalComplement(d),
+        DoubleCommutatorFamily(ms, h=h),
+        SchurMultiplier(c + c.T),
+    ]
+
+
 def test_semigroup_closed_form_matches_spectral_exponential():
-    dc = DiagonalComplement(4)
-    dense = densify(dc)  # forces the generic spectral route
-    a = random_element(2, "general", 65)
-    for t in (0.1, 1.0, 10.0):
-        np.testing.assert_allclose(
-            semigroup_apply(dc, t, a).entries,
-            semigroup_apply(dense, t, a).entries,
-            atol=1e-10,
-        )
+    """The Schur closed form e^{-tc} (semigroup_apply and the semigroup
+    body) against the spectral path on a dense map of the same body."""
+    for n in (1, 2, 3, 4):
+        a = random_element(n, "general", 65)
+        for gen in _schur_generators(n):
+            assert gen.schur is not None
+            dense = densify(gen)  # no Schur coefficients: the spectral route
+            for t in (0.1, 1.0, 10.0):
+                closed = semigroup_apply(gen, t, a).entries
+                spectral = semigroup_apply(dense, t, a).entries
+                scale = 1.0 + np.abs(a.entries).max()
+                assert np.abs(closed - spectral).max() <= 1e-13 * scale, (n, gen)
+                body = SemigroupMap(gen, t).dense_body()
+                spectral_body = SemigroupMap(dense, t).dense_body()
+                assert np.abs(body - spectral_body).max() <= 1e-13, (n, gen)
+
+
+def test_schur_semigroup_rejects_complex_negative_and_nan_coefficients():
+    complex_hermitian = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    negative = np.array([[1.0, -1e-11], [-1e-11, 1.0]])
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    for coeffs, match in (
+        (complex_hermitian, "self-adjoint"),
+        (negative, "min eigenvalue"),
+        (nan, "self-adjoint"),
+    ):
+        gen = SchurMultiplier(coeffs)
+        with pytest.raises(ValueError, match=match):
+            semigroup_apply(gen, 1.0, identity(1))
+        with pytest.raises(ValueError, match=match):
+            SemigroupMap(gen, 1.0).dense_body()
+    # the measured coefficients are cached; each call checks its own eig_tol
+    gen = SchurMultiplier(negative)
+    semigroup_apply(gen, 1.0, identity(1), eig_tol=1e-10)
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        semigroup_apply(gen, 1.0, identity(1), eig_tol=1e-12)
 
 
 def test_semigroup_law():
@@ -291,7 +331,7 @@ def test_semigroup_map_object_matches_apply():
 
 
 def test_choi_identity_map_is_maximally_entangled():
-    choi = choi_matrix(IdentityMap(2))
+    choi = choi_matrix(SchurMultiplier(np.ones((2, 2))))
     np.testing.assert_array_equal(choi, maximally_entangled_choi(2))
     np.testing.assert_allclose(np.linalg.eigvalsh(choi), [0.0, 0.0, 0.0, 2.0], atol=1e-14)
 
@@ -389,7 +429,9 @@ def test_symmetry_conservativity_passes_for_diagonal_generator():
 
 
 def test_symmetry_conservativity_passes_for_zero_generator():
-    rep = symmetry_conservativity_check(ZeroMap(4), samples=20, seed=75, tol=1e-10)
+    rep = symmetry_conservativity_check(
+        SchurMultiplier(np.zeros((4, 4))), samples=20, seed=75, tol=1e-10
+    )
     assert rep.failures == 0
 
 
@@ -494,11 +536,23 @@ def _closed_form_cases(n):
     ]
 
 
+def _probe_body(op):
+    """The matrix-unit probe reference: column k*d + l is vec(op(e_kl))."""
+    d = op.dim
+    body = np.empty((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            e_kl = np.zeros((d, d), dtype=complex)
+            e_kl[k, l] = 1.0
+            body[:, k * d + l] = vec(op.apply_matrix(e_kl))
+    return body
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_form_bodies_match_probe_reference(n):
     for name, op in _closed_form_cases(n):
         body = op.dense_body()
-        reference = SuperOperator.dense_body(op)
+        reference = _probe_body(op)
         scale = 1.0 + np.abs(reference).max()
         assert np.abs(body - reference).max() <= 1e-13 * scale, name
         np.testing.assert_array_equal(densify(op).matrix, body)
@@ -572,7 +626,7 @@ def test_spectral_cache_rechecks_caller_tolerance():
 
 def test_choi_certificate_rejects_nan_map():
     with pytest.raises(ValueError, match="not Hermitian"):
-        choi_min_eigenvalue(ScaledMap(float("nan"), IdentityMap(2)))
+        choi_min_eigenvalue(ScaledMap(float("nan"), SchurMultiplier(np.ones((2, 2)))))
 
 
 def test_nan_generator_fails_markov_and_symmetry_closed():

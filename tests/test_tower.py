@@ -301,6 +301,10 @@ def test_json_missing_fields_rejected():
         element_from_json({"level": 1, "re": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError, match="level"):
         element_from_json({"level": -2, "re": [], "im": []})
+    eye = element_to_json(identity(1))
+    for level in (True, 64, 10 ** 30):
+        with pytest.raises(ValueError, match="level"):
+            element_from_json(dict(eye, level=level))
 
 
 def test_matrix_unit_basis():
