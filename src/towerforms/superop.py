@@ -9,10 +9,18 @@ the matrix-unit basis. Choi matrices are index reshuffles of dense bodies.
 Vectorization convention (normative for dense bodies and Choi blocks):
 row stacking, ``vec(a) = a.reshape(-1)`` in C order, so the matrix unit
 e_kl maps to the standard basis vector at index k*dim + l.
+
+Eigenproblems are solved in the Hermitian matrix-unit basis: the unitary
+U whose column k*dim + k is vec(e_kk) and, for k < l, whose columns
+p = k*dim + l and q = l*dim + k are vec((e_kl + e_lk)/sqrt 2) and
+vec(i(e_kl - e_lk)/sqrt 2). The body of a Hermiticity-preserving
+GNS-self-adjoint map, and the Choi matrix of a GNS-self-adjoint
+Hermiticity-preserving map, are real symmetric there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +83,102 @@ def _is_diagonal(mat: np.ndarray) -> bool:
 def _check_hermitian(mat: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
     scale = 1.0 + np.abs(mat).max(initial=0.0)
-    defect = np.abs(mat - mat.conj().T).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN is left to the callers
+        defect = np.abs(mat - mat.conj().T).max(initial=0.0)
     if defect > tol * scale:
         raise ValueError(f"{what} must be Hermitian (defect {defect:.3e})")
     return mat
+
+
+# --------------------------------------------------------------------------
+# the Hermitian matrix-unit basis
+# --------------------------------------------------------------------------
+
+# The 2 x 2 block of U on the coordinates (p, q) = (k*d + l, l*d + k) of a
+# pair k < l; U is the identity on the coordinates k*d + k.
+_U_BLOCK = np.sqrt(0.5) * np.array([[1.0, 1.0j], [1.0, -1.0j]])
+_PAIR_CHUNK = 64  # pairs of rows mixed at once along axis 0
+_ROW_CHUNK = 8  # rows whose pairs of columns are mixed at once along axis 1
+
+
+def _mix(x: np.ndarray, p: np.ndarray, q: np.ndarray, block: np.ndarray) -> None:
+    (a, b), (c, e) = block
+    xp, xq = x[p], x[q]
+    x[p] = a * xp + b * xq
+    x[q] = c * xp + e * xq
+
+
+def _mix_pairs(x: np.ndarray, block: np.ndarray, axis: int = 0) -> None:
+    """In place, the coordinates (p, q) = (k*d + l, l*d + k) of x along
+    axis <- block @ those coordinates, for every pair k < l (x has d^2
+    entries along axis). It goes a chunk at a time through the memory
+    order of x, so that no temporary is larger than a chunk."""
+    if x.ndim == 2 and not x.flags.c_contiguous:
+        x, axis = x.T, 1 - axis
+    d = math.isqrt(x.shape[axis])
+    k, l = np.triu_indices(d, 1)
+    rows_p, rows_q = k * d + l, l * d + k
+    if axis == 0:
+        for start in range(0, rows_p.size, _PAIR_CHUNK):
+            chunk = slice(start, start + _PAIR_CHUNK)
+            _mix(x, rows_p[chunk], rows_q[chunk], block)
+    else:
+        for start in range(0, x.shape[0], _ROW_CHUNK):
+            _mix(x[start:start + _ROW_CHUNK].T, rows_p, rows_q, block)
+
+
+def _to_hermitian_units(x: np.ndarray) -> None:
+    """x <- U* x U in place, for a complex d^2 x d^2 array x."""
+    _mix_pairs(x, _U_BLOCK.conj().T, axis=0)
+    _mix_pairs(x, _U_BLOCK.T, axis=1)
+
+
+def _from_hermitian_units(x: np.ndarray) -> None:
+    """x <- U x U* in place, for a complex d^2 x d^2 array x."""
+    _mix_pairs(x, _U_BLOCK, axis=0)
+    _mix_pairs(x, _U_BLOCK.conj(), axis=1)
+
+
+_DEFECT_ROWS = 64
+
+
+def _hermitian_defect(mat: np.ndarray, herm: np.ndarray):
+    """(max|mat - herm|, its (row, column), max|mat|) for herm = mat*,
+    taken over blocks of rows so that no temporary is larger than a block.
+    The first largest entry is the witness; a NaN wins and ends the scan."""
+    defect, where, size = 0.0, (0, 0), 0.0
+    for start in range(0, mat.shape[0], _DEFECT_ROWS):
+        rows = slice(start, start + _DEFECT_ROWS)
+        block = np.abs(mat[rows] - herm[rows])
+        k = int(np.argmax(block))
+        value = float(block.flat[k])
+        size = max(size, float(np.abs(mat[rows]).max()))
+        if not value <= defect:
+            row, col = divmod(k, block.shape[1])
+            defect, where = value, (start + row, col)
+            if math.isnan(value):
+                break
+    return defect, where, size
+
+
+def _in_hermitian_units(herm: np.ndarray, tol: float) -> np.ndarray:
+    """T = U* herm U for a Hermitian complex d^2 x d^2 matrix herm, which
+    is overwritten by it.
+
+    T is real symmetric up to rounding for the bodies and Choi matrices
+    named in the module docstring. Its imaginary part is then dropped,
+    and T returned as a new real array, when that part has Frobenius norm
+    at most tol (1 + max|T|): by Weyl's inequality this moves no
+    eigenvalue by more than the bound. Otherwise, and on NaN or inf, the
+    complex T is returned.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _to_hermitian_units(herm)
+        imag = herm.imag
+        drift = np.sqrt(np.einsum("ij,ij->", imag, imag))
+        if drift <= tol * (1.0 + np.abs(herm).max(initial=0.0)):
+            return herm.real.copy(order="K")
+    return herm
 
 
 class SuperOperator:
@@ -99,7 +199,7 @@ class SuperOperator:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
         self._spectral: SpectralResolution | None = None
-        self._schur_rates: tuple[np.ndarray, float, float] | None = None
+        self._schur_measure: tuple[np.ndarray, float, float, float] | None = None
 
     @property
     def level(self) -> int:
@@ -194,6 +294,10 @@ class DoubleCommutatorFamily(SuperOperator):
     sum_i (mu_i[j] - mu_i[k])^2 + eta[j] + eta[k]; it is collapsed to
     those coefficients (``schur``) at construction. Otherwise ``schur`` is
     None and the family is evaluated with matrix products.
+
+    Finite data can still overflow: construction rejects a family whose
+    Schur coefficients, or the entry bound 2 max|L| + 2 sum_i max|m_i|^2
+    of its dense body (L = sum_i m_i^2 + h), are not finite.
     """
 
     hermiticity_preserving = True
@@ -216,16 +320,37 @@ class DoubleCommutatorFamily(SuperOperator):
             if h.shape != (dim, dim):
                 raise ValueError("h must match the dimension of the m_i")
             self.h = h
-        if all(map(_is_diagonal, self.ms)) and (self.h is None or _is_diagonal(self.h)):
-            coeffs = np.zeros((dim, dim), dtype=np.complex128)
-            for m in self.ms:
-                mu = np.diagonal(m)
-                delta = mu[:, None] - mu[None, :]
-                coeffs += delta * delta
-            if h is not None:
-                eta = np.diagonal(h)
-                coeffs += eta[:, None] + eta[None, :]
-            self.schur = coeffs
+        data = self.ms if self.h is None else (*self.ms, self.h)
+        if not all(np.isfinite(m).all() for m in data):
+            raise ValueError("commutator family has non-finite entries in its m_i or h")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if all(map(_is_diagonal, self.ms)) and (
+                self.h is None or _is_diagonal(self.h)
+            ):
+                coeffs = np.zeros((dim, dim), dtype=np.complex128)
+                for m in self.ms:
+                    mu = np.diagonal(m)
+                    delta = mu[:, None] - mu[None, :]
+                    coeffs += delta * delta
+                if self.h is not None:
+                    eta = np.diagonal(self.h)
+                    coeffs += eta[:, None] + eta[None, :]
+                self.schur = coeffs
+                bound = np.abs(coeffs).max()
+                what = "its Schur coefficients are"
+            else:
+                self._left = sum(m @ m for m in self.ms)
+                if self.h is not None:
+                    self._left = self._left + self.h
+                bound = 2.0 * np.abs(self._left).max() + 2.0 * sum(
+                    np.abs(m).max() ** 2 for m in self.ms
+                )
+                what = "the entry bound of its dense body is"
+        if not np.isfinite(bound):
+            raise ValueError(
+                f"commutator family overflows: {what} not finite "
+                f"(max {bound}); rescale the m_i and h"
+            )
 
     def apply_matrix(self, mat):
         mat = np.asarray(mat, dtype=np.complex128)
@@ -245,14 +370,11 @@ class DoubleCommutatorFamily(SuperOperator):
         # Row stacking gives vec(x a y) = (x kron y^T) vec(a), so the body is
         # L kron I + I kron L^T - 2 sum_i m_i kron m_i^T with L = sum_i m_i^2 + h.
         d = self.dim
-        left = sum(m @ m for m in self.ms)
-        if self.h is not None:
-            left = left + self.h
         body = np.zeros((d * d, d * d), dtype=np.complex128)
         grid = body.reshape(d, d, d, d)  # [i, j, k, l]: row i*d + j, column k*d + l
         for j in range(d):
-            grid[:, j, :, j] += left
-            grid[j, :, j, :] += left.T
+            grid[:, j, :, j] += self._left
+            grid[j, :, j, :] += self._left.T
         for m in self.ms:
             body -= np.kron(2.0 * m, m.T)
         return body
@@ -423,16 +545,21 @@ def densify(op: SuperOperator, max_dim: int = DENSIFY_DIM_CAP) -> DenseMap:
 class SpectralResolution:
     """Eigendecomposition of a GNS-self-adjoint map.
 
-    eigenvalues are ascending; eigenvectors[k] is the matrix u_k, the
-    family being orthonormal for the GNS inner product. asymmetry is the
-    measured defect max|D - D*| / (1 + max|D|) of the dense body D that
-    was resolved, so a cached resolution can be rechecked against a
+    eigenvalues are ascending. The orthonormal columns of ``basis``
+    (dim^2 x dim^2) are the eigenvectors' coordinates in a frame: the
+    Hermitian matrix units U of the module docstring when
+    ``hermitian_units``, else the matrix units e_kl (a Schur map, whose
+    basis is a permutation). The basis of a Hermiticity-preserving map is
+    real, so its eigenvectors u_k are Hermitian matrices. asymmetry is
+    the measured defect max|D - D*| / (1 + max|D|) of the dense body D
+    that was resolved, so a cached resolution can be rechecked against a
     stricter tolerance.
     """
 
     dim: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # shape (dim*dim, dim, dim)
+    basis: np.ndarray
+    hermitian_units: bool = True
     asymmetry: float = 0.0
 
     @property
@@ -443,25 +570,68 @@ class SpectralResolution:
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The matrices u_k, shape (dim^2, dim, dim), orthonormal for the
+        GNS inner product: u_k is sqrt(dim) times the k-th basis vector."""
+        frame = self.basis.astype(np.complex128)
+        if self.hermitian_units:
+            _mix_pairs(frame, _U_BLOCK)
+        return (frame.T * np.sqrt(self.dim)).reshape(-1, self.dim, self.dim)
+
+    def _coordinates(self, mat: np.ndarray) -> np.ndarray:
+        """basis* F* vec(mat), F being the frame: the GNS coefficients
+        times sqrt(dim)."""
+        x = np.array(vec(mat), dtype=np.complex128)
+        if self.hermitian_units:
+            _mix_pairs(x, _U_BLOCK.conj().T)
+        return self.basis.conj().T @ x
+
     def coefficients(self, mat: np.ndarray) -> np.ndarray:
         """GNS coefficients <u_k, mat>_2."""
-        return np.einsum("kij,ij->k", self.eigenvectors.conj(), mat) / self.dim
+        return self._coordinates(mat) / np.sqrt(self.dim)
 
     def apply_function(self, func, mat: np.ndarray) -> np.ndarray:
         """Evaluate f(map) on mat through the spectral sum."""
-        c = self.coefficients(np.asarray(mat, dtype=np.complex128))
-        weights = func(self.eigenvalues) * c
-        return np.einsum("k,kij->ij", weights, self.eigenvectors)
+        x = self.basis @ (func(self.eigenvalues) * self._coordinates(mat))
+        if self.hermitian_units:
+            _mix_pairs(x, _U_BLOCK)
+        return unvec(x, self.dim)
 
     def reconstruct(self, mat: np.ndarray) -> np.ndarray:
         return self.apply_function(lambda lam: lam, mat)
 
     def function_body(self, func) -> np.ndarray:
-        """Dense body of f(map): V f(Lambda) V* / dim, the columns of V
-        being the vectorized u_k."""
-        d2 = self.dim * self.dim
-        v = self.eigenvectors.reshape(d2, d2).T
-        return (v * (func(self.eigenvalues) / self.dim)) @ v.conj().T
+        """Dense body of f(map): F W f(Lambda) W* F* with W the basis and F
+        the frame, one real product for a real basis."""
+        w = self.basis
+        body = np.asarray((w * func(self.eigenvalues)) @ w.conj().T, np.complex128)
+        if self.hermitian_units:
+            _from_hermitian_units(body)
+        return body
+
+
+def _check_self_adjoint(relative: float, sym_tol: float) -> None:
+    if not relative <= sym_tol:
+        raise ValueError(
+            f"map is not GNS-self-adjoint: relative asymmetry "
+            f"{relative:.3e} exceeds sym_tol={sym_tol:.1e}"
+        )
+
+
+def _measure_schur(op: SuperOperator) -> tuple[np.ndarray, float, float, float]:
+    """(Re c, relative asymmetry, min Re c, max |Re c|) of a Schur map c,
+    measured once and cached on the map. The body diag(vec(c)) has
+    relative asymmetry 2 max|Im c| / (1 + max|c|) and spectrum Re c; NaN
+    gives a NaN asymmetry."""
+    if op._schur_measure is None:
+        c = op.schur
+        rates = c.real.astype(np.float64)
+        asym = 2.0 * np.abs(c.imag).max() / (1.0 + np.abs(c).max())
+        op._schur_measure = (
+            rates, float(asym), float(rates.min()), float(np.abs(rates).max())
+        )
+    return op._schur_measure
 
 
 def spectral_resolve(
@@ -477,31 +647,45 @@ def spectral_resolve(
     largest asymmetry entry as witness. The resolution is cached on the
     map together with its measured asymmetry, which every later call
     checks against its own sym_tol.
+
+    A Schur map c resolves in closed form: eigenvalues sorted Re c,
+    eigenvectors sqrt(dim) e_kl. Any other map is resolved in the
+    Hermitian matrix-unit basis, with a real ``eigh`` when the map
+    preserves Hermiticity (see ``_in_hermitian_units``).
     """
     res = op._spectral
     if res is not None:
-        if not res.asymmetry <= sym_tol:
-            raise ValueError(
-                f"map is not GNS-self-adjoint: relative asymmetry "
-                f"{res.asymmetry:.3e} exceeds sym_tol={sym_tol:.1e}"
-            )
+        _check_self_adjoint(res.asymmetry, sym_tol)
         return res
-    dense = densify(op, max_dim=max_dim).matrix
-    asym = np.abs(dense - dense.conj().T)
-    defect = asym.max(initial=0.0)
-    relative = float(defect / (1.0 + np.abs(dense).max(initial=0.0)))
-    if not relative <= sym_tol:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
-        raise ValueError(
-            f"map is not GNS-self-adjoint: |D - D*| has max {defect:.3e} "
-            f"at vectorized entry ({i}, {j})"
-        )
-    w, v = np.linalg.eigh(0.5 * (dense + dense.conj().T))
     d = op.dim
-    vectors = (v.T.reshape(d * d, d, d)) * np.sqrt(d)
-    res = SpectralResolution(
-        dim=d, eigenvalues=w, eigenvectors=vectors, asymmetry=relative
-    )
+    if op.schur is not None:
+        _check_budget(d, max_dim, "densification")
+        rates, relative, _, _ = _measure_schur(op)
+        _check_self_adjoint(relative, sym_tol)
+        order = np.argsort(vec(rates), kind="stable")
+        res = SpectralResolution(
+            dim=d,
+            eigenvalues=vec(rates)[order],
+            basis=np.eye(d * d)[:, order],
+            hermitian_units=False,
+            asymmetry=relative,
+        )
+    else:
+        dense = densify(op, max_dim=max_dim).matrix
+        herm = np.conjugate(dense.T, order="C")  # one transposed pass
+        defect, (i, j), size = _hermitian_defect(dense, herm)
+        relative = defect / (1.0 + size)
+        if not relative <= sym_tol:
+            raise ValueError(
+                f"map is not GNS-self-adjoint: |D - D*| has max {defect:.3e} "
+                f"at vectorized entry ({i}, {j})"
+            )
+        herm += dense
+        herm *= 0.5
+        del dense  # free the body before eigh
+        herm = _in_hermitian_units(herm, sym_tol)
+        w, basis = np.linalg.eigh(herm)
+        res = SpectralResolution(dim=d, eigenvalues=w, basis=basis, asymmetry=relative)
     op._spectral = res
     return res
 
@@ -511,36 +695,59 @@ def spectral_resolve(
 # --------------------------------------------------------------------------
 
 
+def _check_positive(lowest: float, norm: float, eig_tol: float) -> None:
+    """A generator is positive when its least eigenvalue is at least
+    -eig_tol (1 + norm), norm being its spectral norm, the scale of
+    ``eigh``'s rounding error. NaN fails."""
+    bound = eig_tol * (1.0 + norm)
+    if not lowest >= -bound:
+        raise ValueError(
+            f"generator is not positive: min eigenvalue {lowest:.3e} "
+            f"below -eig_tol * (1 + norm) = {-bound:.3e}"
+        )
+
+
 def _positive_resolution(op: SuperOperator, eig_tol: float) -> SpectralResolution:
     res = spectral_resolve(op)
-    if res.min_eigenvalue < -eig_tol:
-        raise ValueError(
-            f"generator is not positive: min eigenvalue {res.min_eigenvalue:.3e}"
-        )
+    norm = max(-res.min_eigenvalue, res.max_eigenvalue)
+    _check_positive(res.min_eigenvalue, norm, eig_tol)
     return res
+
+
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+_MAX_EXPONENT = math.log(_MAX_FLOAT)  # e^x overflows a double above it
+
+
+def _decay(rates: np.ndarray, lowest: float, norm: float, t: float) -> np.ndarray:
+    """e^{-t rates} for rates with least entry lowest and largest modulus
+    norm. A rate within the positivity tolerance below zero can make the
+    largest factor e^{-t lowest} overflow at large scale, which fails
+    closed; a product t * rate that rounds to inf gives e^(-inf) = 0."""
+    if -t * lowest > _MAX_EXPONENT:
+        raise ValueError(
+            f"semigroup overflows at t={t}: e^(-t * {lowest:.3e}) is not finite"
+        )
+    if t * norm >= _MAX_FLOAT:  # only then can t * rate overflow
+        with np.errstate(over="ignore"):
+            return np.exp(-t * rates)
+    return np.exp(-t * rates)
+
+
+def _spectral_decay(lam: np.ndarray, t: float) -> np.ndarray:
+    """_decay on ascending eigenvalues."""
+    lowest, highest = float(lam[0]), float(lam[-1])
+    return _decay(lam, lowest, max(-lowest, highest), t)
 
 
 def _schur_semigroup(
     op: SuperOperator, t: float, eig_tol: float, sym_tol: float = 1e-10
 ) -> np.ndarray:
     """Coefficients e^{-t Re c} of the semigroup of a Schur generator c,
-    checked as the spectral path checks the body diag(vec(c)): relative
-    asymmetry 2 max|Im c| / (1 + max|c|) <= sym_tol and min Re c >= -eig_tol,
-    NaN failing both. The measurements are cached on the generator."""
-    if op._schur_rates is None:
-        c = op.schur
-        rates = c.real.astype(np.float64)
-        asym = 2.0 * np.abs(c.imag).max() / (1.0 + np.abs(c).max())
-        op._schur_rates = (rates, float(asym), float(rates.min()))
-    rates, asym, lowest = op._schur_rates
-    if not asym <= sym_tol:
-        raise ValueError(
-            f"map is not GNS-self-adjoint: relative asymmetry "
-            f"{asym:.3e} exceeds sym_tol={sym_tol:.1e}"
-        )
-    if not lowest >= -eig_tol:
-        raise ValueError(f"generator is not positive: min eigenvalue {lowest:.3e}")
-    return np.exp(-t * rates)
+    after the checks the spectral path makes on the body diag(vec(c))."""
+    rates, asym, lowest, norm = _measure_schur(op)
+    _check_self_adjoint(asym, sym_tol)
+    _check_positive(lowest, norm, eig_tol)
+    return _decay(rates, lowest, norm, t)
 
 
 def _semigroup_matrix(
@@ -551,7 +758,7 @@ def _semigroup_matrix(
     if op.schur is not None:
         return _schur_semigroup(op, t, eig_tol) * mat
     res = _positive_resolution(op, eig_tol)
-    return res.apply_function(lambda lam: np.exp(-t * lam), mat)
+    return res.apply_function(lambda lam: _spectral_decay(lam, t), mat)
 
 
 def semigroup_apply(
@@ -588,7 +795,7 @@ class SemigroupMap(SuperOperator):
         if self.generator.schur is not None:
             return _schur_body(_schur_semigroup(self.generator, self.t, self.eig_tol))
         res = _positive_resolution(self.generator, self.eig_tol)
-        return res.function_body(lambda lam: np.exp(-self.t * lam))
+        return res.function_body(lambda lam: _spectral_decay(lam, self.t))
 
 
 # --------------------------------------------------------------------------
@@ -614,15 +821,26 @@ def choi_min_eigenvalue(
     op: SuperOperator, sym_tol: float = 1e-10, max_dim: int = DENSIFY_DIM_CAP
 ) -> float:
     """Smallest Choi eigenvalue; nonnegative up to tolerance iff the map is
-    completely positive. Rejects maps whose Choi matrix is not Hermitian."""
+    completely positive. Rejects maps whose Choi matrix is not Hermitian.
+
+    For a GNS-self-adjoint map, S(e_ij)_kl = conj(S(e_kl)_ij), so the
+    Choi matrix C satisfies F C F = conj(C) with F the swap of the two
+    tensor legs. As F U = conj(U), U* C U is then real symmetric and the
+    eigenvalues come from a real ``eigvalsh`` (see ``_in_hermitian_units``).
+    """
     choi = choi_matrix(op, max_dim=max_dim)
-    defect = np.abs(choi - choi.conj().T).max(initial=0.0)
-    if not defect <= sym_tol * (1.0 + np.abs(choi).max(initial=0.0)):
+    herm = np.conjugate(choi.T, order="C")  # one transposed pass
+    defect, _, size = _hermitian_defect(choi, herm)
+    if not defect <= sym_tol * (1.0 + size):
         raise ValueError(
             f"Choi matrix is not Hermitian (defect {defect:.3e}); "
             "PSD test is undefined"
         )
-    return float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0])
+    herm += choi
+    herm *= 0.5
+    del choi
+    herm = _in_hermitian_units(herm, sym_tol)
+    return float(np.linalg.eigvalsh(herm)[0])
 
 
 # --------------------------------------------------------------------------

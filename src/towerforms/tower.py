@@ -230,15 +230,23 @@ def element_to_json(a: AlgebraElement) -> dict:
 
 
 def _parse_square(part, d: int, key: str) -> np.ndarray:
-    arr = np.asarray(part, dtype=object)
+    """A d x d array of JSON numbers: every entry an int or a float, never
+    a bool, a string or a nested value, and finite."""
     try:
-        arr = arr.astype(np.float64)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"field {key!r} is not a rectangular numeric array") from exc
+        arr = np.asarray(part, dtype=object)
+    except ValueError as exc:
+        raise ValueError(f"field {key!r} is not a rectangular array") from exc
     if arr.shape != (d, d):
         raise ValueError(
             f"field {key!r} must have shape ({d}, {d}), got {arr.shape}"
         )
+    if not set(map(type, arr.flat)) <= {int, float}:
+        entry = next(e for e in arr.flat if type(e) not in (int, float))
+        raise ValueError(f"field {key!r} has an entry that is not a number: {entry!r}")
+    try:
+        arr = arr.astype(np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"field {key!r} has an entry too large for a float") from exc
     if not np.isfinite(arr).all():
         raise ValueError(f"field {key!r} has non-finite entries (NaN or inf)")
     return arr

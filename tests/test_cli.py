@@ -309,6 +309,32 @@ def test_choi_lindblad_rejects_non_finite_data(tmp_path, capsys, field):
     assert "non-finite" in capsys.readouterr().err
 
 
+def _write_lindblad(tmp_path, m, h=None):
+    path = tmp_path / "lind.json"
+    lind = {"ms": [element_to_json(AlgebraElement(1, m))], "h": h}
+    path.write_text(json.dumps(lind))
+    return path
+
+
+def test_choi_lindblad_overflow_exits_2(tmp_path, capsys):
+    path = _write_lindblad(tmp_path, np.array([[1e200, 1.0], [1.0, 0.0]]))
+    assert main(["choi", "--level", "1", "--generator", f"lindblad:{path}"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_choi_lindblad_of_large_scale_is_completely_positive(tmp_path, capsys):
+    """A positive generator with entries 1e3 (least eigenvalue about -5e-11
+    from rounding) is accepted, and with h = -1e-3 I it is rejected."""
+    m = np.array([[1e3, 370.0], [370.0, -200.0]])
+    path = _write_lindblad(tmp_path, m)
+    assert main(["choi", "--level", "1", "--t", "0.5", "--generator", f"lindblad:{path}"]) == 0
+    assert "completely positive" in capsys.readouterr().out
+    h = element_to_json(AlgebraElement(1, -1e-3 * np.eye(2)))
+    path = _write_lindblad(tmp_path, m, h)
+    assert main(["choi", "--level", "1", "--t", "0.5", "--generator", f"lindblad:{path}"]) == 2
+    assert "not positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ms", [None, 5, "m"])
 def test_choi_lindblad_rejects_ms_that_is_not_a_list(tmp_path, capsys, ms):
     path = tmp_path / "lind.json"
@@ -336,6 +362,24 @@ _json_values = st.recursive(
 _float_entries = st.one_of(
     st.floats(-1e3, 1e3), st.integers(), st.floats(allow_nan=True, allow_infinity=True)
 )
+# entries that are JSON but not numbers, or numbers only in disguise
+_non_number_entries = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,2})?", fullmatch=True),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=1),
+)
+
+
+@st.composite
+def _mixed_entry_json(draw):
+    """Level-1 matrix JSON whose entries are numbers or other JSON values."""
+    entry = st.one_of(_float_entries, _non_number_entries)
+    return {
+        "level": 1,
+        "re": [[draw(entry) for _ in range(2)] for _ in range(2)],
+        "im": [[draw(entry) for _ in range(2)] for _ in range(2)],
+    }
 
 
 @st.composite
@@ -348,6 +392,7 @@ def _hermitian_json(draw):
 
 _matrix_json = st.one_of(
     _hermitian_json(),
+    _mixed_entry_json(),
     st.fixed_dictionaries(
         {
             "level": st.one_of(
@@ -365,7 +410,8 @@ _matrix_json = st.one_of(
 @given(_matrix_json)
 def test_element_from_json_property(obj):
     """Any JSON value is rejected with ValueError or parses to a finite
-    element of shape (2^level, 2^level)."""
+    element of shape (2^level, 2^level) whose every entry was given as an
+    int or a float (never a bool or a string)."""
     try:
         a = element_from_json(obj)
     except ValueError:
@@ -373,6 +419,10 @@ def test_element_from_json_property(obj):
     assert type(obj["level"]) is int and a.level == obj["level"]
     assert a.entries.shape == (2 ** a.level, 2 ** a.level)
     assert np.isfinite(a.entries).all()
+    for key in ("re", "im"):
+        assert all(type(x) in (int, float) for row in obj[key] for x in row)
+    np.testing.assert_array_equal(a.entries.real, np.array(obj["re"], dtype=float))
+    np.testing.assert_array_equal(a.entries.imag, np.array(obj["im"], dtype=float))
 
 
 @settings(max_examples=200, deadline=None)

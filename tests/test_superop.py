@@ -4,6 +4,9 @@ import pytest
 from towerforms.tower import AlgebraElement, identity, random_element
 from towerforms.expectations import diag_expect
 from towerforms.superop import (
+    _from_hermitian_units,
+    _hermitian_defect,
+    _to_hermitian_units,
     BlockwiseMap,
     ComposedMap,
     DenseMap,
@@ -635,3 +638,227 @@ def test_nan_generator_fails_markov_and_symmetry_closed():
         markov_check(bad, t_samples=(1.0,), n_samples=2, seed=84, tol=1e-10)
     with pytest.raises(ValueError, match="self-adjoint"):
         symmetry_conservativity_check(bad, samples=2, seed=84, tol=1e-10)
+
+
+# --------------------------------------------------------------------------
+# the Hermitian matrix-unit basis
+# --------------------------------------------------------------------------
+
+
+def _hermitian_unit_matrix(d):
+    """Reference U: column k*d + k is vec(e_kk); for k < l, column k*d + l
+    is vec((e_kl + e_lk)/sqrt 2) and column l*d + k is vec(i(e_kl - e_lk)/sqrt 2)."""
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            if k == l:
+                unit[k, k] = 1.0
+            elif k < l:
+                unit[k, l] = unit[l, k] = np.sqrt(0.5)
+            else:
+                unit[l, k], unit[k, l] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+            u[:, k * d + l] = vec(unit)
+    return u
+
+
+def _in_units(mat):
+    out = np.array(mat, dtype=complex)
+    _to_hermitian_units(out)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hermitian_unit_basis_is_unitary_and_round_trips(n):
+    d = 2 ** n
+    u = _hermitian_unit_matrix(d)
+    for col in range(d * d):
+        unit = unvec(u[:, col], d)
+        assert np.array_equal(unit, unit.conj().T)
+    assert np.abs(u.conj().T @ u - np.eye(d * d)).max() <= 1e-15
+    assert np.abs(_in_units(np.eye(d * d)) - np.eye(d * d)).max() <= 1e-15
+    rng = np.random.default_rng([86, n])
+    x = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    scale = np.abs(x).max()
+    for layout in (x, np.asfortranarray(x)):
+        there = np.array(layout, order="K")
+        _to_hermitian_units(there)
+        assert np.abs(there - u.conj().T @ x @ u).max() <= 1e-14 * scale
+        _from_hermitian_units(there)
+        assert np.abs(there - x).max() <= 1e-15 * scale
+
+
+def _lindblad(n, seed):
+    d = 2 ** n
+    rng = np.random.default_rng([seed, n])
+    psd = _hermitian(rng, d)
+    return DoubleCommutatorFamily([_hermitian(rng, d) / d for _ in range(3)], h=psd @ psd / d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bodies_are_real_in_hermitian_units(n):
+    d = 2 ** n
+    for op in (DiagonalComplement(d), TransposeMap(d), _lindblad(n, 87)):
+        body = op.dense_body()
+        assert np.abs(_in_units(body).imag).max() <= 1e-14 * np.abs(body).max()
+    x = _hermitian(np.random.default_rng([88, n]), d)
+    left = DenseMap(np.kron(x, np.eye(d)))  # a -> x a: self-adjoint, not real
+    assert np.abs(_in_units(left.matrix).imag).max() > 1e-3 * np.abs(x).max()
+    res = spectral_resolve(left)
+    assert np.iscomplexobj(res.basis)  # the complex path
+    np.testing.assert_allclose(
+        res.eigenvalues, np.linalg.eigvalsh(left.matrix), rtol=0, atol=1e-12
+    )
+    a = random_element(n, "general", 89).entries
+    np.testing.assert_allclose(res.reconstruct(a), x @ a, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spectral_resolution_matches_complex_eigh_reference(n):
+    d = 2 ** n
+    gen = _lindblad(n, 90)
+    body = gen.dense_body()
+    w, v = np.linalg.eigh(0.5 * (body + body.conj().T))
+    res = spectral_resolve(gen)
+    assert np.isrealobj(res.basis)
+    scale = 1.0 + np.abs(w).max()
+    assert np.abs(res.eigenvalues - w).max() <= 1e-12 * scale
+    for t in (0.1, 1.0):
+        reference = (v * np.exp(-t * w)) @ v.conj().T
+        got = res.function_body(lambda lam: np.exp(-t * lam))
+        assert np.abs(got - reference).max() <= 1e-12
+    for k in (0, d * d - 1):
+        u = res.eigenvectors[k]
+        assert np.abs(u - u.conj().T).max() <= 1e-14
+        assert np.abs(gen.apply_matrix(u) - res.eigenvalues[k] * u).max() <= 1e-12 * scale
+
+
+def test_schur_maps_resolve_in_closed_form():
+    coeffs = np.array(
+        [[0.0, 2.0, 1.0, 3.0], [2.0, 0.0, 3.0, 1.0], [1.0, 3.0, 0.0, 2.0], [3.0, 1.0, 2.0, 0.5]]
+    )
+    res = spectral_resolve(SchurMultiplier(coeffs))
+    np.testing.assert_array_equal(res.eigenvalues, np.sort(vec(coeffs), kind="stable"))
+    assert not res.hermitian_units
+    for k in range(16):
+        u = res.eigenvectors[k]
+        assert np.count_nonzero(u) == 1 and np.abs(u).max() == 2.0  # sqrt(d) e_kl
+        np.testing.assert_array_equal(
+            SchurMultiplier(coeffs).apply_matrix(u), res.eigenvalues[k] * u
+        )
+    assert spectral_resolve(DiagonalComplement(8)).max_eigenvalue == 1.0
+
+
+def _choi_reference(op):
+    choi = choi_matrix(op)
+    return float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]), np.abs(choi).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_choi_min_eigenvalue_matches_dense_reference(n):
+    d = 2 ** n
+    rng = np.random.default_rng([91, n])
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    conjugation = DenseMap(np.kron(k, k.conj()))  # a -> k a k*: CP, not self-adjoint
+    assert np.abs(_in_units(choi_matrix(conjugation)).imag).max() > 1e-3
+    cases = [
+        SemigroupMap(_lindblad(n, 92), 0.5),
+        SemigroupMap(DiagonalComplement(d), 1.0),
+        TransposeMap(d),
+        conjugation,
+    ]
+    for op in cases:
+        expected, scale = _choi_reference(op)
+        assert abs(choi_min_eigenvalue(op) - expected) <= 1e-12 * (1.0 + scale), repr(op)
+    assert choi_min_eigenvalue(conjugation) >= -1e-12 * np.abs(k).max() ** 2
+    assert abs(choi_min_eigenvalue(TransposeMap(d)) + 1.0) <= 1e-14
+
+
+def test_nan_maps_rejected_in_hermitian_units():
+    bad = ScaledMap(float("nan"), TransposeMap(2))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        spectral_resolve(bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        choi_min_eigenvalue(bad)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        SemigroupMap(ScaledMap(float("nan"), _lindblad(1, 93)), 1.0).dense_body()
+
+
+# --------------------------------------------------------------------------
+# positivity relative to the generator's scale, overflow
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e3])
+def test_positive_generator_of_large_scale_is_accepted(scale):
+    """The least eigenvalue of a positive generator carries a rounding
+    error proportional to its norm (about -7e-11 at entries 1e3), which an
+    absolute eig_tol = 1e-12 rejected."""
+    gen = DoubleCommutatorFamily([np.array([[1.0, 0.37], [0.37, -0.2]]) * scale])
+    phi = SemigroupMap(gen, 0.5)
+    assert choi_min_eigenvalue(phi) >= -1e-10
+    y = semigroup_apply(gen, 0.5, identity(1)).entries
+    np.testing.assert_allclose(y, np.eye(2), rtol=0, atol=1e-10)
+
+
+def test_negative_generator_of_large_scale_stays_rejected():
+    m = np.array([[1.0, 0.37], [0.37, -0.2]]) * 1e3
+    gen = DoubleCommutatorFamily([m], h=-1e-3 * np.eye(2))  # eigenvalue -2e-3
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        semigroup_apply(gen, 0.5, identity(1))
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        choi_min_eigenvalue(SemigroupMap(gen, 0.5))
+    schur = SchurMultiplier(np.array([[1e3, -1e-3], [-1e-3, 1e3]]))
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        semigroup_apply(schur, 0.5, identity(1))
+
+
+@pytest.mark.parametrize(
+    "ms, h",
+    [
+        ([np.diag([1e200, -1e200])], None),
+        ([np.diag([1.0, 0.0])], np.diag([1e308, 1e308])),
+        ([np.array([[1e200, 1.0], [1.0, 0.0]])], None),
+        ([np.array([[1e154, 1.0], [1.0, 0.0]])], None),
+    ],
+)
+def test_overflowing_commutator_family_rejected(ms, h):
+    with pytest.raises(ValueError, match="overflows"):
+        DoubleCommutatorFamily(ms, h=h)
+
+
+def test_non_finite_commutator_family_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        DoubleCommutatorFamily([np.array([[np.nan, 1.0], [1.0, 0.0]])])
+    with pytest.raises(ValueError, match="non-finite"):
+        DoubleCommutatorFamily([np.eye(2)], h=np.diag([np.inf, 0.0]))
+
+
+def test_semigroup_overflow_fails_closed_without_warnings():
+    """A rate within the relative positivity tolerance below zero (-1e7
+    against a norm of 1e20) overflows e^{-t rate}, which is an error; a
+    product t * rate that rounds to inf is the limit e^(-inf) = 0."""
+    tolerated = SchurMultiplier(np.array([[1e20, -1e7], [-1e7, 1e20]]))
+    with pytest.raises(ValueError, match="overflows"):
+        semigroup_apply(tolerated, 1.0, identity(1))
+    fast = SchurMultiplier(np.array([[0.0, 1e10], [1e10, 0.0]]))
+    y = semigroup_apply(fast, 1e300, AlgebraElement(1, X + np.eye(2))).entries
+    np.testing.assert_array_equal(y, np.eye(2))
+    body = SemigroupMap(DenseMap(densify(fast).matrix), 1e300).dense_body()
+    np.testing.assert_allclose(body, np.diag([1.0, 0.0, 0.0, 1.0]), rtol=0, atol=1e-15)
+
+
+def test_blockwise_hermitian_defect_matches_whole_matrix():
+    """The defect, its first witness and max|mat| over blocks of rows equal
+    the whole-matrix values; a NaN in a later block wins."""
+    rng = np.random.default_rng(94)
+    mat = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    mat[200, 7] = mat[7, 200].conj() + 50.0  # largest defect, twice: (200, 7), (7, 200)
+    herm = np.conjugate(mat.T, order="C")
+    asym = np.abs(mat - herm)
+    defect, where, size = _hermitian_defect(mat, herm)
+    assert defect == asym.max() and size == np.abs(mat).max()
+    assert where == np.unravel_index(np.argmax(asym), asym.shape) == (7, 200)
+    mat[250, 3] = np.nan
+    defect, where, _ = _hermitian_defect(mat, np.conjugate(mat.T, order="C"))
+    assert np.isnan(defect) and where == (3, 250)

@@ -296,6 +296,22 @@ def test_json_non_finite_entries_rejected(field, value):
         element_from_json(obj)
 
 
+@pytest.mark.parametrize("entry", ["1.5", True, False, None, [1.0], {"re": 1.0}])
+@pytest.mark.parametrize("field", ["re", "im"])
+def test_json_entries_must_be_numbers(field, entry):
+    obj = element_to_json(identity(1))
+    obj[field][0][1] = entry
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        element_from_json(obj)
+
+
+def test_json_integer_entries_accepted_and_huge_ones_rejected():
+    a = element_from_json({"level": 1, "re": [[1, 0], [0, 2]], "im": [[0, 3], [-3, 0]]})
+    np.testing.assert_array_equal(a.entries, [[1, 3j], [-3j, 2]])
+    with pytest.raises(ValueError, match="too large"):
+        element_from_json({"level": 0, "re": [[10 ** 400]], "im": [[0]]})
+
+
 def test_json_missing_fields_rejected():
     with pytest.raises(ValueError, match="missing"):
         element_from_json({"level": 1, "re": [[0, 0], [0, 0]]})
