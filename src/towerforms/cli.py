@@ -33,6 +33,7 @@ from .superop import (
     DoubleCommutatorFamily,
     SemigroupMap,
     TransposeMap,
+    _check_budget,
     choi_matrix,
     choi_min_eigenvalue,
     square_matrix_to_json,
@@ -162,6 +163,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_choi(args) -> int:
     tol = check_nonnegative("--tol", args.tol)
     t = check_nonnegative("--t", args.t)
+    if not 0 <= args.level < 64:  # no array has a side of 2^64
+        raise ValueError(f"--level must be in [0, 64), got {args.level}")
+    _check_budget(2 ** args.level, "Choi matrix")  # before any generator is built
     gen = _make_generator(args.generator, args.level)
     if args.generator == "transpose":
         # the injected non-CP control is certified directly, not exponentiated
@@ -170,7 +174,10 @@ def _cmd_choi(args) -> int:
     else:
         target = SemigroupMap(gen, t)
         label = f"semigroup at t={t}"
-    min_eig = choi_min_eigenvalue(target)
+    # With --out, the certificate and the JSON come from one Choi matrix;
+    # without it, choi_min_eigenvalue frees its Choi matrix before eigvalsh.
+    choi = choi_matrix(target) if args.out else None
+    min_eig = choi_min_eigenvalue(target if choi is None else choi)
     psd = min_eig >= -tol
     print(
         f"choi: level={args.level} {label}: min eigenvalue {min_eig:.6e} "
@@ -178,8 +185,7 @@ def _cmd_choi(args) -> int:
     )
     if args.out:
         Path(args.out).write_text(
-            json.dumps(square_matrix_to_json(choi_matrix(target)), sort_keys=True)
-            + "\n"
+            json.dumps(square_matrix_to_json(choi), sort_keys=True) + "\n"
         )
         print(f"wrote Choi matrix -> {args.out}")
     return 0 if psd else 1

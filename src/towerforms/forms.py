@@ -16,12 +16,15 @@ import numpy as np
 from .report import PropertyReport, worst_of
 from .tower import (
     AlgebraElement,
+    check_hermitian,
     clamp_spectrum,
     gaussian_general,
     gaussian_hermitian,
 )
 from .expectations import cond_expect, partial_trace_matrix
 from .superop import (
+    DENSIFY_DIM_CAP,
+    SYM_TOL,
     BlockwiseMap,
     ComposedMap,
     DiagonalComplement,
@@ -52,7 +55,9 @@ __all__ = [
     "build_from_family",
 ]
 
-AMPLIFY_DIM_CAP = 64
+# Largest spread of a lifted matrix unit's energies along the tower that
+# build_from_family accepts as stable.
+STABILIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,15 +139,12 @@ def commutator_form_eval(a: AlgebraElement, n: int) -> float:
     return float(per_projection.sum() / d)
 
 
-def wedge_one(a: AlgebraElement, herm_tol: float = 1e-10) -> AlgebraElement:
+def wedge_one(a: AlgebraElement) -> AlgebraElement:
     """GNS-Hilbert projection of a Hermitian element onto the operator
-    interval {x : 0 <= x <= 1}: eigenvalue clamping into [0, 1]."""
-    defect = np.abs(a.entries - a.entries.conj().T).max(initial=0.0)
-    if defect > herm_tol * (1.0 + np.abs(a.entries).max(initial=0.0)):
-        raise ValueError(
-            f"wedge is defined on Hermitian elements only (defect {defect:.3e})"
-        )
-    sym = 0.5 * (a.entries + a.entries.conj().T)
+    interval {x : 0 <= x <= 1}: eigenvalue clamping into [0, 1]. The
+    element must be finite and Hermitian within SYM_TOL."""
+    mat = check_hermitian("wedge input", a.entries, SYM_TOL)
+    sym = 0.5 * (mat + mat.conj().T)
     return AlgebraElement(a.level, clamp_spectrum(sym, 0.0, 1.0))
 
 
@@ -185,9 +187,7 @@ def dirichlet_check(
     )
 
 
-def amplified_form(
-    form: QuadraticForm, k: int, max_dim: int = AMPLIFY_DIM_CAP
-) -> QuadraticForm:
+def amplified_form(form: QuadraticForm, k: int) -> QuadraticForm:
     """Extension to k x k block matrices whose energy is the sum of the
     base-form energies of the blocks.
 
@@ -198,9 +198,10 @@ def amplified_form(
         raise ValueError(f"amplification order must be >= 1, got {k}")
     if k == 1:
         return form
-    if k * form.dim > max_dim:
+    if k * form.dim > DENSIFY_DIM_CAP:
         raise ValueError(
-            f"amplified dimension {k * form.dim} exceeds cap max_dim={max_dim}"
+            f"amplified dimension {k * form.dim} exceeds cap "
+            f"DENSIFY_DIM_CAP={DENSIFY_DIM_CAP}"
         )
     return QuadraticForm(
         ScaledMap(float(k), BlockwiseMap(form.generator, k)),
@@ -332,14 +333,14 @@ def build_from_family(
     family: CompatibleFamily,
     ambient_level: int | None = None,
     tol: float = 1e-12,
-    stabilization_tol: float = 1e-10,
 ) -> QuadraticForm:
     """Recover the top-level form from a compatible family.
 
     Verifies the compatibility invariant on full matrix-unit bases and
     the stabilization of the per-level values along the tower: for any
     element living at level m, the level-n evaluations are constant for
-    n >= m, so the top-level form is the finite-scale limit.
+    n >= m (within STABILIZATION_TOL), so the top-level form is the
+    finite-scale limit.
     """
     top = family.top_level
     if ambient_level is not None and ambient_level != top:
@@ -364,7 +365,7 @@ def build_from_family(
                     for n in range(m, top + 1)
                 ]
                 spread = np.ptp(values)
-                if not spread <= stabilization_tol:
+                if not spread <= STABILIZATION_TOL:
                     raise FamilyCompatibilityError(
                         m, (i, j), (i, j), values[0], values[-1]
                     )

@@ -26,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import PropertyReport, worst_of
-from .tower import AlgebraElement, check_nonnegative, random_matrix
+from .tower import AlgebraElement, check_hermitian, check_nonnegative, random_matrix
 from .expectations import diagonal_part, partial_trace_matrix
 
 __all__ = [
     "DENSIFY_DIM_CAP",
+    "SYM_TOL",
+    "EIG_TOL",
     "SuperOperator",
     "DiagonalComplement",
     "SchurMultiplier",
@@ -59,6 +61,14 @@ __all__ = [
 
 # Dense materialization cap: dim 64 = level 6 means a 4096 x 4096 dense body.
 DENSIFY_DIM_CAP = 64
+# Relative Hermitian defect allowed in a dense body or Choi matrix, and the
+# imaginary part dropped in the Hermitian matrix-unit basis, per 1 + max|.|.
+SYM_TOL = 1e-10
+# A generator is positive when its least eigenvalue is at least
+# -EIG_TOL (1 + its spectral norm).
+EIG_TOL = 1e-12
+# Hermitian defect allowed in map data (Schur coefficients, m_i and h).
+_DATA_HERM_TOL = 1e-12
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -78,16 +88,6 @@ def _schur_body(coeffs: np.ndarray) -> np.ndarray:
 def _is_diagonal(mat: np.ndarray) -> bool:
     """Exactly diagonal: every nonzero entry lies on the diagonal."""
     return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
-
-
-def _check_hermitian(mat: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.complex128)
-    scale = 1.0 + np.abs(mat).max(initial=0.0)
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN is left to the callers
-        defect = np.abs(mat - mat.conj().T).max(initial=0.0)
-    if defect > tol * scale:
-        raise ValueError(f"{what} must be Hermitian (defect {defect:.3e})")
-    return mat
 
 
 # --------------------------------------------------------------------------
@@ -161,22 +161,33 @@ def _hermitian_defect(mat: np.ndarray, herm: np.ndarray):
     return defect, where, size
 
 
-def _in_hermitian_units(herm: np.ndarray, tol: float) -> np.ndarray:
-    """T = U* herm U for a Hermitian complex d^2 x d^2 matrix herm, which
-    is overwritten by it.
+def _hermitian_in_units(mat: np.ndarray, what: str) -> np.ndarray:
+    """T = U* H U for H = (mat + mat*)/2, mat a complex d^2 x d^2 matrix
+    whose relative Hermitian defect max|mat - mat*| / (1 + max|mat|) is
+    within SYM_TOL; otherwise (NaN and inf included) a ValueError starting
+    with what names the largest defect entry.
+
+    The prelude of every eigenproblem here. Callers pass mat without
+    keeping a reference to it, so that it is freed before the basis change.
 
     T is real symmetric up to rounding for the bodies and Choi matrices
     named in the module docstring. Its imaginary part is then dropped,
-    and T returned as a new real array, when that part has Frobenius norm
-    at most tol (1 + max|T|): by Weyl's inequality this moves no
-    eigenvalue by more than the bound. Otherwise, and on NaN or inf, the
-    complex T is returned.
+    and T returned as a real array, when that part has Frobenius norm at
+    most SYM_TOL (1 + max|T|): by Weyl's inequality this moves no
+    eigenvalue by more than the bound. Otherwise the complex T is returned.
     """
+    herm = np.conjugate(mat.T, order="C")  # one transposed pass
+    defect, (i, j), size = _hermitian_defect(mat, herm)
+    if not defect / (1.0 + size) <= SYM_TOL:  # inf / inf is NaN: fails
+        raise ValueError(f"{what}: |X - X*| has max {defect:.3e} at entry ({i}, {j})")
+    herm += mat
+    herm *= 0.5
+    del mat
     with np.errstate(over="ignore", invalid="ignore"):
         _to_hermitian_units(herm)
         imag = herm.imag
         drift = np.sqrt(np.einsum("ij,ij->", imag, imag))
-        if drift <= tol * (1.0 + np.abs(herm).max(initial=0.0)):
+        if drift <= SYM_TOL * (1.0 + np.abs(herm).max(initial=0.0)):
             return herm.real.copy(order="K")
     return herm
 
@@ -191,7 +202,6 @@ class SuperOperator:
     and the semigroup the Schur multiplier e^{-tc}.
     """
 
-    hermiticity_preserving: bool = False
     schur: np.ndarray | None = None
 
     def __init__(self, dim: int):
@@ -199,7 +209,7 @@ class SuperOperator:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
         self._spectral: SpectralResolution | None = None
-        self._schur_measure: tuple[np.ndarray, float, float, float] | None = None
+        self._schur_measure: tuple[np.ndarray, float, float] | None = None
 
     @property
     def level(self) -> int:
@@ -239,8 +249,6 @@ class DiagonalComplement(SuperOperator):
     onto the diagonal subalgebra. An orthogonal projection for the GNS
     inner product, with spectrum {0, 1}."""
 
-    hermiticity_preserving = True
-
     def __init__(self, dim: int):
         super().__init__(dim)
         self.schur = 1.0 - np.eye(self.dim)
@@ -253,10 +261,8 @@ class DiagonalComplement(SuperOperator):
 class SchurMultiplier(SuperOperator):
     """Entrywise multiplication by a Hermitian coefficient matrix."""
 
-    hermiticity_preserving = True
-
     def __init__(self, coeffs: np.ndarray):
-        coeffs = _check_hermitian(coeffs, "Schur coefficient matrix")
+        coeffs = check_hermitian("Schur coefficient matrix", coeffs, _DATA_HERM_TOL)
         if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
             raise ValueError("Schur coefficient matrix must be square")
         super().__init__(coeffs.shape[0])
@@ -268,8 +274,6 @@ class SchurMultiplier(SuperOperator):
 
 class TransposeMap(SuperOperator):
     """The transpose map: positive but not completely positive."""
-
-    hermiticity_preserving = True
 
     def apply_matrix(self, mat):
         return np.asarray(mat, dtype=np.complex128).T.copy()
@@ -300,13 +304,14 @@ class DoubleCommutatorFamily(SuperOperator):
     of its dense body (L = sum_i m_i^2 + h), are not finite.
     """
 
-    hermiticity_preserving = True
-
     def __init__(self, ms, h=None):
         mats = [m.entries if isinstance(m, AlgebraElement) else m for m in ms]
         if not mats:
             raise ValueError("need at least one commutator generator m_i")
-        mats = [_check_hermitian(m, f"m_{i}") for i, m in enumerate(mats)]
+        mats = [
+            check_hermitian(f"commutator family m_{i}", m, _DATA_HERM_TOL)
+            for i, m in enumerate(mats)
+        ]
         dim = mats[0].shape[0]
         if any(m.shape != (dim, dim) for m in mats):
             raise ValueError("all m_i must be square matrices of one dimension")
@@ -316,13 +321,10 @@ class DoubleCommutatorFamily(SuperOperator):
             self.h = None
         else:
             h = h.entries if isinstance(h, AlgebraElement) else h
-            h = _check_hermitian(h, "h")
+            h = check_hermitian("commutator family h", h, _DATA_HERM_TOL)
             if h.shape != (dim, dim):
                 raise ValueError("h must match the dimension of the m_i")
             self.h = h
-        data = self.ms if self.h is None else (*self.ms, self.h)
-        if not all(np.isfinite(m).all() for m in data):
-            raise ValueError("commutator family has non-finite entries in its m_i or h")
         with np.errstate(over="ignore", invalid="ignore"):
             if all(map(_is_diagonal, self.ms)) and (
                 self.h is None or _is_diagonal(self.h)
@@ -383,7 +385,7 @@ class DoubleCommutatorFamily(SuperOperator):
 class DenseMap(SuperOperator):
     """Dense dim^2 x dim^2 matrix acting on row-stacked inputs."""
 
-    def __init__(self, matrix: np.ndarray, hermiticity_preserving: bool = False):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("dense body must be square")
@@ -394,7 +396,6 @@ class DenseMap(SuperOperator):
             )
         super().__init__(dim)
         self.matrix = matrix
-        self.hermiticity_preserving = bool(hermiticity_preserving)
 
     def apply_matrix(self, mat):
         return unvec(self.matrix @ vec(np.asarray(mat, dtype=np.complex128)), self.dim)
@@ -406,8 +407,6 @@ class DenseMap(SuperOperator):
 class TowerProjection(SuperOperator):
     """Orthogonal projection of the ambient level onto the embedded
     level-`target` subalgebra (condition down, embed back up)."""
-
-    hermiticity_preserving = True
 
     def __init__(self, ambient_level: int, target_level: int):
         if not 0 <= target_level <= ambient_level:
@@ -433,9 +432,6 @@ class ScaledMap(SuperOperator):
         super().__init__(inner.dim)
         self.factor = complex(factor)
         self.inner = inner
-        self.hermiticity_preserving = (
-            inner.hermiticity_preserving and self.factor.imag == 0.0
-        )
 
     def apply_matrix(self, mat):
         return self.factor * self.inner.apply_matrix(mat)
@@ -453,7 +449,6 @@ class SumMap(SuperOperator):
             raise ValueError("sum terms must share one dimension")
         super().__init__(terms[0].dim)
         self.terms = terms
-        self.hermiticity_preserving = all(t.hermiticity_preserving for t in terms)
 
     def apply_matrix(self, mat):
         out = self.terms[0].apply_matrix(mat)
@@ -474,7 +469,6 @@ class ComposedMap(SuperOperator):
             raise ValueError("composition factors must share one dimension")
         super().__init__(maps[0].dim)
         self.maps = maps
-        self.hermiticity_preserving = all(m.hermiticity_preserving for m in maps)
 
     def apply_matrix(self, mat):
         out = np.asarray(mat, dtype=np.complex128)
@@ -495,7 +489,6 @@ class BlockwiseMap(SuperOperator):
         super().__init__(k * inner.dim)
         self.inner = inner
         self.k = int(k)
-        self.hermiticity_preserving = inner.hermiticity_preserving
 
     def apply_matrix(self, mat):
         k, d = self.k, self.inner.dim
@@ -523,22 +516,22 @@ def apply(op: SuperOperator, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.level, op.apply_matrix(a.entries))
 
 
-def _check_budget(dim: int, max_dim: int, what: str) -> None:
-    if dim > max_dim:
+def _check_budget(dim: int, what: str) -> None:
+    if dim > DENSIFY_DIM_CAP:
         side = dim * dim
         bytes_needed = 16 * side * side
         raise ValueError(
             f"{what} needs a {side} x {side} complex matrix "
             f"(~{bytes_needed / 2**30:.2f} GiB) for dimension {dim}; "
-            f"cap is max_dim={max_dim}"
+            f"cap is DENSIFY_DIM_CAP={DENSIFY_DIM_CAP}"
         )
 
 
-def densify(op: SuperOperator, max_dim: int = DENSIFY_DIM_CAP) -> DenseMap:
+def densify(op: SuperOperator) -> DenseMap:
     """Materialize the map as a dense matrix on row-stacked inputs (see
     ``SuperOperator.dense_body``)."""
-    _check_budget(op.dim, max_dim, "densification")
-    return DenseMap(op.dense_body(), hermiticity_preserving=op.hermiticity_preserving)
+    _check_budget(op.dim, "densification")
+    return DenseMap(op.dense_body())
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,17 +543,15 @@ class SpectralResolution:
     Hermitian matrix units U of the module docstring when
     ``hermitian_units``, else the matrix units e_kl (a Schur map, whose
     basis is a permutation). The basis of a Hermiticity-preserving map is
-    real, so its eigenvectors u_k are Hermitian matrices. asymmetry is
-    the measured defect max|D - D*| / (1 + max|D|) of the dense body D
-    that was resolved, so a cached resolution can be rechecked against a
-    stricter tolerance.
+    real, so its eigenvectors u_k are Hermitian matrices. A resolution
+    exists only for a map that passed the SYM_TOL check, so a cached one
+    needs no recheck.
     """
 
     dim: int
     eigenvalues: np.ndarray
     basis: np.ndarray
     hermitian_units: bool = True
-    asymmetry: float = 0.0
 
     @property
     def min_eigenvalue(self) -> float:
@@ -611,81 +602,60 @@ class SpectralResolution:
         return body
 
 
-def _check_self_adjoint(relative: float, sym_tol: float) -> None:
-    if not relative <= sym_tol:
-        raise ValueError(
-            f"map is not GNS-self-adjoint: relative asymmetry "
-            f"{relative:.3e} exceeds sym_tol={sym_tol:.1e}"
-        )
+_NOT_SELF_ADJOINT = "map is not GNS-self-adjoint"
 
 
-def _measure_schur(op: SuperOperator) -> tuple[np.ndarray, float, float, float]:
-    """(Re c, relative asymmetry, min Re c, max |Re c|) of a Schur map c,
-    measured once and cached on the map. The body diag(vec(c)) has
-    relative asymmetry 2 max|Im c| / (1 + max|c|) and spectrum Re c; NaN
-    gives a NaN asymmetry."""
+def _measure_schur(op: SuperOperator) -> tuple[np.ndarray, float, float]:
+    """(Re c, min Re c, max |Re c|) of a Schur map c, whose body
+    diag(vec(c)) has spectrum Re c. The map must be GNS-self-adjoint:
+    the relative asymmetry 2 max|Im c| / (1 + max|c|) of that body within
+    SYM_TOL, which NaN fails. Checked once; only a map that passes is
+    cached, so every call on a failing map fails again."""
     if op._schur_measure is None:
         c = op.schur
-        rates = c.real.astype(np.float64)
         asym = 2.0 * np.abs(c.imag).max() / (1.0 + np.abs(c).max())
-        op._schur_measure = (
-            rates, float(asym), float(rates.min()), float(np.abs(rates).max())
-        )
+        if not asym <= SYM_TOL:
+            raise ValueError(
+                f"{_NOT_SELF_ADJOINT}: relative asymmetry "
+                f"{asym:.3e} exceeds SYM_TOL={SYM_TOL:.1e}"
+            )
+        rates = c.real.astype(np.float64)
+        op._schur_measure = (rates, float(rates.min()), float(np.abs(rates).max()))
     return op._schur_measure
 
 
-def spectral_resolve(
-    op: SuperOperator,
-    sym_tol: float = 1e-10,
-    max_dim: int = DENSIFY_DIM_CAP,
-) -> SpectralResolution:
+def spectral_resolve(op: SuperOperator) -> SpectralResolution:
     """Diagonalize a GNS-self-adjoint map.
 
     GNS self-adjointness is equivalent to Hermiticity of the dense body
     (the GNS inner product is a positive multiple of the Euclidean one on
-    vectorized matrices); non-self-adjoint inputs are rejected with the
-    largest asymmetry entry as witness. The resolution is cached on the
-    map together with its measured asymmetry, which every later call
-    checks against its own sym_tol.
+    vectorized matrices); a body whose relative Hermitian defect exceeds
+    SYM_TOL is rejected with the largest defect entry as witness. The
+    resolution is cached on the map; a rejected map caches nothing.
 
     A Schur map c resolves in closed form: eigenvalues sorted Re c,
     eigenvectors sqrt(dim) e_kl. Any other map is resolved in the
     Hermitian matrix-unit basis, with a real ``eigh`` when the map
-    preserves Hermiticity (see ``_in_hermitian_units``).
+    preserves Hermiticity (see ``_hermitian_in_units``).
     """
     res = op._spectral
     if res is not None:
-        _check_self_adjoint(res.asymmetry, sym_tol)
         return res
     d = op.dim
     if op.schur is not None:
-        _check_budget(d, max_dim, "densification")
-        rates, relative, _, _ = _measure_schur(op)
-        _check_self_adjoint(relative, sym_tol)
+        _check_budget(d, "densification")
+        rates, _, _ = _measure_schur(op)
         order = np.argsort(vec(rates), kind="stable")
         res = SpectralResolution(
             dim=d,
             eigenvalues=vec(rates)[order],
             basis=np.eye(d * d)[:, order],
             hermitian_units=False,
-            asymmetry=relative,
         )
     else:
-        dense = densify(op, max_dim=max_dim).matrix
-        herm = np.conjugate(dense.T, order="C")  # one transposed pass
-        defect, (i, j), size = _hermitian_defect(dense, herm)
-        relative = defect / (1.0 + size)
-        if not relative <= sym_tol:
-            raise ValueError(
-                f"map is not GNS-self-adjoint: |D - D*| has max {defect:.3e} "
-                f"at vectorized entry ({i}, {j})"
-            )
-        herm += dense
-        herm *= 0.5
-        del dense  # free the body before eigh
-        herm = _in_hermitian_units(herm, sym_tol)
+        herm = _hermitian_in_units(densify(op).matrix, _NOT_SELF_ADJOINT)
         w, basis = np.linalg.eigh(herm)
-        res = SpectralResolution(dim=d, eigenvalues=w, basis=basis, asymmetry=relative)
+        res = SpectralResolution(dim=d, eigenvalues=w, basis=basis)
     op._spectral = res
     return res
 
@@ -695,22 +665,22 @@ def spectral_resolve(
 # --------------------------------------------------------------------------
 
 
-def _check_positive(lowest: float, norm: float, eig_tol: float) -> None:
+def _check_positive(lowest: float, norm: float) -> None:
     """A generator is positive when its least eigenvalue is at least
-    -eig_tol (1 + norm), norm being its spectral norm, the scale of
+    -EIG_TOL (1 + norm), norm being its spectral norm, the scale of
     ``eigh``'s rounding error. NaN fails."""
-    bound = eig_tol * (1.0 + norm)
+    bound = EIG_TOL * (1.0 + norm)
     if not lowest >= -bound:
         raise ValueError(
             f"generator is not positive: min eigenvalue {lowest:.3e} "
-            f"below -eig_tol * (1 + norm) = {-bound:.3e}"
+            f"below -EIG_TOL * (1 + norm) = {-bound:.3e}"
         )
 
 
-def _positive_resolution(op: SuperOperator, eig_tol: float) -> SpectralResolution:
+def _positive_resolution(op: SuperOperator) -> SpectralResolution:
     res = spectral_resolve(op)
     norm = max(-res.min_eigenvalue, res.max_eigenvalue)
-    _check_positive(res.min_eigenvalue, norm, eig_tol)
+    _check_positive(res.min_eigenvalue, norm)
     return res
 
 
@@ -739,31 +709,24 @@ def _spectral_decay(lam: np.ndarray, t: float) -> np.ndarray:
     return _decay(lam, lowest, max(-lowest, highest), t)
 
 
-def _schur_semigroup(
-    op: SuperOperator, t: float, eig_tol: float, sym_tol: float = 1e-10
-) -> np.ndarray:
+def _schur_semigroup(op: SuperOperator, t: float) -> np.ndarray:
     """Coefficients e^{-t Re c} of the semigroup of a Schur generator c,
     after the checks the spectral path makes on the body diag(vec(c))."""
-    rates, asym, lowest, norm = _measure_schur(op)
-    _check_self_adjoint(asym, sym_tol)
-    _check_positive(lowest, norm, eig_tol)
+    rates, lowest, norm = _measure_schur(op)
+    _check_positive(lowest, norm)
     return _decay(rates, lowest, norm, t)
 
 
-def _semigroup_matrix(
-    op: SuperOperator, t: float, mat: np.ndarray, eig_tol: float = 1e-12
-) -> np.ndarray:
+def _semigroup_matrix(op: SuperOperator, t: float, mat: np.ndarray) -> np.ndarray:
     check_nonnegative("semigroup time", t)
     mat = np.asarray(mat, dtype=np.complex128)
     if op.schur is not None:
-        return _schur_semigroup(op, t, eig_tol) * mat
-    res = _positive_resolution(op, eig_tol)
+        return _schur_semigroup(op, t) * mat
+    res = _positive_resolution(op)
     return res.apply_function(lambda lam: _spectral_decay(lam, t), mat)
 
 
-def semigroup_apply(
-    op: SuperOperator, t: float, a: AlgebraElement, eig_tol: float = 1e-12
-) -> AlgebraElement:
+def semigroup_apply(op: SuperOperator, t: float, a: AlgebraElement) -> AlgebraElement:
     """Evaluate e^{-t op} on an element.
 
     The generator must be GNS-self-adjoint and positive; a Schur
@@ -774,27 +737,25 @@ def semigroup_apply(
         raise ValueError(
             f"level mismatch: map acts on dimension {op.dim}, element has {a.dim}"
         )
-    return AlgebraElement(a.level, _semigroup_matrix(op, t, a.entries, eig_tol))
+    return AlgebraElement(a.level, _semigroup_matrix(op, t, a.entries))
 
 
 class SemigroupMap(SuperOperator):
     """e^{-t generator} frozen at one time, usable wherever a map is
     expected (Choi certification in particular)."""
 
-    def __init__(self, generator: SuperOperator, t: float, eig_tol: float = 1e-12):
+    def __init__(self, generator: SuperOperator, t: float):
         super().__init__(generator.dim)
         self.generator = generator
         self.t = check_nonnegative("semigroup time", t)
-        self.eig_tol = float(eig_tol)
-        self.hermiticity_preserving = generator.hermiticity_preserving
 
     def apply_matrix(self, mat):
-        return _semigroup_matrix(self.generator, self.t, mat, self.eig_tol)
+        return _semigroup_matrix(self.generator, self.t, mat)
 
     def dense_body(self):
         if self.generator.schur is not None:
-            return _schur_body(_schur_semigroup(self.generator, self.t, self.eig_tol))
-        res = _positive_resolution(self.generator, self.eig_tol)
+            return _schur_body(_schur_semigroup(self.generator, self.t))
+        res = _positive_resolution(self.generator)
         return res.function_body(lambda lam: _spectral_decay(lam, self.t))
 
 
@@ -803,7 +764,7 @@ class SemigroupMap(SuperOperator):
 # --------------------------------------------------------------------------
 
 
-def choi_matrix(op: SuperOperator, max_dim: int = DENSIFY_DIM_CAP) -> np.ndarray:
+def choi_matrix(op: SuperOperator) -> np.ndarray:
     """Block matrix whose (k, l) block is the image of the matrix unit e_kl.
 
     The map is completely positive iff the result is positive
@@ -811,35 +772,28 @@ def choi_matrix(op: SuperOperator, max_dim: int = DENSIFY_DIM_CAP) -> np.ndarray
     Linear Algebra Appl. 10, 1975): entry (k*d + i, l*d + j) of the Choi
     matrix is S(e_kl)_ij = D[i*d + j, k*d + l].
     """
-    _check_budget(op.dim, max_dim, "Choi matrix")
+    _check_budget(op.dim, "Choi matrix")
     d = op.dim
     body = op.dense_body().reshape(d, d, d, d)
     return body.transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
-def choi_min_eigenvalue(
-    op: SuperOperator, sym_tol: float = 1e-10, max_dim: int = DENSIFY_DIM_CAP
-) -> float:
-    """Smallest Choi eigenvalue; nonnegative up to tolerance iff the map is
-    completely positive. Rejects maps whose Choi matrix is not Hermitian.
+def choi_min_eigenvalue(target) -> float:
+    """Smallest Choi eigenvalue of a map, or of a Choi matrix already
+    built with ``choi_matrix`` (left unchanged); nonnegative up to
+    tolerance iff the map is completely positive. Rejects a Choi matrix
+    that is not Hermitian within SYM_TOL: the PSD test is undefined there.
 
     For a GNS-self-adjoint map, S(e_ij)_kl = conj(S(e_kl)_ij), so the
     Choi matrix C satisfies F C F = conj(C) with F the swap of the two
     tensor legs. As F U = conj(U), U* C U is then real symmetric and the
-    eigenvalues come from a real ``eigvalsh`` (see ``_in_hermitian_units``).
+    eigenvalues come from a real ``eigvalsh`` (see ``_hermitian_in_units``).
     """
-    choi = choi_matrix(op, max_dim=max_dim)
-    herm = np.conjugate(choi.T, order="C")  # one transposed pass
-    defect, _, size = _hermitian_defect(choi, herm)
-    if not defect <= sym_tol * (1.0 + size):
-        raise ValueError(
-            f"Choi matrix is not Hermitian (defect {defect:.3e}); "
-            "PSD test is undefined"
-        )
-    herm += choi
-    herm *= 0.5
-    del choi
-    herm = _in_hermitian_units(herm, sym_tol)
+    what = "Choi matrix is not Hermitian"
+    if isinstance(target, SuperOperator):
+        herm = _hermitian_in_units(choi_matrix(target), what)
+    else:
+        herm = _hermitian_in_units(np.asarray(target, np.complex128), what)
     return float(np.linalg.eigvalsh(herm)[0])
 
 

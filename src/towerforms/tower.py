@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "AlgebraElement",
     "check_nonnegative",
+    "check_hermitian",
     "RANDOM_KINDS",
     "identity",
     "zero",
@@ -46,6 +47,18 @@ def check_nonnegative(what: str, value) -> float:
     if not 0.0 <= value < np.inf:
         raise ValueError(f"{what} must be finite and nonnegative, got {value}")
     return value
+
+
+def check_hermitian(what: str, mat, tol: float) -> np.ndarray:
+    """Return mat as a complex array, rejecting non-finite entries and a
+    Hermitian defect max|mat - mat*| above tol (1 + max|mat|)."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} has non-finite entries")
+    defect = np.abs(mat - mat.conj().T).max(initial=0.0)
+    if not defect <= tol * (1.0 + np.abs(mat).max(initial=0.0)):
+        raise ValueError(f"{what} must be Hermitian (defect {defect:.3e})")
+    return mat
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import towerforms.cli as cli
 from towerforms.cli import MAX_TIME_GRID_ROWS, main, _parse_time_grid
+from towerforms.superop import (
+    SemigroupMap,
+    TransposeMap,
+    choi_matrix,
+    choi_min_eigenvalue,
+    square_matrix_to_json,
+)
 from towerforms.tower import (
     AlgebraElement,
     element_from_json,
@@ -204,6 +211,40 @@ def test_choi_diagonal_is_cp(tmp_path, capsys):
     assert "completely positive" in capsys.readouterr().out
     obj = json.loads(out.read_text())
     assert obj["dim"] == 16
+
+
+@pytest.mark.parametrize(
+    "generator, cls", [("diagonal", SemigroupMap), ("transpose", TransposeMap)]
+)
+def test_choi_out_builds_one_choi_matrix(tmp_path, capsys, monkeypatch, generator, cls):
+    """With --out, the certificate and the JSON share one Choi matrix: the
+    target's dense body is built once."""
+    calls = []
+    body = cls.dense_body
+    monkeypatch.setattr(cls, "dense_body", lambda op: calls.append(op) or body(op))
+    out = tmp_path / "choi.json"
+    code = main(["choi", "--level", "2", "--generator", generator, "--out", str(out)])
+    assert code == (0 if generator == "diagonal" else 1)
+    assert len(calls) == 1
+    target = calls[0]
+    choi = choi_matrix(target)
+    assert out.read_text() == json.dumps(square_matrix_to_json(choi), sort_keys=True) + "\n"
+    assert f"min eigenvalue {choi_min_eigenvalue(target):.6e}" in capsys.readouterr().out
+
+
+def test_choi_checks_memory_budget_before_building_the_generator(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "_make_generator", mock.Mock(side_effect=AssertionError("generator built"))
+    )
+    assert main(["choi", "--level", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "Choi matrix" in err and "cap is DENSIFY_DIM_CAP=64" in err
+
+
+@pytest.mark.parametrize("level", ["-1", "64", "300"])
+def test_choi_rejects_levels_without_a_matrix_side(capsys, level):
+    assert main(["choi", "--level", level]) == 2
+    assert "--level must be in [0, 64)" in capsys.readouterr().err
 
 
 def test_choi_transpose_control_flagged(capsys):

@@ -216,6 +216,12 @@ def test_wedge_rejects_non_hermitian():
         wedge_one(AlgebraElement(1, [[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_wedge_rejects_non_finite_elements(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        wedge_one(AlgebraElement(1, [[1.0, value], [value, 0.0]]))
+
+
 # --------------------------------------------------------------------------
 # Dirichlet property
 # --------------------------------------------------------------------------

@@ -115,9 +115,15 @@ def test_hermiticity_preserving_flags_hold():
     ]
     h = random_element(2, "hermitian", 62).entries
     for op in ops:
-        assert op.hermiticity_preserving
         out = op.apply_matrix(h)
         assert np.abs(out - out.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_schur_multiplier_rejects_non_finite_coefficients(value):
+    for coeffs in ([[1.0, value], [value, 1.0]], [[value, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            SchurMultiplier(np.array(coeffs))
 
 
 def test_double_commutator_rejects_non_hermitian():
@@ -281,21 +287,20 @@ def test_schur_semigroup_rejects_complex_negative_and_nan_coefficients():
     complex_hermitian = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
     negative = np.array([[1.0, -1e-11], [-1e-11, 1.0]])
     nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
-    for coeffs, match in (
-        (complex_hermitian, "self-adjoint"),
-        (negative, "min eigenvalue"),
-        (nan, "self-adjoint"),
+    with pytest.raises(ValueError, match="non-finite"):
+        SchurMultiplier(nan)
+    nan_gen = SchurMultiplier(np.ones((2, 2)))
+    nan_gen.schur = nan  # past the constructor: the semigroup still fails closed
+    for gen, match in (
+        (SchurMultiplier(complex_hermitian), "self-adjoint"),
+        (SchurMultiplier(negative), "min eigenvalue"),
+        (nan_gen, "self-adjoint"),
     ):
-        gen = SchurMultiplier(coeffs)
-        with pytest.raises(ValueError, match=match):
-            semigroup_apply(gen, 1.0, identity(1))
-        with pytest.raises(ValueError, match=match):
-            SemigroupMap(gen, 1.0).dense_body()
-    # the measured coefficients are cached; each call checks its own eig_tol
-    gen = SchurMultiplier(negative)
-    semigroup_apply(gen, 1.0, identity(1), eig_tol=1e-10)
-    with pytest.raises(ValueError, match="min eigenvalue"):
-        semigroup_apply(gen, 1.0, identity(1), eig_tol=1e-12)
+        for _ in range(2):  # a failing map caches nothing: every call fails
+            with pytest.raises(ValueError, match=match):
+                semigroup_apply(gen, 1.0, identity(1))
+            with pytest.raises(ValueError, match=match):
+                SemigroupMap(gen, 1.0).dense_body()
 
 
 def test_semigroup_law():
@@ -613,18 +618,17 @@ def test_semigroup_rejects_bad_time(t):
         semigroup_apply(DiagonalComplement(2), t, identity(1))
 
 
-def test_spectral_cache_rechecks_caller_tolerance():
+def test_spectral_cache_holds_only_resolved_maps():
     rng = np.random.default_rng(83)
     body = densify(DoubleCommutatorFamily([_hermitian(rng, 2)])).matrix
-    body = body + 1e-6 * rng.standard_normal(body.shape)  # slightly non-self-adjoint
-    with pytest.raises(ValueError, match="self-adjoint"):
-        spectral_resolve(DenseMap(body), sym_tol=1e-10)
     op = DenseMap(body)
-    res = spectral_resolve(op, sym_tol=1e-3)
-    assert 1e-10 < res.asymmetry <= 1e-3
-    assert spectral_resolve(op, sym_tol=1e-3) is res
-    with pytest.raises(ValueError, match="self-adjoint"):
-        spectral_resolve(op, sym_tol=1e-10)
+    res = spectral_resolve(op)
+    assert spectral_resolve(op) is res
+    skewed = DenseMap(body + 1e-6 * rng.standard_normal(body.shape))  # not self-adjoint
+    for _ in range(2):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            spectral_resolve(skewed)
+    assert skewed._spectral is None
 
 
 def test_choi_certificate_rejects_nan_map():
@@ -782,6 +786,15 @@ def test_nan_maps_rejected_in_hermitian_units():
         choi_min_eigenvalue(bad)
     with pytest.raises(ValueError, match="self-adjoint"):
         SemigroupMap(ScaledMap(float("nan"), _lindblad(1, 93)), 1.0).dense_body()
+
+
+def test_infinite_maps_rejected_in_hermitian_units():
+    body = np.eye(4, dtype=complex)
+    body[0, 1] = np.inf  # its mirror entry is finite: an infinite defect
+    with pytest.raises(ValueError, match="self-adjoint"):
+        spectral_resolve(DenseMap(body))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        choi_min_eigenvalue(DenseMap(body))
 
 
 # --------------------------------------------------------------------------
