@@ -519,10 +519,10 @@ def apply(op: SuperOperator, a: AlgebraElement) -> AlgebraElement:
 def _check_budget(dim: int, what: str) -> None:
     if dim > DENSIFY_DIM_CAP:
         side = dim * dim
-        bytes_needed = 16 * side * side
+        centi_gib = (16 * side * side * 100 + 2**29) >> 30  # exact at any size
         raise ValueError(
             f"{what} needs a {side} x {side} complex matrix "
-            f"(~{bytes_needed / 2**30:.2f} GiB) for dimension {dim}; "
+            f"(~{centi_gib // 100}.{centi_gib % 100:02d} GiB) for dimension {dim}; "
             f"cap is DENSIFY_DIM_CAP={DENSIFY_DIM_CAP}"
         )
 

@@ -1,8 +1,21 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from towerforms.superop import ScaledMap
-from towerforms.tower import AlgebraElement, embed, identity, random_element
+from towerforms import harness
+from towerforms.forms import diagonal_form, eval_form
+from towerforms.superop import DiagonalComplement, ScaledMap, semigroup_apply
+from towerforms.tower import (
+    AlgebraElement,
+    embed,
+    gns_inner,
+    identity,
+    normalized_trace,
+    random_element,
+)
 from towerforms.harness import (
     CONVERGE_COLUMNS,
     RunConfig,
@@ -153,6 +166,122 @@ def test_evolve_table_unit_is_stationary():
         assert abs(r["trace_re"] - 1.0) < 1e-14
         assert abs(r["gns_norm"] - 1.0) < 1e-14
         assert abs(r["min_eig"] - 1.0) < 1e-14 and abs(r["max_eig"] - 1.0) < 1e-14
+
+
+def sequential_evolve(a, t_grid):
+    """Reference trajectory: one row at a time, one eigvalsh per row."""
+    gen = DiagonalComplement(a.dim)
+    form = diagonal_form(a.level)
+    rows = []
+    for t in t_grid:
+        y = semigroup_apply(gen, float(t), a)
+        tr = normalized_trace(y)
+        ev = np.linalg.eigvalsh(0.5 * (y.entries + y.entries.conj().T))
+        rows.append(
+            {
+                "t": float(t),
+                "trace_re": tr.real,
+                "trace_im": tr.imag,
+                "gns_norm": math.sqrt(max(gns_inner(y, y).real, 0.0)),
+                "energy": eval_form(form, y),
+                "min_eig": float(ev[0]),
+                "max_eig": float(ev[-1]),
+            }
+        )
+    return rows
+
+
+def chunk_threads(monkeypatch) -> list:
+    """Record the thread each evolve_table chunk runs in."""
+    threads = []
+    chunk = harness._evolve_chunk
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return chunk(*args)
+
+    monkeypatch.setattr(harness, "_evolve_chunk", spy)
+    return threads
+
+
+@pytest.mark.parametrize("blas_threads, workers", [("2", 1), ("1", 2)])
+@pytest.mark.parametrize("rows", [1, 9, 17])
+def test_evolve_table_equals_sequential_rows(monkeypatch, blas_threads, workers, rows):
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
+    threads = chunk_threads(monkeypatch)
+    a = random_element(7, "general", 409)
+    grid = [0.25 * k for k in range(rows)]
+    assert evolve_table(a, grid) == sequential_evolve(a, grid)
+    # two workers stack 8 rows per chunk at level 7, and one chunk runs in
+    # the calling thread; one worker takes the rows one at a time
+    assert len(threads) == (-(-rows // 8) if workers == 2 else rows)
+    in_pool = any(t is not threading.main_thread() for t in threads)
+    assert in_pool == (workers == 2 and rows > 8)
+
+
+def test_evolve_table_many_workers_share_the_generator(monkeypatch):
+    """More workers than cores, one row per chunk and a short switch interval:
+    the generator's lazily cached Schur measure is filled by racing threads."""
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 8)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(harness, "EVOLVE_CHUNK_BYTES", 16 * 16 * 16)
+    a = random_element(4, "general", 411)
+    grid = [0.125 * k for k in range(64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = evolve_table(a, grid)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == sequential_evolve(a, grid)
+
+
+@pytest.mark.parametrize(
+    "env, cpus, workers",
+    [
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1"}, 8, 8),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "auto"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1.5"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({}, 1, 1),
+    ],
+)
+def test_evolve_worker_rule(env, cpus, workers):
+    assert harness._evolve_workers(env, cpus) == workers
+
+
+def test_evolve_table_worker_error_reaches_caller(monkeypatch):
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(harness, "EVOLVE_CHUNK_BYTES", 16 * 4 * 4)  # one row per chunk
+    raised = []
+    chunk = harness._evolve_chunk
+
+    def spy(*args):
+        try:
+            return chunk(*args)
+        except ValueError as exc:
+            raised.append((exc, threading.current_thread()))
+            raise
+
+    monkeypatch.setattr(harness, "_evolve_chunk", spy)
+    a = random_element(2, "general", 410)
+    with pytest.raises(ValueError, match="semigroup time must be finite and nonnegative") as err:
+        evolve_table(a, (0.0, 0.5, float("nan")))
+    [(exc, thread)] = raised
+    assert err.value is exc and thread is not threading.main_thread()
 
 
 # --------------------------------------------------------------------------

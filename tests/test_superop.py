@@ -4,6 +4,7 @@ import pytest
 from towerforms.tower import AlgebraElement, identity, random_element
 from towerforms.expectations import diag_expect
 from towerforms.superop import (
+    _check_budget,
     _from_hermitian_units,
     _hermitian_defect,
     _to_hermitian_units,
@@ -161,6 +162,14 @@ def test_densify_round_trip_on_random_inputs():
 def test_densify_budget_rejected():
     with pytest.raises(ValueError, match="cap"):
         densify(DiagonalComplement(2 ** 7))
+
+
+def test_budget_rejects_huge_dimension_with_value_error():
+    # 16 * (2^600)^2 bytes overflows a float; the message must still be built
+    with pytest.raises(ValueError, match="DENSIFY_DIM_CAP"):
+        _check_budget(2 ** 300, "densification")
+    with pytest.raises(ValueError, match="DENSIFY_DIM_CAP"):
+        densify(TowerProjection(300, 0))
 
 
 def test_vec_unvec_row_stacking():
