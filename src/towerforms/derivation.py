@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import worst_of
+from . import tower
 from .tower import AlgebraElement, element_to_json
 from .expectations import cond_expect
 
@@ -30,10 +30,12 @@ __all__ = [
     "bimodule_right",
     "bimodule_inner",
     "bimodule_to_json",
+    "derive_factors",
+    "left_action",
+    "right_action",
+    "inner_factors",
+    "max_abs_factors",
 ]
-
-# Components multiplied out at a time by ``max_abs``.
-_MAX_ABS_BLOCK = 16
 
 
 def _frozen_complex(x) -> np.ndarray:
@@ -92,15 +94,9 @@ class BimoduleVector:
         return stack
 
     def max_abs(self) -> float:
-        """max |entry| over the components, NaN when any entry is NaN;
-        taken over blocks of components so that no full stack is held."""
-        b = _MAX_ABS_BLOCK
-        return worst_of(
-            *(
-                np.abs(self.left[s:s + b] @ self.right[s:s + b]).max()
-                for s in range(0, len(self.left), b)
-            )
-        )
+        """max |entry| over the components, NaN when any entry is NaN (see
+        max_abs_factors)."""
+        return float(max_abs_factors(self.left, self.right))
 
     @property
     def components(self) -> tuple[AlgebraElement, ...]:
@@ -145,51 +141,99 @@ def _check_carrier(a: AlgebraElement, f: BimoduleVector) -> None:
         )
 
 
-def derive(a: AlgebraElement, n: int) -> BimoduleVector:
-    """Component j is [p_j, E_n a] = e_j b[j, :] - b[:, j] e_j^T, with b the
-    level-n expectation of a: rank 2, with left[j] = [e_j, -b[:, j]] and
-    right[j] = [b[j, :]; e_j^T]. Zero exactly when b is diagonal."""
-    b = cond_expect(a, n).entries
-    d = b.shape[0]
+# --------------------------------------------------------------------------
+# factor kernels: one vector, or a stack of vectors along leading axes
+# --------------------------------------------------------------------------
+
+
+def derive_factors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank factors of the derivation of a level-n expectation b, or of each
+    matrix of a stack: component j is [p_j, b] = e_j b[j, :] - b[:, j] e_j^T,
+    so left[j] = [e_j, -b[:, j]] and right[j] = [b[j, :]; e_j^T]."""
+    *lead, d, _ = b.shape
     j = np.arange(d)
-    left = np.zeros((d, d, 2), dtype=np.complex128)
-    left[j, j, 0] = 1.0
-    left[:, :, 1] = -b.T  # left[j, :, 1] = -b[:, j]
-    right = np.zeros((d, 2, d), dtype=np.complex128)
-    right[:, 0, :] = b  # right[j, 0, :] = b[j, :]
-    right[j, 1, j] = 1.0
-    return _wrap(n, left, right)
+    left = np.zeros((*lead, d, d, 2), dtype=np.complex128)
+    left[..., j, j, 0] = 1.0
+    left[..., 1] = -b.swapaxes(-1, -2)  # left[..., j, :, 1] = -b[..., :, j]
+    right = np.zeros((*lead, d, 2, d), dtype=np.complex128)
+    right[..., 0, :] = b  # right[..., j, 0, :] = b[..., j, :]
+    right[..., j, 1, j] = 1.0
+    return left, right
 
 
-def bimodule_left(a: AlgebraElement, f: BimoduleVector) -> BimoduleVector:
-    """(a . f)(j) = a f(j): left[j] <- a left[j], one (d, d) @ (d, r)
-    product per component, so each component rounds as a f(j) alone."""
-    _check_carrier(a, f)
-    return _wrap(f.level, a.entries @ f.left, f.right)
+def left_action(a: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Left factors of a . f: one (d, d) @ (d, r) product per component, so
+    each component rounds as a f(j) alone; a may carry leading axes."""
+    return a[..., None, :, :] @ left
 
 
-def bimodule_right(f: BimoduleVector, a: AlgebraElement) -> BimoduleVector:
-    """(f . a)(j) = f(j) a: right[j] <- right[j] a, as one product of the
-    row-stacked right factors."""
-    _check_carrier(a, f)
-    k, r, d = f.right.shape
-    right = (f.right.reshape(k * r, d) @ a.entries).reshape(k, r, d)
-    return _wrap(f.level, f.left, right)
+def right_action(right: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Right factors of f . a: one product of the row-stacked right factors
+    with a; both may carry leading axes."""
+    *lead, k, r, d = right.shape
+    return (right.reshape(*lead, k * r, d) @ a).reshape(right.shape)
 
 
-def bimodule_inner(f: BimoduleVector, g: BimoduleVector) -> AlgebraElement:
-    """Algebra-valued inner product sum_j f(j)* g(j); <f, f> is PSD.
+def inner_factors(f_left, f_right, g_left, g_right) -> np.ndarray:
+    """sum_j f(j)* g(j) from rank factors, with leading axes allowed.
 
     With the small Gram blocks G_j = left_f[j]* left_g[j] of shape
     (r_f, r_g), the sum is sum_j right_f[j]* G_j right_g[j]: one product of
     the row-stacked right_f with the row-stacked G_j right_g[j].
     """
+    *lead, k, rf, d = f_right.shape
+    gram = f_left.conj().swapaxes(-1, -2) @ g_left
+    rows_g = (gram @ g_right).reshape(*lead, k * rf, d)
+    rows_f = f_right.reshape(*lead, k * rf, d)
+    return rows_f.conj().swapaxes(-1, -2) @ rows_g
+
+
+def max_abs_factors(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """max |entry| of the components left[..., j, :, :] @ right[..., j, :, :]
+    of a vector, or of each vector of a stack (shape of the leading axes),
+    NaN when any entry is NaN. The components are multiplied out in blocks
+    of at most tower.SAMPLE_CHUNK_BYTES, so no full stack is held."""
+    *lead, k, d, r = left.shape
+    lefts, rights = left.reshape(-1, d, r), right.reshape(-1, r, d)
+    block = max(1, tower.SAMPLE_CHUNK_BYTES // (16 * d * d))
+    comp = np.empty(len(lefts))
+    for s in range(0, len(lefts), block):
+        prod = lefts[s:s + block] @ rights[s:s + block]
+        comp[s:s + block] = np.abs(prod).max(axis=(-2, -1))
+        del prod
+    return comp.reshape(*lead, k).max(axis=-1)
+
+
+# --------------------------------------------------------------------------
+# the element API
+# --------------------------------------------------------------------------
+
+
+def derive(a: AlgebraElement, n: int) -> BimoduleVector:
+    """Component j is [p_j, E_n a] with E_n a the level-n expectation of a,
+    at rank 2 (see derive_factors). Zero exactly when E_n a is diagonal."""
+    return _wrap(n, *derive_factors(cond_expect(a, n).entries))
+
+
+def bimodule_left(a: AlgebraElement, f: BimoduleVector) -> BimoduleVector:
+    """(a . f)(j) = a f(j) (see left_action)."""
+    _check_carrier(a, f)
+    return _wrap(f.level, left_action(a.entries, f.left), f.right)
+
+
+def bimodule_right(f: BimoduleVector, a: AlgebraElement) -> BimoduleVector:
+    """(f . a)(j) = f(j) a (see right_action)."""
+    _check_carrier(a, f)
+    return _wrap(f.level, f.left, right_action(f.right, a.entries))
+
+
+def bimodule_inner(f: BimoduleVector, g: BimoduleVector) -> AlgebraElement:
+    """Algebra-valued inner product sum_j f(j)* g(j); <f, f> is PSD (see
+    inner_factors)."""
     f._check_compatible(g)
-    k, rf, d = f.right.shape
-    gram = f.left.conj().transpose(0, 2, 1) @ g.left
-    rows_g = (gram @ g.right).reshape(k * rf, d)
-    rows_f = f.right.reshape(k * rf, d)
-    return AlgebraElement(f.carrier_level, rows_f.conj().T @ rows_g)
+    return AlgebraElement(
+        f.carrier_level, inner_factors(f.left, f.right, g.left, g.right)
+    )
 
 
 def bimodule_to_json(f: BimoduleVector) -> list:

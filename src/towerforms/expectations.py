@@ -23,8 +23,9 @@ __all__ = [
 
 
 def partial_trace_matrix(mat: np.ndarray, level: int, target: int) -> np.ndarray:
-    """Normalized partial trace of a level-`level` matrix over its trailing
-    legs, leaving a level-`target` matrix.
+    """Normalized partial trace of a level-`level` matrix, or of each matrix
+    of a stack (leading axes), over its trailing legs, leaving a
+    level-`target` matrix.
 
     Each traced leg contributes a factor tau_1, so the map is unital.
     """
@@ -32,12 +33,16 @@ def partial_trace_matrix(mat: np.ndarray, level: int, target: int) -> np.ndarray
     if k == 0:
         return mat
     d_keep, d_tr = 2 ** target, 2 ** k
-    r = mat.reshape(d_keep, d_tr, d_keep, d_tr)
-    return np.einsum("itjt->ij", r) / d_tr
+    r = mat.reshape(*mat.shape[:-2], d_keep, d_tr, d_keep, d_tr)
+    return np.einsum("...itjt->...ij", r) / d_tr
 
 
 def diagonal_part(mat: np.ndarray) -> np.ndarray:
-    return np.diag(np.diag(mat))
+    """mat with its off-diagonal entries zeroed, over the last two axes."""
+    *lead, d, _ = mat.shape
+    out = np.zeros(mat.shape, dtype=mat.dtype)
+    out.reshape(*lead, d * d)[..., :: d + 1] = np.diagonal(mat, axis1=-2, axis2=-1)
+    return out
 
 
 def cond_expect(a: AlgebraElement, n: int) -> AlgebraElement:

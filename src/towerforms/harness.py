@@ -18,30 +18,40 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import PropertyReport, worst_of
+from .report import PropertyReport, worst_along, worst_of
 from .tower import (
     AlgebraElement,
     check_nonnegative,
-    gaussian_general,
+    complex_gaussian,
     gns_inner,
+    matrix_vdot,
+    normal_chunks,
     normalized_trace,
 )
-from .expectations import cond_expect, project_P, project_Q
+from .expectations import partial_trace_matrix, project_P, project_Q
 from .forms import (
     CompatibleFamily,
     FamilyCompatibilityError,
     QuadraticForm,
     build_from_family,
+    commutator_energies,
     commutator_form,
-    commutator_form_eval,
     commutator_generator,
     diagonal_form,
     dirichlet_check,
     eval_form,
     family_compatibility_margin,
+    form_energies,
 )
-from .derivation import bimodule_inner, bimodule_left, bimodule_right, derive
+from .derivation import (
+    derive_factors,
+    inner_factors,
+    left_action,
+    max_abs_factors,
+    right_action,
+)
 from .superop import (
+    DENSIFY_DIM_CAP,
     DiagonalComplement,
     ScaledMap,
     SemigroupMap,
@@ -96,6 +106,14 @@ class RunConfig:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError(f"working level must be >= 1, got {self.level}")
+        # 2^level > DENSIFY_DIM_CAP^2, compared without computing 2^level
+        if self.level >= (DENSIFY_DIM_CAP ** 2).bit_length():
+            top = (DENSIFY_DIM_CAP ** 2).bit_length() - 1
+            raise ValueError(
+                f"working level must be <= {top}, got {self.level}: one "
+                f"level-{top + 1} element has more entries than the dense body "
+                f"at the cap DENSIFY_DIM_CAP={DENSIFY_DIM_CAP} (256 MiB)"
+            )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         check_nonnegative("tol", self.tol)
@@ -218,38 +236,67 @@ def _run_choi(cfg: RunConfig) -> list[PropertyReport]:
     return reports
 
 
+def _suite_report(suite, level, samples, failures, worst, seed, tol):
+    return PropertyReport(
+        suite=suite,
+        level=level,
+        samples=samples,
+        failures=failures,
+        worst_margin=float(worst),
+        seed=seed,
+        tol=tol,
+    )
+
+
+def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |d(ab) - (d(a) b + a d(b))| for each pair of a stack of level-n
+    pairs: the factors of derive(a @ b, n) - (bimodule_right(derive(a, n), b)
+    + bimodule_left(a, derive(b, n))) in the order that sum and difference
+    concatenate them, each built as for one pair, then max_abs_factors."""
+    *lead, d, _ = a.shape
+    left = np.empty((*lead, d, d, 6), dtype=np.complex128)
+    right = np.empty((*lead, d, 6, d), dtype=np.complex128)
+    left[..., 0:2], right[..., 0:2, :] = derive_factors(a @ b)
+    da_left, da_right = derive_factors(a)
+    np.negative(da_left, out=left[..., 2:4])
+    right[..., 2:4, :] = right_action(da_right, b)
+    del da_left, da_right
+    db_left, right[..., 4:6, :] = derive_factors(b)
+    np.negative(left_action(a, db_left), out=left[..., 4:6])
+    del db_left
+    return max_abs_factors(left, right)
+
+
 def _run_leibniz(cfg: RunConfig) -> list[PropertyReport]:
     """Product rule for the derivation on pairs at its own level, plus the
-    energy identity tau(<da, da>) = commutator energy for ambient samples."""
+    energy identity tau(<da, da>) = commutator energy for ambient samples.
+
+    The samples of a level are drawn and checked a chunk at a time (see
+    tower.normal_chunks); every margin comes from the arithmetic of the
+    per-sample element API (derive, bimodule_*, commutator_form_eval)."""
     reports = []
+    top = 2 ** cfg.level
     for n in range(1, cfg.level + 1):
         seed = _suite_seed(cfg.seed, "leibniz", n)
         rng = np.random.default_rng(seed)
+        d = 2 ** n
         worst = -np.inf
         failures = 0
-        for _ in range(cfg.samples):
-            a = AlgebraElement(n, gaussian_general(2 ** n, rng))
-            b = AlgebraElement(n, gaussian_general(2 ** n, rng))
-            lhs = derive(a @ b, n)
-            rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = (lhs - rhs).max_abs()
-            amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
-            df = derive(amb, n)
-            energy = normalized_trace(bimodule_inner(df, df)).real
-            margin = worst_of(margin, abs(energy - commutator_form_eval(amb, n)))
-            worst = worst_of(worst, margin)
-            if not margin <= cfg.tol:
-                failures += 1
+        for za, zb, zamb in normal_chunks(
+            rng, cfg.samples, (2, d, d), (2, d, d), (2, top, top)
+        ):
+            defect = _leibniz_defects(complex_gaussian(za), complex_gaussian(zb))
+            b = partial_trace_matrix(complex_gaussian(zamb), cfg.level, n)
+            df_left, df_right = derive_factors(b)
+            inner = inner_factors(df_left, df_right, df_left, df_right)
+            del df_left, df_right
+            energy = (np.trace(inner, axis1=-2, axis2=-1) / d).real
+            gap = np.abs(energy - commutator_energies(b))
+            margin = worst_along(np.stack((defect, gap), axis=1))
+            worst = worst_of(worst, worst_along(margin))
+            failures += int(np.count_nonzero(~(margin <= cfg.tol)))
         reports.append(
-            PropertyReport(
-                suite="leibniz",
-                level=n,
-                samples=cfg.samples,
-                failures=failures,
-                worst_margin=float(worst),
-                seed=seed,
-                tol=cfg.tol,
-            )
+            _suite_report("leibniz", n, cfg.samples, failures, worst, seed, cfg.tol)
         )
     return reports
 
@@ -299,23 +346,20 @@ def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
     """The commutator sum equals twice the diagonal-form energy of the
     conditioned element, and the double-commutator generator over the
     diagonal projections has exactly twice the Schur coefficients of the
-    diagonal complement."""
+    diagonal complement. Samples go a chunk at a time, as in leibniz."""
     reports = []
+    top = 2 ** cfg.level
     for n in range(1, cfg.level + 1):
         seed = _suite_seed(cfg.seed, "normalization-bridge", n)
         rng = np.random.default_rng(seed)
         form_n = diagonal_form(n)
         worst = -np.inf
         failures = 0
-        for _ in range(cfg.samples):
-            a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
-            bridge = abs(
-                commutator_form_eval(a, n)
-                - 2.0 * eval_form(form_n, cond_expect(a, n))
-            )
-            worst = worst_of(worst, bridge)
-            if not bridge <= cfg.eig_tol:
-                failures += 1
+        for (z,) in normal_chunks(rng, cfg.samples, (2, top, top)):
+            b = partial_trace_matrix(complex_gaussian(z), cfg.level, n)
+            bridge = np.abs(commutator_energies(b) - 2.0 * form_energies(form_n, b))
+            worst = worst_of(worst, worst_along(bridge))
+            failures += int(np.count_nonzero(~(bridge <= cfg.eig_tol)))
         generator_dev = _schur_deviation(
             commutator_generator(n), DiagonalComplement(2 ** n), scale=2.0
         )
@@ -323,58 +367,55 @@ def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
         if not generator_dev <= cfg.eig_tol:
             failures += 1
         reports.append(
-            PropertyReport(
-                suite="normalization-bridge",
-                level=n,
-                samples=cfg.samples,
-                failures=failures,
-                worst_margin=float(worst),
-                seed=seed,
-                tol=cfg.eig_tol,
+            _suite_report(
+                "normalization-bridge", n, cfg.samples, failures, worst, seed,
+                cfg.eig_tol,
             )
         )
     return reports
 
 
+def _sqrt_energy(e: np.ndarray) -> np.ndarray:
+    """math.sqrt(max(e, 0.0)) of each energy: a NaN or -0.0 stays."""
+    return np.sqrt(np.where(0.0 > e, 0.0, e))
+
+
 def _run_convergence(cfg: RunConfig) -> list[PropertyReport]:
     """Restricted-energy chain for the diagonal form on random ambient
     elements: |sqrt(E_n) - sqrt(E)| <= sqrt(E(Q_n a)), the tail bound
-    E(Q_n a) <= ||Q_n a||_2^2, and exactness at the top level."""
+    E(Q_n a) <= ||Q_n a||_2^2, and exactness at the top level. Samples go
+    a chunk at a time, each P_n a built as embed(cond_expect(a, n))."""
     seed = _suite_seed(cfg.seed, "convergence", cfg.level)
     rng = np.random.default_rng(seed)
     form = diagonal_form(cfg.level)
+    top = 2 ** cfg.level
     worst = -np.inf
     failures = 0
-    for _ in range(cfg.samples):
-        a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
-        energy = eval_form(form, a)
-        margin = -np.inf
-        top_tail = 0.0
+    for (z,) in normal_chunks(rng, cfg.samples, (2, top, top)):
+        a = complex_gaussian(z)
+        root = _sqrt_energy(form_energies(form, a))
+        margins = []
         for n in range(1, cfg.level + 1):
-            pa = project_P(a, n)
-            qa = project_Q(a, n)
-            e_n = eval_form(form, pa)
-            e_q = eval_form(form, qa)
-            chain = (
-                abs(math.sqrt(max(e_n, 0.0)) - math.sqrt(max(energy, 0.0)))
-                - math.sqrt(max(e_q, 0.0))
+            pa = np.kron(
+                partial_trace_matrix(a, cfg.level, n), np.eye(2 ** (cfg.level - n))
             )
-            tail = e_q - gns_inner(qa, qa).real
-            margin = worst_of(margin, chain, tail)
-            if n == cfg.level:
-                top_tail = e_q
-        worst = worst_of(worst, margin, top_tail)
-        if not (margin <= cfg.tol and top_tail <= cfg.eig_tol):
-            failures += 1
+            qa = a - pa
+            e_n = form_energies(form, pa)
+            del pa
+            e_q = form_energies(form, qa)
+            chain = np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q)
+            tail = e_q - (matrix_vdot(qa, qa) / top).real
+            del qa
+            margins += [chain, tail]
+        margin, top_tail = worst_along(np.stack(margins, axis=1)), e_q
+        # per sample worst_of(worst, margin, top_tail), in sample order
+        in_order = np.stack((margin, top_tail), axis=1).ravel()
+        worst = worst_of(worst, worst_along(in_order))
+        passed = (margin <= cfg.tol) & (top_tail <= cfg.eig_tol)
+        failures += int(np.count_nonzero(~passed))
     return [
-        PropertyReport(
-            suite="convergence",
-            level=cfg.level,
-            samples=cfg.samples,
-            failures=failures,
-            worst_margin=float(worst),
-            seed=seed,
-            tol=cfg.tol,
+        _suite_report(
+            "convergence", cfg.level, cfg.samples, failures, worst, seed, cfg.tol
         )
     ]
 

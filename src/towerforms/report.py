@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PropertyReport", "worst_of"]
+__all__ = ["PropertyReport", "worst_of", "worst_along"]
 
 
 def worst_of(*margins) -> float:
@@ -18,6 +18,15 @@ def worst_of(*margins) -> float:
     and counts a failure when ``not margin <= tol``.
     """
     return float(np.max(margins))
+
+
+def worst_along(margins) -> np.ndarray:
+    """worst_of folded along the last axis of an array of margins, for
+    chunks of samples: NaN when any margin is NaN, else the largest margin,
+    and of equal ones the last, as worst_of keeps the later of 0.0 and -0.0."""
+    flipped = np.flip(np.asarray(margins), -1)
+    last = np.argmax(flipped, axis=-1)[..., None]
+    return np.take_along_axis(flipped, last, axis=-1)[..., 0]
 
 
 @dataclass(frozen=True)

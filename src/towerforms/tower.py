@@ -10,6 +10,7 @@ level n+k appends k identity legs on the right, i.e. ``a -> kron(a, I)``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,10 +31,16 @@ __all__ = [
     "embed",
     "modular_conjugation",
     "random_element",
+    "SAMPLE_CHUNK_BYTES",
+    "normal_chunks",
+    "complex_gaussian",
     "gaussian_general",
+    "hermitian_part",
     "gaussian_hermitian",
     "random_matrix",
+    "finite_spectra",
     "clamp_spectrum",
+    "matrix_vdot",
     "element_to_json",
     "element_from_json",
     "save_element",
@@ -147,10 +154,18 @@ def normalized_trace(a: AlgebraElement) -> complex:
     return complex(np.trace(a.entries) / a.dim)
 
 
+def matrix_vdot(x: np.ndarray, y: np.ndarray):
+    """sum conj(x) * y over the last two axes, for matrices or stacks of them
+    with equal shapes: np.vecdot of the flattened matrices, which calls the
+    BLAS dotc that np.vdot calls, so each result is np.vdot's bit for bit."""
+    *lead, rows, cols = x.shape
+    return np.vecdot(x.reshape(*lead, rows * cols), y.reshape(*lead, rows * cols))
+
+
 def gns_inner(a: AlgebraElement, b: AlgebraElement) -> complex:
     """GNS inner product tau(a* b), conjugate-linear in the first slot."""
     a._check_level(b)
-    return complex(np.vdot(a.entries, b.entries) / a.dim)
+    return complex(matrix_vdot(a.entries, b.entries) / a.dim)
 
 
 def gns_norm(a: AlgebraElement) -> float:
@@ -184,26 +199,80 @@ def modular_conjugation(a: AlgebraElement) -> AlgebraElement:
 
 RANDOM_KINDS = ("hermitian", "general", "contraction", "psd")
 
+# Bytes of standard normals one chunk of samples draws at once; it also
+# bounds the blocks of products derivation.max_abs_factors multiplies out.
+SAMPLE_CHUNK_BYTES = 2 ** 17
+
+
+def normal_chunks(rng: np.random.Generator, samples: int, *shapes):
+    """The standard normals of `samples` samples, one chunk at a time.
+
+    A sample is one block per shape, drawn in that order. A chunk of S
+    samples comes from one rng.standard_normal((S, size)) call; the stream
+    yields the same numbers as S * len(shapes) calls of the per-block
+    shapes, so chunked and per-sample evaluation see the same samples.
+    Each chunk holds at most SAMPLE_CHUNK_BYTES of normals (one sample when
+    a single sample is larger) and is yielded as a tuple of (S, *shape)
+    arrays, one per shape.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    per_sample = sum(sizes)
+    step = max(1, SAMPLE_CHUNK_BYTES // (8 * per_sample))
+    for start in range(0, samples, step):
+        count = min(step, samples - start)
+        z = rng.standard_normal((count, per_sample))
+        blocks, offset = [], 0
+        for shape, size in zip(shapes, sizes):
+            blocks.append(z[:, offset:offset + size].reshape(count, *shape))
+            offset += size
+        yield tuple(blocks)
+
+
+def complex_gaussian(z: np.ndarray) -> np.ndarray:
+    """Complex Gaussian matrices from normals z of shape (..., 2, d, d):
+    real parts z[..., 0, :, :], imaginary parts z[..., 1, :, :]."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
 
 def gaussian_general(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian matrix with independent unit-variance re/im entries."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return complex_gaussian(rng.standard_normal((2, dim, dim)))
+
+
+def hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat*) / 2 over the last two axes."""
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = gaussian_general(dim, rng)
-    return 0.5 * (g + g.conj().T)
+    return hermitian_part(gaussian_general(dim, rng))
+
+
+def finite_spectra(decompose, mat: np.ndarray):
+    """decompose (np.linalg.eigh or eigvalsh) of a Hermitian matrix or of
+    each matrix of a stack, in one call. A matrix with a NaN or infinite
+    entry gets NaN results instead of stopping the call, so one bad sample
+    fails closed without taking the rest of its chunk down."""
+    bad = ~np.isfinite(mat).all(axis=(-2, -1))
+    if not bad.any():
+        return decompose(mat)
+    out = decompose(np.where(bad[..., None, None], 0.0, mat))
+    for part in out if isinstance(out, tuple) else (out,):
+        part[bad] = np.nan
+    return out
 
 
 def clamp_spectrum(mat: np.ndarray, lo=None, hi=None) -> np.ndarray:
-    """Clamp the spectrum of a Hermitian matrix into [lo, hi].
+    """Clamp the spectrum of a Hermitian matrix, or of each matrix of a
+    stack, into [lo, hi].
 
     This is the Frobenius-nearest matrix whose spectrum lies in the
     interval (the Hilbert projection onto the corresponding spectral set).
+    A matrix with a non-finite entry gives NaN (see finite_spectra).
     """
-    w, v = np.linalg.eigh(mat)
+    w, v = finite_spectra(np.linalg.eigh, mat)
     w = np.clip(w, lo, hi)
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def random_matrix(dim: int, kind: str, rng: np.random.Generator) -> np.ndarray:

@@ -154,6 +154,20 @@ def test_verify_rejects_bad_tolerance(flag, value, capsys):
     assert "failures" not in captured.out
 
 
+@pytest.mark.parametrize("level, code", [("12", 0), ("13", 2), ("64", 2)])
+def test_verify_checks_working_level_before_any_suite(capsys, monkeypatch, level, code):
+    """Levels above 12 exit 2 with the cap named; level 12 reaches run_suite
+    (stubbed here: one level-12 sample alone takes 256 MiB)."""
+    configs = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: configs.append(cfg) or [])
+    assert main(["verify", "--level", level]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert configs == [] and "<= 12" in err and "DENSIFY_DIM_CAP=64" in err
+    else:
+        assert [cfg.level for cfg in configs] == [12]
+
+
 @pytest.mark.parametrize("flag", ["--tol", "--t"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
 def test_choi_rejects_bad_tolerance_and_time(flag, value, capsys):

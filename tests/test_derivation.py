@@ -349,17 +349,18 @@ def test_bimodule_serializes_as_matrix_array():
     assert arr[0]["level"] == 1 and "re" in arr[0] and "im" in arr[0]
 
 
-def test_max_abs_blocks_cover_every_component():
+def test_max_abs_blocks_cover_every_component(monkeypatch):
     """The blockwise max over components equals the max over the whole
     stack, and a NaN in the last block gives a NaN."""
-    from towerforms.derivation import _MAX_ABS_BLOCK
+    from towerforms import tower
 
-    level = _MAX_ABS_BLOCK.bit_length() + 1  # more than one block
-    k, d, r = 2 ** level, 4, 2
+    k, d, r = 2 ** 5, 4, 2
+    # three components per block: several blocks and a partial last one
+    monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 3 * 16 * d * d)
     rng = np.random.default_rng(402)
     left = rng.standard_normal((k, d, r)) + 1j * rng.standard_normal((k, d, r))
     right = rng.standard_normal((k, r, d))
-    f = BimoduleVector(level, left, right)
+    f = BimoduleVector(5, left, right)
     assert f.max_abs() == np.abs(f.stack).max()
     left[-1, 0, 0] = np.nan
-    assert np.isnan(BimoduleVector(level, left, right).max_abs())
+    assert np.isnan(BimoduleVector(5, left, right).max_abs())

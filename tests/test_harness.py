@@ -80,6 +80,18 @@ def test_config_rejects_unknown_suite_listing_names():
         assert name in msg
 
 
+@pytest.mark.parametrize("level", [13, 64, 10 ** 9])
+def test_config_rejects_working_levels_above_the_dense_body_cap(level):
+    """A level-13 element has 2^26 entries, more than the 64^2 x 64^2 dense
+    body at DENSIFY_DIM_CAP: rejected at construction, before any suite."""
+    with pytest.raises(ValueError, match=r"<= 12, .*DENSIFY_DIM_CAP=64"):
+        RunConfig(level=level)
+
+
+def test_config_accepts_working_level_twelve():
+    assert RunConfig(level=12, suites=("dirichlet",)).level == 12
+
+
 def test_config_allows_level_above_densify_cap_for_sampled_suites():
     cfg = RunConfig(level=7, suites=("dirichlet", "markov", "leibniz", "convergence"))
     assert cfg.level == 7
@@ -334,25 +346,53 @@ def test_different_seed_changes_margins(tmp_path):
     assert any(a.worst_margin != b.worst_margin for a, b in zip(r1, r2))
 
 
+def poison_mid_chunk(monkeypatch, index=5, chunk=4) -> list:
+    """Make every normal_chunks call of the suites yield chunks of `chunk`
+    samples and put a NaN into sample `index`; return (start, count) of each
+    chunk that received one."""
+    from towerforms import forms, superop, tower
+
+    hit = []
+
+    def poisoned(rng, samples, *shapes):
+        per_sample = 8 * sum(math.prod(s) for s in shapes)
+        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", chunk * per_sample)
+        start = 0
+        for blocks in tower.normal_chunks(rng, samples, *shapes):
+            count = len(blocks[0])
+            if start <= index < start + count:
+                blocks[0][index - start].flat[0] = np.nan  # Re a_00: seen at every level
+                hit.append((start, count))
+            start += count
+            yield blocks
+
+    for module in (harness, forms, superop):
+        monkeypatch.setattr(module, "normal_chunks", poisoned)
+    return hit
+
+
+def check_nan_sample_fails_alone(monkeypatch, suite):
+    """A NaN entry in one drawn sample, in the middle of its chunk, must
+    surface as a NaN worst margin and count as exactly one failed sample:
+    the fold keeps it, and its chunk neighbours still pass."""
+    hit = poison_mid_chunk(monkeypatch)
+    reports = run_suite(RunConfig(level=2, samples=10, suites=(suite,)))
+    assert hit and all(start < 5 < start + count - 1 for start, count in hit)
+    assert reports and len(hit) == len(reports)
+    for rep in reports:
+        assert np.isnan(rep.worst_margin)
+        assert rep.failures == 1
+
+
 def test_leibniz_nan_sample_gives_nan_margin_and_fails(monkeypatch):
-    """A NaN entry in one drawn sample must surface as a NaN worst margin
-    and count as exactly one failed sample, not be dropped by the fold."""
-    import towerforms.harness as harness
+    check_nan_sample_fails_alone(monkeypatch, "leibniz")
 
-    draws = []
-    real = harness.gaussian_general
 
-    def poisoned(dim, rng):
-        g = real(dim, rng)
-        draws.append(dim)
-        if len(draws) == 4:  # `a` of the second sample
-            g[0, 1] = np.nan
-        return g
-
-    monkeypatch.setattr(harness, "gaussian_general", poisoned)
-    (rep,) = run_suite(RunConfig(level=1, samples=3, suites=("leibniz",)))
-    assert np.isnan(rep.worst_margin)
-    assert rep.failures == 1
+@pytest.mark.parametrize(
+    "suite", ["dirichlet", "markov", "symmetry", "normalization-bridge", "convergence"]
+)
+def test_nan_sample_mid_chunk_gives_nan_margin_and_fails_alone(monkeypatch, suite):
+    check_nan_sample_fails_alone(monkeypatch, suite)
 
 
 @pytest.mark.parametrize("suite", ["compatibility", "normalization-bridge"])
