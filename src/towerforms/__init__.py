@@ -19,7 +19,7 @@ from .tower import (
     save_element,
     load_element,
 )
-from .expectations import cond_expect, project_P, project_Q, diag_expect
+from .expectations import cond_expect, project_P, project_Q
 from .superop import (
     SuperOperator,
     DiagonalComplement,
@@ -29,7 +29,6 @@ from .superop import (
     DenseMap,
     TowerProjection,
     ScaledMap,
-    SumMap,
     ComposedMap,
     BlockwiseMap,
     SemigroupMap,
@@ -56,8 +55,6 @@ from .forms import (
     dirichlet_check,
     amplified_form,
     restricted_form,
-    operator_norm,
-    energy_inner,
     build_from_family,
 )
 from .derivation import (

@@ -25,6 +25,7 @@ from .harness import (
     SUITE_NAMES,
     converge_table,
     evolve_table,
+    _open_new,
     run_suite,
     write_table_csv,
 )
@@ -184,9 +185,8 @@ def _cmd_choi(args) -> int:
         f"-> {'completely positive' if psd else 'NOT completely positive'}"
     )
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(square_matrix_to_json(choi), sort_keys=True) + "\n"
-        )
+        with _open_new(args.out) as fh:
+            fh.write(json.dumps(square_matrix_to_json(choi), sort_keys=True) + "\n")
         print(f"wrote Choi matrix -> {args.out}")
     return 0 if psd else 1
 

@@ -3,7 +3,7 @@
 cond_expect is the trace-normalized partial trace onto the leading legs
 (the level-n subalgebra), project_P / project_Q are the induced orthogonal
 projections of the ambient level onto / off that subalgebra, and
-diag_expect is the expectation onto the diagonal subalgebra.
+diagonal_part is the expectation onto the diagonal subalgebra.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "cond_expect",
     "project_P",
     "project_Q",
-    "diag_expect",
 ]
 
 
@@ -38,7 +37,9 @@ def partial_trace_matrix(mat: np.ndarray, level: int, target: int) -> np.ndarray
 
 
 def diagonal_part(mat: np.ndarray) -> np.ndarray:
-    """mat with its off-diagonal entries zeroed, over the last two axes."""
+    """mat with its off-diagonal entries zeroed, over the last two axes: the
+    expectation onto the diagonal subalgebra, sum_i p_i mat p_i over the
+    rank-one diagonal projections p_i."""
     *lead, d, _ = mat.shape
     out = np.zeros(mat.shape, dtype=mat.dtype)
     out.reshape(*lead, d * d)[..., :: d + 1] = np.diagonal(mat, axis1=-2, axis2=-1)
@@ -67,11 +68,3 @@ def project_Q(a: AlgebraElement, n: int) -> AlgebraElement:
     """Complementary projection: a minus its level-n part."""
     return a - project_P(a, n)
 
-
-def diag_expect(a: AlgebraElement) -> AlgebraElement:
-    """Expectation onto the diagonal subalgebra (off-diagonal entries zeroed).
-
-    Equals sum_i p_i a p_i over the rank-one diagonal projections p_i;
-    idempotent, trace preserving and positive.
-    """
-    return AlgebraElement(a.level, diagonal_part(a.entries))

@@ -5,10 +5,17 @@ complement of the diagonal expectation, together with its commutator
 presentation, block-matrix amplifications, restrictions to lower tower
 levels and the construction of a top-level form from a compatible family
 of per-level forms.
+
+A family is compared in Schur coefficients: the compression of a Schur
+generator c_{n+1} to the embedded level n multiplies entrywise by the
+normalized partial trace of c_{n+1} (see family_compatibility_margin), so
+compatibility and stabilization cost O(4^n) per level and no matrix unit
+is probed here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +24,7 @@ from .report import PropertyReport, worst_along, worst_of
 from .tower import (
     AlgebraElement,
     check_hermitian,
+    check_nonnegative,
     clamp_spectrum,
     complex_gaussian,
     hermitian_part,
@@ -34,7 +42,6 @@ from .superop import (
     ScaledMap,
     SuperOperator,
     TowerProjection,
-    spectral_resolve,
 )
 
 __all__ = [
@@ -53,8 +60,6 @@ __all__ = [
     "dirichlet_check",
     "amplified_form",
     "restricted_form",
-    "operator_norm",
-    "energy_inner",
     "family_compatibility_margin",
     "build_from_family",
 ]
@@ -89,19 +94,11 @@ def diagonal_form(level: int) -> QuadraticForm:
     return QuadraticForm(DiagonalComplement(2 ** level), label="diagonal")
 
 
-def _diag_projections(dim: int) -> list[np.ndarray]:
-    ps = []
-    for i in range(dim):
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        p[i, i] = 1.0
-        ps.append(p)
-    return ps
-
-
 def commutator_generator(level: int) -> DoubleCommutatorFamily:
-    """sum_j [p_j, [p_j, .]] over the rank-one diagonal projections; equals
-    twice the diagonal complement."""
-    return DoubleCommutatorFamily(_diag_projections(2 ** level), h=None)
+    """sum_j [p_j, [p_j, .]] over the rank-one diagonal projections, each
+    given as its diagonal (a row of the identity); equals twice the
+    diagonal complement."""
+    return DoubleCommutatorFamily(list(np.eye(2 ** level)), h=None)
 
 
 def commutator_form(level: int) -> QuadraticForm:
@@ -260,27 +257,6 @@ def restricted_form(form: QuadraticForm, n: int) -> QuadraticForm:
     )
 
 
-def operator_norm(form: QuadraticForm) -> float:
-    """Largest generator eigenvalue magnitude (the bound in the tail
-    estimate E(Q_n a) <= ||generator|| ||Q_n a||_2^2)."""
-    res = spectral_resolve(form.generator)
-    return float(max(abs(res.min_eigenvalue), abs(res.max_eigenvalue)))
-
-
-def energy_inner(form: QuadraticForm, a: AlgebraElement, b: AlgebraElement) -> complex:
-    """<a, b>_1 = <generator(a), b>_2 + <a, b>_2."""
-    if a.level != b.level:
-        raise ValueError(f"level mismatch: {a.level} vs {b.level}")
-    if a.dim != form.dim:
-        raise ValueError(
-            f"level mismatch: form acts on dimension {form.dim}, element has {a.dim}"
-        )
-    image = form.generator.apply_matrix(a.entries)
-    return complex(
-        (matrix_vdot(image, b.entries) + matrix_vdot(a.entries, b.entries)) / form.dim
-    )
-
-
 # --------------------------------------------------------------------------
 # compatible families
 # --------------------------------------------------------------------------
@@ -288,7 +264,8 @@ def energy_inner(form: QuadraticForm, a: AlgebraElement, b: AlgebraElement) -> c
 
 class FamilyCompatibilityError(ValueError):
     """Raised when two consecutive family members disagree; carries the
-    witnessing level, matrix-unit pair and both sesquilinear values."""
+    witnessing level, matrix-unit pair and both sesquilinear values (None
+    when a member has no Schur coefficients)."""
 
     def __init__(self, level, unit, entry, lhs, rhs):
         self.level = level
@@ -296,10 +273,12 @@ class FamilyCompatibilityError(ValueError):
         self.entry = entry
         self.lhs = lhs
         self.rhs = rhs
-        super().__init__(
-            f"family incompatible between levels {level} and {level + 1}: "
+        detail = "a member has no Schur coefficients to compare" if unit is None else (
             f"on unit pair e{unit}, e{entry} the level-{level} value is "
             f"{lhs:.6g} but the embedded level-{level + 1} value is {rhs:.6g}"
+        )
+        super().__init__(
+            f"family incompatible between levels {level} and {level + 1}: {detail}"
         )
 
 
@@ -328,41 +307,55 @@ class CompatibleFamily:
 
 def family_compatibility_margin(family: CompatibleFamily):
     """Worst sesquilinear deviation between consecutive family members on
-    the matrix-unit bases, with its witness.
+    the matrix-unit bases, with its witness, from the Schur coefficients.
 
-    The quadratic forms agree on a level iff the associated sesquilinear
-    forms agree on all pairs of matrix units, which is what is compared.
-    Returns (worst, witness) with witness = (level, (i, j), (k, l), lhs, rhs).
-    A NaN deviation is kept as the worst, with the first NaN as witness.
+    Let L_n multiply entrywise by c_n (d x d, d = 2^n). With the README's
+    legs, (x kron I)[2i+s, 2j+t] = x[i,j] delta_st, so the normalized
+    partial trace E_n over the last leg gives E_n(L_{n+1}(x kron I))[i,j]
+    = (1/2) sum_s c_{n+1}[2i+s, 2j+s] x[i,j]: the compression E_n o
+    L_{n+1} o (. kron I) multiplies entrywise by pt(c_{n+1}) =
+    partial_trace_matrix(c_{n+1}, n+1, n). As <z, y kron I>_2 at level
+    n+1 is <E_n(z), y>_2 at level n, the sesquilinear values of the two
+    members on a unit pair (e_ij, e_kl) differ by (c_n - pt(c_{n+1}))[i,j]
+    / d when (k, l) = (i, j) and by 0 otherwise. The worst deviation is
+    therefore max_n max |c_n / d - pt(c_{n+1}) / d|, O(d^2) per level.
+
+    Returns (worst, witness), witness = (level, (i, j), (i, j), lhs, rhs)
+    at the first largest entry (C order) of the first level reaching the
+    worst, lhs = <L_n e_ij, e_ij>_2 = conj(c_n[i,j]) / d and rhs its
+    embedded level-(n+1) counterpart conj(pt(c_{n+1})[i,j]) / d; None
+    when every deviation is 0. A NaN deviation is kept as the worst, with
+    the first NaN as witness. A member without ``schur`` cannot be
+    compared: its level pairs deviate by inf, witness (level, None, None,
+    None, None).
     """
     worst = 0.0
     witness = None
     for n in range(1, family.top_level):
-        low = family.forms[n - 1].generator
-        high = family.forms[n].generator
-        d = 2 ** n
-        probe = np.zeros((d, d), dtype=np.complex128)
-        eye2 = np.eye(2)
-        for i in range(d):
-            for j in range(d):
-                probe[i, j] = 1.0
-                lhs_mat = low.apply_matrix(probe) / d
-                image = high.apply_matrix(np.kron(probe, eye2))
-                rhs_mat = partial_trace_matrix(image, n + 1, n) / d
-                probe[i, j] = 0.0
-                dev = np.abs(lhs_mat - rhs_mat)
-                local = float(dev.max(initial=0.0))
-                if not local <= worst and not np.isnan(worst):
-                    k, l = np.unravel_index(np.argmax(dev), dev.shape)
-                    worst = local
-                    witness = (
-                        n,
-                        (i, j),
-                        (int(k), int(l)),
-                        complex(np.conj(lhs_mat[k, l])),
-                        complex(np.conj(rhs_mat[k, l])),
-                    )
+        low = family.forms[n - 1].generator.schur
+        high = family.forms[n].generator.schur
+        if low is None or high is None:
+            local, candidate = math.inf, (n, None, None, None, None)
+        else:
+            d = 2 ** n
+            lhs = low / d
+            rhs = partial_trace_matrix(high, n + 1, n) / d
+            dev = np.abs(lhs - rhs)
+            first = int(np.argmax(dev))  # the first largest entry, or first NaN
+            local, unit = float(dev.flat[first]), divmod(first, d)
+            values = complex(np.conj(lhs[unit])), complex(np.conj(rhs[unit]))
+            candidate = (n, unit, unit, *values)
+        if not local <= worst and not np.isnan(worst):
+            worst, witness = local, candidate
     return worst, witness
+
+
+def _stabilization_values(family: CompatibleFamily, m: int) -> np.ndarray:
+    """Re pt(c_n, n, m) / 2^m stacked over n = m..N (see build_from_family)."""
+    forms = family.forms[m - 1:]
+    return np.stack(
+        [partial_trace_matrix(f.generator.schur, f.level, m).real for f in forms]
+    ) / 2 ** m
 
 
 def build_from_family(
@@ -372,37 +365,35 @@ def build_from_family(
 ) -> QuadraticForm:
     """Recover the top-level form from a compatible family.
 
-    Verifies the compatibility invariant on full matrix-unit bases and
-    the stabilization of the per-level values along the tower: for any
-    element living at level m, the level-n evaluations are constant for
-    n >= m (within STABILIZATION_TOL), so the top-level form is the
-    finite-scale limit.
+    Verifies the compatibility invariant (family_compatibility_margin
+    within the finite tol; a member without Schur coefficients deviates by
+    inf) and the stabilization of the per-level values along the tower:
+    for any element living at level m, the level-n evaluations are
+    constant for n >= m (within STABILIZATION_TOL), so the top-level form
+    is the finite-scale limit.
+
+    Stabilization is checked on the level-m matrix units e_ij lifted to
+    the top. The level-n expectation of the lift is e_ij kron I_{2^(n-m)},
+    whose energy under L_n = c_n o . is sum_s c_n[i 2^(n-m) + s, j 2^(n-m)
+    + s] / 2^n = pt(c_n, n, m)[i,j] / 2^m, pt the normalized partial trace
+    to level m. A unit's spread is thus the range over n of Re pt(c_n, n,
+    m)[i,j] / 2^m; the first unit (by m, then C order) whose spread is not
+    within the tolerance, NaN included, is the witness.
     """
     top = family.top_level
     if ambient_level is not None and ambient_level != top:
         raise ValueError(
             f"ambient level {ambient_level} does not match family top level {top}"
         )
+    check_nonnegative("family compatibility tol", tol)
     worst, witness = family_compatibility_margin(family)
     if not worst <= tol:
-        level, unit, entry, lhs, rhs = witness
-        raise FamilyCompatibilityError(level, unit, entry, lhs, rhs)
-
+        raise FamilyCompatibilityError(*witness)
     for m in range(1, top):
-        d = 2 ** m
-        probe = np.zeros((d, d), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                probe[i, j] = 1.0
-                lifted = AlgebraElement(top, np.kron(probe, np.eye(2 ** (top - m))))
-                probe[i, j] = 0.0
-                values = [
-                    eval_form(family.forms[n - 1], cond_expect(lifted, n))
-                    for n in range(m, top + 1)
-                ]
-                spread = np.ptp(values)
-                if not spread <= STABILIZATION_TOL:
-                    raise FamilyCompatibilityError(
-                        m, (i, j), (i, j), values[0], values[-1]
-                    )
+        values = _stabilization_values(family, m)
+        unstable = np.flatnonzero(~(np.ptp(values, axis=0) <= STABILIZATION_TOL))
+        if unstable.size:
+            unit = divmod(int(unstable[0]), 2 ** m)
+            lhs, rhs = float(values[(0, *unit)]), float(values[(-1, *unit)])
+            raise FamilyCompatibilityError(m, unit, unit, lhs, rhs)
     return family.forms[-1]

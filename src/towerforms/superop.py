@@ -1,8 +1,8 @@
 """Linear maps on a fixed-level matrix space.
 
 Maps are stored structurally (diagonal complement, double-commutator
-families, Schur multipliers, tower projections, sums/compositions) and
-materialized to a dense matrix on vectorized inputs only on demand: each
+families, Schur multipliers, tower projections, scalings, compositions)
+and materialized to a dense matrix on vectorized inputs only on demand: each
 class with a closed form writes its dense body directly, the others probe
 the matrix-unit basis. Choi matrices are index reshuffles of dense bodies.
 
@@ -50,7 +50,6 @@ __all__ = [
     "DenseMap",
     "TowerProjection",
     "ScaledMap",
-    "SumMap",
     "ComposedMap",
     "BlockwiseMap",
     "SemigroupMap",
@@ -302,11 +301,14 @@ class DoubleCommutatorFamily(SuperOperator):
     With all m_i the rank-one diagonal projections and h = 0 this equals
     twice the diagonal complement.
 
-    When every m_i and h are exactly diagonal, with diagonals mu_i and
-    eta, the family is the Schur multiplier with coefficients
-    sum_i (mu_i[j] - mu_i[k])^2 + eta[j] + eta[k]; it is collapsed to
-    those coefficients (``schur``) at construction. Otherwise ``schur`` is
-    None and the family is evaluated with matrix products.
+    An m_i may be given as a vector mu_i, standing for diag(mu_i). When
+    every m_i and h are exactly diagonal, with diagonals mu_i and eta,
+    the family is the Schur multiplier with coefficients
+    sum_i (mu_i[j] - mu_i[k])^2 + eta[j] + eta[k] = G_jj + G_kk - 2 G_jk
+    + eta[j] + eta[k], G = sum_i mu_i mu_i^T; it is collapsed to those
+    coefficients (``schur``) at construction with one product for G, and
+    vectors stay vectors. Otherwise ``schur`` is None, every m_i is a
+    matrix and the family is evaluated with matrix products.
 
     Finite data can still overflow: construction rejects a family whose
     Schur coefficients, or the entry bound 2 max|L| + 2 sum_i max|m_i|^2
@@ -321,11 +323,12 @@ class DoubleCommutatorFamily(SuperOperator):
             check_hermitian(f"commutator family m_{i}", m, _DATA_HERM_TOL)
             for i, m in enumerate(mats)
         ]
-        dim = mats[0].shape[0]
-        if any(m.shape != (dim, dim) for m in mats):
-            raise ValueError("all m_i must be square matrices of one dimension")
+        dim = mats[0].shape[-1]
+        if any(m.shape not in ((dim,), (dim, dim)) for m in mats):
+            raise ValueError(
+                "all m_i must be square matrices (or their diagonals) of one dimension"
+            )
         super().__init__(dim)
-        self.ms = tuple(mats)
         if h is None:
             self.h = None
         else:
@@ -334,15 +337,18 @@ class DoubleCommutatorFamily(SuperOperator):
             if h.shape != (dim, dim):
                 raise ValueError("h must match the dimension of the m_i")
             self.h = h
+        diagonal = all(m.ndim == 1 or _is_diagonal(m) for m in mats) and (
+            self.h is None or _is_diagonal(self.h)
+        )
+        if not diagonal:
+            mats = [np.diag(m) if m.ndim == 1 else m for m in mats]
+        self.ms = tuple(mats)
         with np.errstate(over="ignore", invalid="ignore"):
-            if all(map(_is_diagonal, self.ms)) and (
-                self.h is None or _is_diagonal(self.h)
-            ):
-                coeffs = np.zeros((dim, dim), dtype=np.complex128)
-                for m in self.ms:
-                    mu = np.diagonal(m)
-                    delta = mu[:, None] - mu[None, :]
-                    coeffs += delta * delta
+            if diagonal:
+                mus = np.stack([m if m.ndim == 1 else np.diagonal(m) for m in mats])
+                gram = mus.T @ mus
+                squares = np.diagonal(gram)
+                coeffs = squares[:, None] + squares[None, :] - 2.0 * gram
                 if self.h is not None:
                     eta = np.diagonal(self.h)
                     coeffs += eta[:, None] + eta[None, :]
@@ -437,33 +443,20 @@ class TowerProjection(SuperOperator):
 
 
 class ScaledMap(SuperOperator):
+    """factor times an inner map; a Schur multiplier c scales to factor * c."""
+
     def __init__(self, factor: complex, inner: SuperOperator):
         super().__init__(inner.dim)
         self.factor = complex(factor)
         self.inner = inner
+        if inner.schur is not None:
+            self.schur = self.factor * inner.schur
 
     def apply_matrix(self, mat):
         return self.factor * self.inner.apply_matrix(mat)
 
     def dense_body(self):
         return self.factor * self.inner.dense_body()
-
-
-class SumMap(SuperOperator):
-    def __init__(self, terms):
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("empty sum is ambiguous; use SchurMultiplier(zeros)")
-        if len({t.dim for t in terms}) != 1:
-            raise ValueError("sum terms must share one dimension")
-        super().__init__(terms[0].dim)
-        self.terms = terms
-
-    def apply_matrix(self, mat):
-        out = self.terms[0].apply_matrix(mat)
-        for t in self.terms[1:]:
-            out = out + t.apply_matrix(mat)
-        return out
 
 
 class ComposedMap(SuperOperator):

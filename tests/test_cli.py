@@ -130,6 +130,82 @@ def test_verify_passes_and_writes_reports(tmp_path, capsys):
     assert rep["failures"] == 0 and rep["suite"] == "markov"
 
 
+def test_verify_compatibility_at_level_8_with_one_sample(capsys):
+    assert main(["verify", "--suite", "compatibility", "--level", "8", "--samples", "1"]) == 0
+    assert "1 reports, 0 failures" in capsys.readouterr().out
+
+
+def test_incompatible_family_is_one_failure_and_every_report_is_written(
+    tmp_path, capsys, monkeypatch
+):
+    """A x2 level-2 commutator generator makes the compatibility family
+    incompatible: the suite reports it as one failure with the family's
+    deviation (|2/2 - (4 + 4)/2/2| = 1.0 at level 1) instead of raising,
+    so verify writes every report and exits 1."""
+    import towerforms.forms as forms
+    import towerforms.harness as harness
+    from towerforms.superop import ScaledMap
+
+    real = forms.commutator_generator
+
+    def doubled_at_level_2(level):
+        gen = real(level)
+        return ScaledMap(2.0, gen) if level == 2 else gen
+
+    monkeypatch.setattr(forms, "commutator_generator", doubled_at_level_2)
+    monkeypatch.setattr(harness, "commutator_generator", doubled_at_level_2)
+    out = tmp_path / "reports"
+    code = main(["verify", "--level", "3", "--samples", "5", "--out-dir", str(out)])
+    assert code == 1
+    summary = (out / "summary.csv").read_text().splitlines()[1:]
+    assert sorted(p.name for p in out.glob("*.json")) == sorted(
+        f"{row.split(',')[0]}-level{row.split(',')[1]}.json" for row in summary
+    )
+    assert len(summary) == 21
+    rep = json.loads((out / "compatibility-level3.json").read_text())
+    assert rep["failures"] == 1 and rep["worst_margin"] == 1.0
+    printed = capsys.readouterr().out
+    assert "21 reports, 2 failures" in printed  # and normalization-bridge level 2
+
+
+def _stale_copies(fresh, stale):
+    """Put a longer stale file in stale under every name in fresh; return
+    open handles that keep each stale file alive and readable."""
+    stale.mkdir(exist_ok=True)
+    handles = {}
+    for path in fresh.iterdir():
+        (stale / path.name).write_text("x" * (2 * path.stat().st_size + 100))
+        handles[path.name] = open(stale / path.name)
+    return handles
+
+
+def _outputs_command(kind, tmp_path, out):
+    if kind == "verify":
+        return ["verify", "--level", "2", "--samples", "5", "--out-dir", str(out)]
+    if kind == "choi":
+        return ["choi", "--level", "1", "--out", str(out / "choi.json")]
+    inp = tmp_path / "a.json"
+    save_element(random_element(3, "hermitian", 502), inp)
+    return ["converge", "--level", "3", "--input", str(inp), "--out", str(out / "t.csv")]
+
+
+@pytest.mark.parametrize("kind", ["verify", "choi", "converge"])
+def test_outputs_replace_stale_longer_files(tmp_path, kind):
+    """Reports, CSV tables and the Choi JSON are written as new files, not
+    rewritten in place: the directory ends up with exactly the bytes of a
+    fresh run, and a stale file still open elsewhere keeps its content."""
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    assert main(_outputs_command(kind, tmp_path, fresh)) == 0
+    handles = _stale_copies(fresh, stale)
+    assert main(_outputs_command(kind, tmp_path, stale)) == 0
+    assert sorted(p.name for p in stale.iterdir()) == sorted(handles)
+    for name, fh in handles.items():
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+        assert set(fh.read()) == {"x"}
+        fh.close()
+
+
 def test_verify_single_suite(tmp_path):
     code = main(["verify", "--suite", "leibniz", "--level", "2", "--samples", "10"])
     assert code == 0

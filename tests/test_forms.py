@@ -9,15 +9,18 @@ from towerforms.tower import (
     identity,
     random_element,
 )
-from towerforms.expectations import cond_expect, project_P
+from towerforms.expectations import cond_expect, partial_trace_matrix, project_P
 from towerforms.superop import (
+    ComposedMap,
     DiagonalComplement,
     ScaledMap,
     SchurMultiplier,
+    apply,
     densify,
     spectral_resolve,
 )
 from towerforms.forms import (
+    STABILIZATION_TOL,
     CompatibleFamily,
     FamilyCompatibilityError,
     QuadraticForm,
@@ -25,15 +28,15 @@ from towerforms.forms import (
     build_from_family,
     commutator_form,
     commutator_form_eval,
+    commutator_generator,
     diagonal_form,
     dirichlet_check,
-    energy_inner,
     eval_form,
     eval_form_matrix,
     family_compatibility_margin,
-    operator_norm,
     restricted_form,
     wedge_one,
+    _stabilization_values,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -91,7 +94,7 @@ def test_zero_matrix_accepted_everywhere_with_exact_zero():
     z = AlgebraElement(2, np.zeros((4, 4)))
     assert eval_form(diagonal_form(2), z) == 0.0
     assert commutator_form_eval(z, 1) == 0.0
-    assert energy_inner(diagonal_form(2), z, z) == 0.0
+    assert _energy_inner(diagonal_form(2), z, z) == 0.0
     assert np.abs(wedge_one(z).entries).max() == 0.0
 
 
@@ -342,10 +345,16 @@ def test_restricted_kills_higher_level_detail():
     assert abs(eval_form(F1, a)) < 1e-14
 
 
+def _operator_norm(form: QuadraticForm) -> float:
+    """Largest generator eigenvalue magnitude, from the spectral resolution."""
+    res = spectral_resolve(form.generator)
+    return max(abs(res.min_eigenvalue), abs(res.max_eigenvalue))
+
+
 def test_restricted_form_is_bounded_and_dirichlet():
     F = diagonal_form(3)
     F1 = restricted_form(F, 1)
-    assert operator_norm(F1) <= operator_norm(F) + 1e-12 == 1.0 + 1e-12
+    assert _operator_norm(F1) <= _operator_norm(F) + 1e-12 == 1.0 + 1e-12
     rep = dirichlet_check(F1, samples=100, seed=155, tol=1e-10)
     assert rep.failures == 0
 
@@ -371,12 +380,17 @@ def test_restricted_values_nonnegative_and_exact_at_top():
 # --------------------------------------------------------------------------
 
 
+def _energy_inner(form: QuadraticForm, a, b) -> complex:
+    """<a, b>_1 = <generator(a), b>_2 + <a, b>_2."""
+    return gns_inner(apply(form.generator, a), b) + gns_inner(a, b)
+
+
 def test_energy_inner_frozen_examples():
     F = diagonal_form(1)
     x = AlgebraElement(1, X)
-    assert abs(energy_inner(F, x, x) - 2.0) < 1e-14
+    assert abs(_energy_inner(F, x, x) - 2.0) < 1e-14
     one = identity(1)
-    assert abs(energy_inner(F, one, one) - 1.0) < 1e-14
+    assert abs(_energy_inner(F, one, one) - 1.0) < 1e-14
 
 
 def test_energy_inner_conjugate_symmetry_and_domination():
@@ -384,13 +398,15 @@ def test_energy_inner_conjugate_symmetry_and_domination():
     for seed in range(10):
         a = random_element(2, "general", 160 + seed)
         b = random_element(2, "general", 170 + seed)
-        assert abs(energy_inner(F, a, b) - np.conj(energy_inner(F, b, a))) < 1e-10
-        assert energy_inner(F, a, a).real >= gns_inner(a, a).real - 1e-10
+        assert abs(_energy_inner(F, a, b) - np.conj(_energy_inner(F, b, a))) < 1e-10
+        assert _energy_inner(F, a, a).real >= gns_inner(a, a).real - 1e-10
 
 
 def test_energy_inner_rejects_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        energy_inner(diagonal_form(1), identity(1), identity(2))
+        _energy_inner(diagonal_form(1), identity(1), identity(2))
+    with pytest.raises(ValueError, match="mismatch"):
+        _energy_inner(diagonal_form(1), identity(2), identity(2))
 
 
 # --------------------------------------------------------------------------
@@ -470,6 +486,191 @@ def test_family_levels_validated():
 def test_build_from_family_checks_ambient_level():
     with pytest.raises(ValueError, match="ambient"):
         build_from_family(_commutator_family(2), ambient_level=3)
+
+
+def test_non_schur_member_deviates_by_inf_and_is_rejected():
+    forms = list(_commutator_family(3).forms)
+    forms[2] = QuadraticForm(ComposedMap([forms[2].generator]), label="opaque")
+    fam = CompatibleFamily(tuple(forms))
+    assert family_compatibility_margin(fam) == (np.inf, (2, None, None, None, None))
+    with pytest.raises(FamilyCompatibilityError, match="no Schur coefficients") as err:
+        build_from_family(fam)
+    assert err.value.level == 2 and err.value.unit is None
+    forms[1] = QuadraticForm(ScaledMap(float("nan"), forms[1].generator), label="nan")
+    worst, witness = family_compatibility_margin(CompatibleFamily(tuple(forms)))
+    assert np.isnan(worst) and witness[:3] == (1, (0, 0), (0, 0))  # NaN beats inf
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_build_from_family_rejects_a_tolerance_that_is_not_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        build_from_family(_commutator_family(2), tol=tol)
+
+
+def test_commutator_generator_builds_no_dense_projections():
+    """The 2^n rank-one projections are given as their diagonals: at level
+    8 (256 x 256, 1 MiB per complex matrix) building the generator stays
+    within a few coefficient arrays."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        gen = commutator_generator(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+    np.testing.assert_array_equal(gen.schur, 2.0 * (1.0 - np.eye(256)))
+
+
+# --------------------------------------------------------------------------
+# the matrix-unit probe reference for compatible families
+# --------------------------------------------------------------------------
+
+
+def _probe_margin(family):
+    """family_compatibility_margin by probing every pair of matrix units:
+    the value of each member on e_ij against the level-n compression of
+    the next member on e_ij kron I."""
+    worst = 0.0
+    witness = None
+    for n in range(1, family.top_level):
+        low = family.forms[n - 1].generator
+        high = family.forms[n].generator
+        d = 2 ** n
+        probe = np.zeros((d, d), dtype=np.complex128)
+        for i in range(d):
+            for j in range(d):
+                probe[i, j] = 1.0
+                lhs_mat = low.apply_matrix(probe) / d
+                image = high.apply_matrix(np.kron(probe, np.eye(2)))
+                rhs_mat = partial_trace_matrix(image, n + 1, n) / d
+                probe[i, j] = 0.0
+                dev = np.abs(lhs_mat - rhs_mat)
+                local = float(dev.max(initial=0.0))
+                if not local <= worst and not np.isnan(worst):
+                    k, l = np.unravel_index(np.argmax(dev), dev.shape)
+                    worst = local
+                    witness = (
+                        n,
+                        (i, j),
+                        (int(k), int(l)),
+                        complex(np.conj(lhs_mat[k, l])),
+                        complex(np.conj(rhs_mat[k, l])),
+                    )
+    return worst, witness
+
+
+def _probe_spreads(family):
+    """For each level m below the top, the spread over n = m..N of the
+    level-n energies of every level-m matrix unit lifted to the top."""
+    top = family.top_level
+    spreads = []
+    for m in range(1, top):
+        d = 2 ** m
+        spread = np.empty((d, d))
+        for i in range(d):
+            for j in range(d):
+                probe = np.zeros((d, d), dtype=np.complex128)
+                probe[i, j] = 1.0
+                lifted = AlgebraElement(top, np.kron(probe, np.eye(2 ** (top - m))))
+                values = [
+                    eval_form(family.forms[n - 1], cond_expect(lifted, n))
+                    for n in range(m, top + 1)
+                ]
+                spread[i, j] = np.ptp(values)
+        spreads.append(spread)
+    return spreads
+
+
+def _probe_accepts(family) -> bool:
+    worst, _ = _probe_margin(family)
+    spreads = _probe_spreads(family)
+    return worst <= 1e-12 and all((s <= STABILIZATION_TOL).all() for s in spreads)
+
+
+def _random_hermitian(rng, d):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (m + m.conj().T)
+
+
+def _family_case(name: str, top: int) -> CompatibleFamily:
+    """Named families at levels 1..top: the commutator family, the zero
+    family, the x2 and NaN controls (member 2 scaled), random Hermitian
+    Schur families ("random-k") and random compatible Schur families
+    ("compatible-k", each member the partial trace of the next)."""
+    kind, _, k = name.partition("-")
+    if kind == "random":
+        rng = np.random.default_rng([int(k), top])
+        coeffs = [_random_hermitian(rng, 2 ** n) for n in range(1, top + 1)]
+    elif kind == "compatible":
+        rng = np.random.default_rng([int(k), top, 1])
+        coeffs = [_random_hermitian(rng, 2 ** top)]
+        for n in range(top - 1, 0, -1):
+            coeffs.insert(0, partial_trace_matrix(coeffs[0], n + 1, n))
+    elif kind == "zero":
+        coeffs = [np.zeros((2 ** n, 2 ** n)) for n in range(1, top + 1)]
+    else:
+        forms = list(_commutator_family(top).forms)
+        factor = {"commutator": None, "x2": 2.0, "nan": float("nan")}[kind]
+        if factor is not None:
+            forms[1] = QuadraticForm(ScaledMap(factor, forms[1].generator), label=kind)
+        return CompatibleFamily(tuple(forms))
+    return CompatibleFamily(tuple(QuadraticForm(SchurMultiplier(c)) for c in coeffs))
+
+
+_MARGIN_CASES = ["commutator", "zero"] + [f"random-{k}" for k in range(5)]
+_CONTROL_CASES = ["x2", "nan"]
+_COMPATIBLE_CASES = ["commutator", "zero"] + [f"compatible-{k}" for k in range(5)]
+
+
+def _witness_bits(witness):
+    if witness is None:
+        return None
+    level, unit, entry, lhs, rhs = witness
+    return level, unit, entry, np.complex128(lhs).tobytes(), np.complex128(rhs).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [(name, top) for name in _MARGIN_CASES for top in range(1, 6)]
+    + [(name, top) for name in _CONTROL_CASES for top in range(2, 6)],
+)
+def test_closed_form_margin_equals_probe_reference_bitwise(name, top):
+    fam = _family_case(name, top)
+    worst, witness = family_compatibility_margin(fam)
+    ref_worst, ref_witness = _probe_margin(fam)
+    assert np.float64(worst).tobytes() == np.float64(ref_worst).tobytes()
+    assert _witness_bits(witness) == _witness_bits(ref_witness)
+    if name == "nan":
+        assert np.isnan(worst) and witness[0] == 1
+    if name == "x2":
+        assert worst == 1.0  # |2/2 - (4 + 4)/2/2| at level 1
+
+
+@pytest.mark.parametrize(
+    "name", _MARGIN_CASES + _CONTROL_CASES + _COMPATIBLE_CASES[2:]
+)
+@pytest.mark.parametrize("top", [2, 3, 4, 5])
+def test_build_from_family_rejects_what_the_probe_reference_rejects(name, top):
+    fam = _family_case(name, top)
+    try:
+        build_from_family(fam)
+    except FamilyCompatibilityError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == _probe_accepts(fam)
+    assert accepted == (name in _COMPATIBLE_CASES)
+
+
+@pytest.mark.parametrize("name", _COMPATIBLE_CASES + ["x2"] + _MARGIN_CASES[2:])
+@pytest.mark.parametrize("top", [2, 3, 4, 5])
+def test_stabilization_spreads_match_probe_reference(name, top):
+    fam = _family_case(name, top)
+    for m, reference in enumerate(_probe_spreads(fam), start=1):
+        spread = np.ptp(_stabilization_values(fam, m), axis=0)
+        assert np.abs(spread - reference).max() <= 1e-15, m
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from towerforms import harness
 from towerforms.forms import diagonal_form, eval_form
-from towerforms.superop import DiagonalComplement, ScaledMap, semigroup_apply
+from towerforms.superop import ComposedMap, DiagonalComplement, semigroup_apply
 from towerforms.tower import (
     AlgebraElement,
     embed,
@@ -405,7 +405,7 @@ def test_generator_comparison_fails_closed_without_schur(monkeypatch, suite):
     real = forms.commutator_generator
 
     def unstructured(level):
-        return ScaledMap(1.0, real(level))
+        return ComposedMap([real(level)])
 
     monkeypatch.setattr(forms, "commutator_generator", unstructured)
     monkeypatch.setattr(harness, "commutator_generator", unstructured)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from towerforms.tower import AlgebraElement, identity, random_element
-from towerforms.expectations import diag_expect
+from towerforms.expectations import diagonal_part
 from towerforms.superop import (
     _check_budget,
     _from_hermitian_units,
@@ -16,7 +16,6 @@ from towerforms.superop import (
     ScaledMap,
     SchurMultiplier,
     SemigroupMap,
-    SumMap,
     TowerProjection,
     TransposeMap,
     apply,
@@ -435,7 +434,8 @@ def test_markov_at_time_zero_is_identity():
 
 def test_markov_fixed_point_of_diagonal_contraction():
     dc = DiagonalComplement(4)
-    x = diag_expect(random_element(2, "contraction", 73))
+    x = random_element(2, "contraction", 73)
+    x = AlgebraElement(2, diagonal_part(x.entries))
     for t in (0.2, 2.0):
         np.testing.assert_allclose(semigroup_apply(dc, t, x).entries, x.entries, atol=1e-15)
 
@@ -469,10 +469,13 @@ def test_conservativity_fails_with_nonzero_h():
 
 def test_sum_scaled_composed_maps():
     dc = DiagonalComplement(2)
-    twice = SumMap([dc, dc])
     scaled = ScaledMap(2.0, dc)
     a = random_element(1, "general", 77)
-    np.testing.assert_allclose(twice.apply_matrix(a.entries), scaled.apply_matrix(a.entries), atol=0)
+    twice = dc.apply_matrix(a.entries) + dc.apply_matrix(a.entries)
+    np.testing.assert_allclose(twice, scaled.apply_matrix(a.entries), atol=0)
+    np.testing.assert_array_equal(scaled.schur, 2.0 * dc.schur)
+    np.testing.assert_array_equal(scaled.apply_matrix(a.entries), scaled.schur * a.entries)
+    assert ScaledMap(2.0, TransposeMap(2)).schur is None
     comp = ComposedMap([dc, dc])  # projection: composing changes nothing
     np.testing.assert_allclose(comp.apply_matrix(a.entries), dc.apply_matrix(a.entries), atol=0)
 
@@ -591,6 +594,29 @@ def test_commutator_family_collapses_only_when_exactly_diagonal(n):
     full_h[0, 1] = full_h[1, 0] = 1e-300
     assert DoubleCommutatorFamily(diag_ms, h=full_h).schur is None
     assert DoubleCommutatorFamily([_hermitian(rng, d)]).schur is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_commutator_family_takes_diagonal_m_as_vectors(n):
+    """A vector mu stands for diag(mu): it collapses with the diagonal
+    matrices, and joins the matrix path as diag(mu) next to a full m."""
+    d = 2 ** n
+    rng = np.random.default_rng([85, n])
+    mus = [rng.standard_normal(d) for _ in range(3)]
+    as_vectors = DoubleCommutatorFamily(mus, h=np.diag(mus[0]))
+    as_matrices = DoubleCommutatorFamily([np.diag(mu) for mu in mus], h=np.diag(mus[0]))
+    np.testing.assert_array_equal(as_vectors.schur, as_matrices.schur)
+    full = _hermitian(rng, d)
+    mixed = DoubleCommutatorFamily([mus[1], full])
+    assert mixed.schur is None
+    np.testing.assert_array_equal(mixed.ms[0], np.diag(mus[1]))
+    np.testing.assert_array_equal(
+        mixed.dense_body(), DoubleCommutatorFamily([np.diag(mus[1]), full]).dense_body()
+    )
+    with pytest.raises(ValueError, match="one dimension"):
+        DoubleCommutatorFamily([mus[0], np.ones(d + 1)])
+    with pytest.raises(ValueError, match="Hermitian"):
+        DoubleCommutatorFamily([mus[0] + 1j])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
