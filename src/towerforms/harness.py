@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tower
 from .report import PropertyReport, worst_along, worst_of
 from .tower import (
     AlgebraElement,
@@ -267,36 +268,105 @@ def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return max_abs_factors(left, right)
 
 
+def _conditioned_down(b: np.ndarray, part: slice, level: int):
+    """(n, part, E_n b) for n = level, ..., 1 of a stack b of level-`level`
+    matrices: each step traces one more leg out of the last, which is E_n b
+    by the tower property E_n = E_n E_{n+1}. Only the last stage is kept."""
+    yield level, part, b
+    for n in range(level - 1, 0, -1):
+        b = partial_trace_matrix(b, n + 1, n)
+        yield n, part, b
+
+
+def _expectation_towers(ambients, level: int):
+    """(n, part, E_n a) for n = level, ..., 1 of the stacks a of
+    level-`level` matrices that `ambients` yields, part the positions of
+    a's samples in its stream.
+
+    Level `level` comes a stack at a time. Below it, E_{level-1} a of
+    consecutive stacks is gathered until it holds tower.SAMPLE_CHUNK_BYTES
+    and then conditioned down a leg at a time (see _conditioned_down), so
+    the small levels go in stacks of many samples."""
+    held, first, start = [], 0, 0
+    for a in ambients:
+        part = slice(start, start + len(a))
+        start = part.stop
+        yield level, part, a
+        if level > 1:
+            held.append(partial_trace_matrix(a, level, level - 1))
+        del a  # freed before the next chunk is drawn
+        if held and sum(b.nbytes for b in held) >= tower.SAMPLE_CHUNK_BYTES:
+            yield from _conditioned_down(_joined(held), slice(first, start), level - 1)
+            held, first = [], start
+    if held:
+        yield from _conditioned_down(_joined(held), slice(first, start), level - 1)
+
+
+def _joined(stacks: list) -> np.ndarray:
+    """The stacks as one, without a copy when there is only one."""
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+
+
+def _energy_gaps(b: np.ndarray) -> np.ndarray:
+    """|tau(<db, db>) - commutator energy of b| for each matrix of a stack of
+    level-n expectations b, as derive, bimodule_inner and
+    commutator_form_eval compute them for one."""
+    d = b.shape[-1]
+    df_left, df_right = derive_factors(b)
+    inner = inner_factors(df_left, df_right, df_left, df_right)
+    del df_left, df_right
+    energy = (np.trace(inner, axis1=-2, axis2=-1) / d).real
+    return np.abs(energy - commutator_energies(b))
+
+
 def _run_leibniz(cfg: RunConfig) -> list[PropertyReport]:
     """Product rule for the derivation on pairs at its own level, plus the
     energy identity tau(<da, da>) = commutator energy for ambient samples.
 
-    The samples of a level are drawn and checked a chunk at a time (see
-    tower.normal_chunks); every margin comes from the arithmetic of the
-    per-sample element API (derive, bimodule_*, commutator_form_eval)."""
-    reports = []
-    top = 2 ** cfg.level
-    for n in range(1, cfg.level + 1):
-        seed = _suite_seed(cfg.seed, "leibniz", n)
+    Sample i of level n is the pair i of level n's stream with E_n of the
+    ambient i, which the working level's stream draws after its own pair i;
+    every level reads its E_n off that one ambient (see _expectation_towers).
+    The streams are drawn and checked a chunk at a time (see
+    tower.normal_chunks), each level's margins held until both parts are
+    in; every margin comes from the arithmetic of the per-sample element API
+    (derive, bimodule_*, commutator_form_eval)."""
+    level, samples = cfg.level, cfg.samples
+    seeds = [_suite_seed(cfg.seed, "leibniz", n) for n in range(1, level + 1)]
+    defects = np.empty((level, samples))
+    gaps = np.empty((level, samples))
+    top = [(2, 2 ** level, 2 ** level)] * 3
+
+    def ambients():  # the working level's stream: its pairs, then the ambient
+        start = 0
+        rng = np.random.default_rng(seeds[-1])
+        for za, zb, z in normal_chunks(rng, samples, *top):
+            part = slice(start, start + len(z))
+            start = part.stop
+            defects[-1, part] = _leibniz_defects(
+                complex_gaussian(za), complex_gaussian(zb)
+            )
+            yield complex_gaussian(z)
+
+    for n, part, b in _expectation_towers(ambients(), level):
+        gaps[n - 1, part] = _energy_gaps(b)
+    for n, seed in enumerate(seeds[:-1], start=1):
         rng = np.random.default_rng(seed)
-        d = 2 ** n
-        worst = -np.inf
-        failures = 0
-        for za, zb, zamb in normal_chunks(
-            rng, cfg.samples, (2, d, d), (2, d, d), (2, top, top)
-        ):
-            defect = _leibniz_defects(complex_gaussian(za), complex_gaussian(zb))
-            b = partial_trace_matrix(complex_gaussian(zamb), cfg.level, n)
-            df_left, df_right = derive_factors(b)
-            inner = inner_factors(df_left, df_right, df_left, df_right)
-            del df_left, df_right
-            energy = (np.trace(inner, axis1=-2, axis2=-1) / d).real
-            gap = np.abs(energy - commutator_energies(b))
-            margin = worst_along(np.stack((defect, gap), axis=1))
-            worst = worst_of(worst, worst_along(margin))
-            failures += int(np.count_nonzero(~(margin <= cfg.tol)))
+        pair = (2, 2 ** n, 2 ** n)
+        start = 0
+        for za, zb in normal_chunks(rng, samples, pair, pair):
+            part = slice(start, start + len(za))
+            start = part.stop
+            defects[n - 1, part] = _leibniz_defects(
+                complex_gaussian(za), complex_gaussian(zb)
+            )
+    reports = []
+    for n, seed, defect, gap in zip(range(1, level + 1), seeds, defects, gaps):
+        margin = worst_along(np.stack((defect, gap), axis=1))
+        failures = int(np.count_nonzero(~(margin <= cfg.tol)))
         reports.append(
-            _suite_report("leibniz", n, cfg.samples, failures, worst, seed, cfg.tol)
+            _suite_report(
+                "leibniz", n, samples, failures, worst_along(margin), seed, cfg.tol
+            )
         )
     return reports
 
@@ -316,8 +386,9 @@ def _run_compatibility(cfg: RunConfig) -> list[PropertyReport]:
         failures = 1
     else:
         failures = 0
-        direct = commutator_form(cfg.level)
-        recovery_dev = _schur_deviation(recovered.generator, direct.generator)
+        recovery_dev = _schur_deviation(
+            recovered.generator, family.forms[-1].generator
+        )
         worst = worst_of(worst, recovery_dev)
         if not recovery_dev <= cfg.eig_tol:
             failures += 1
@@ -350,24 +421,30 @@ def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
     """The commutator sum equals twice the diagonal-form energy of the
     conditioned element, and the double-commutator generator over the
     diagonal projections has exactly twice the Schur coefficients of the
-    diagonal complement. Samples go a chunk at a time, as in leibniz."""
+    diagonal complement. Every level conditions the same ambient samples,
+    drawn from the working level's stream a chunk at a time and read off
+    one tower of expectations (see _expectation_towers)."""
+    level = cfg.level
+    seed = _suite_seed(cfg.seed, "normalization-bridge", level)
+    rng = np.random.default_rng(seed)
+    top = 2 ** level
+    forms_n = [diagonal_form(n) for n in range(1, level + 1)]
+    bridges = np.empty((level, cfg.samples))
+    ambients = (
+        complex_gaussian(z)
+        for (z,) in normal_chunks(rng, cfg.samples, (2, top, top))
+    )
+    for n, part, b in _expectation_towers(ambients, level):
+        bridges[n - 1, part] = np.abs(
+            commutator_energies(b) - 2.0 * form_energies(forms_n[n - 1], b)
+        )
     reports = []
-    top = 2 ** cfg.level
-    for n in range(1, cfg.level + 1):
-        seed = _suite_seed(cfg.seed, "normalization-bridge", n)
-        rng = np.random.default_rng(seed)
-        form_n = diagonal_form(n)
-        worst = -np.inf
-        failures = 0
-        for (z,) in normal_chunks(rng, cfg.samples, (2, top, top)):
-            b = partial_trace_matrix(complex_gaussian(z), cfg.level, n)
-            bridge = np.abs(commutator_energies(b) - 2.0 * form_energies(form_n, b))
-            worst = worst_of(worst, worst_along(bridge))
-            failures += int(np.count_nonzero(~(bridge <= cfg.eig_tol)))
+    for n, bridge in enumerate(bridges, start=1):
         generator_dev = _schur_deviation(
             commutator_generator(n), DiagonalComplement(2 ** n), scale=2.0
         )
-        worst = worst_of(worst, generator_dev)
+        worst = worst_of(worst_along(bridge), generator_dev)
+        failures = int(np.count_nonzero(~(bridge <= cfg.eig_tol)))
         if not generator_dev <= cfg.eig_tol:
             failures += 1
         reports.append(

@@ -307,8 +307,8 @@ class DoubleCommutatorFamily(SuperOperator):
     sum_i (mu_i[j] - mu_i[k])^2 + eta[j] + eta[k] = G_jj + G_kk - 2 G_jk
     + eta[j] + eta[k], G = sum_i mu_i mu_i^T; it is collapsed to those
     coefficients (``schur``) at construction with one product for G, and
-    vectors stay vectors. Otherwise ``schur`` is None, every m_i is a
-    matrix and the family is evaluated with matrix products.
+    ``ms`` is None. Otherwise ``schur`` is None, ``ms`` holds every m_i as
+    a matrix and the family is evaluated with matrix products.
 
     Finite data can still overflow: construction rejects a family whose
     Schur coefficients, or the entry bound 2 max|L| + 2 sum_i max|m_i|^2
@@ -340,12 +340,13 @@ class DoubleCommutatorFamily(SuperOperator):
         diagonal = all(m.ndim == 1 or _is_diagonal(m) for m in mats) and (
             self.h is None or _is_diagonal(self.h)
         )
-        if not diagonal:
-            mats = [np.diag(m) if m.ndim == 1 else m for m in mats]
-        self.ms = tuple(mats)
+        self.ms = None if diagonal else tuple(
+            np.diag(m) if m.ndim == 1 else m for m in mats
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             if diagonal:
                 mus = np.stack([m if m.ndim == 1 else np.diagonal(m) for m in mats])
+                del mats
                 gram = mus.T @ mus
                 squares = np.diagonal(gram)
                 coeffs = squares[:, None] + squares[None, :] - 2.0 * gram

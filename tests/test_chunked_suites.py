@@ -113,13 +113,82 @@ def ref_symmetry(cfg):
     return reports
 
 
+def ref_tower(a):
+    """[E_1 a, ..., E_L a] for a level-L element a, each E_n a the one-leg
+    cond_expect of E_{n+1} a."""
+    tower = [a]
+    for n in range(a.level - 1, 0, -1):
+        tower.append(cond_expect(tower[-1], n))
+    return tower[::-1]
+
+
 def ref_leibniz(cfg):
+    """Sample i of level n: pair i of level n's stream, and E_n of the
+    ambient that the working level's stream draws after its own pair i."""
+    levels = range(1, cfg.level + 1)
+    seeds = [harness._suite_seed(cfg.seed, "leibniz", n) for n in levels]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    worst, failures = [-np.inf] * cfg.level, [0] * cfg.level
+    for _ in range(cfg.samples):
+        pairs = [
+            (AlgebraElement(n, gaussian_general(2 ** n, rng)),
+             AlgebraElement(n, gaussian_general(2 ** n, rng)))
+            for n, rng in zip(levels, rngs)
+        ]
+        amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rngs[-1]))
+        for n, (a, b), e_n in zip(levels, pairs, ref_tower(amb)):
+            lhs = derive(a @ b, n)
+            rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
+            margin = (lhs - rhs).max_abs()
+            df = derive(e_n, n)
+            energy = normalized_trace(bimodule_inner(df, df)).real
+            margin = worst_of(margin, abs(energy - commutator_form_eval(e_n, n)))
+            worst[n - 1] = worst_of(worst[n - 1], margin)
+            failures[n - 1] += not margin <= cfg.tol
+    return [
+        _report("leibniz", n, cfg.samples, failures[n - 1], worst[n - 1], seeds[n - 1], cfg.tol)
+        for n in levels
+    ]
+
+
+def ref_normalization_bridge(cfg):
+    """Every level conditions the ambient samples of the working level's
+    stream, and every report names that stream's seed."""
+    levels = range(1, cfg.level + 1)
+    seed = harness._suite_seed(cfg.seed, "normalization-bridge", cfg.level)
+    rng = np.random.default_rng(seed)
+    worst, failures = [-np.inf] * cfg.level, [0] * cfg.level
+    for _ in range(cfg.samples):
+        a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
+        for n, e_n in zip(levels, ref_tower(a)):
+            bridge = abs(commutator_form_eval(e_n, n) - 2.0 * eval_form(diagonal_form(n), e_n))
+            worst[n - 1] = worst_of(worst[n - 1], bridge)
+            failures[n - 1] += not bridge <= cfg.eig_tol
     reports = []
-    for n in range(1, cfg.level + 1):
-        seed = harness._suite_seed(cfg.seed, "leibniz", n)
-        rng = np.random.default_rng(seed)
-        worst, failures = -np.inf, 0
-        for _ in range(cfg.samples):
+    for n in levels:
+        coeffs = commutator_generator(n).schur - 2.0 * DiagonalComplement(2 ** n).schur
+        generator_dev = float(np.abs(coeffs).max())
+        reports.append(
+            _report(
+                "normalization-bridge", n, cfg.samples,
+                failures[n - 1] + (not generator_dev <= cfg.eig_tol),
+                worst_of(worst[n - 1], generator_dev), seed, cfg.eig_tol,
+            )
+        )
+    return reports
+
+
+def ref_per_level_ambient_top(cfg, suite):
+    """The working-level report of leibniz or normalization-bridge as the
+    earlier layout computed it, with a fresh ambient per level: at level L
+    that layout drew what the one-ambient layout draws."""
+    n = cfg.level
+    seed = harness._suite_seed(cfg.seed, suite, n)
+    rng = np.random.default_rng(seed)
+    tol = cfg.tol if suite == "leibniz" else cfg.eig_tol
+    worst, failures = -np.inf, 0
+    for _ in range(cfg.samples):
+        if suite == "leibniz":
             a = AlgebraElement(n, gaussian_general(2 ** n, rng))
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
             lhs = derive(a @ b, n)
@@ -129,34 +198,19 @@ def ref_leibniz(cfg):
             df = derive(amb, n)
             energy = normalized_trace(bimodule_inner(df, df)).real
             margin = worst_of(margin, abs(energy - commutator_form_eval(amb, n)))
-            worst = worst_of(worst, margin)
-            failures += not margin <= cfg.tol
-        reports.append(_report("leibniz", n, cfg.samples, failures, worst, seed, cfg.tol))
-    return reports
-
-
-def ref_normalization_bridge(cfg):
-    reports = []
-    for n in range(1, cfg.level + 1):
-        seed = harness._suite_seed(cfg.seed, "normalization-bridge", n)
-        rng = np.random.default_rng(seed)
-        form_n = diagonal_form(n)
-        worst, failures = -np.inf, 0
-        for _ in range(cfg.samples):
+        else:
             a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
-            bridge = abs(
-                commutator_form_eval(a, n) - 2.0 * eval_form(form_n, cond_expect(a, n))
+            margin = abs(
+                commutator_form_eval(a, n) - 2.0 * eval_form(diagonal_form(n), cond_expect(a, n))
             )
-            worst = worst_of(worst, bridge)
-            failures += not bridge <= cfg.eig_tol
+        worst = worst_of(worst, margin)
+        failures += not margin <= tol
+    if suite == "normalization-bridge":
         coeffs = commutator_generator(n).schur - 2.0 * DiagonalComplement(2 ** n).schur
         generator_dev = float(np.abs(coeffs).max())
         worst = worst_of(worst, generator_dev)
-        failures += not generator_dev <= cfg.eig_tol
-        reports.append(
-            _report("normalization-bridge", n, cfg.samples, failures, worst, seed, cfg.eig_tol)
-        )
-    return reports
+        failures += not generator_dev <= tol
+    return _report(suite, n, cfg.samples, failures, worst, seed, tol)
 
 
 def ref_convergence(cfg):
@@ -229,6 +283,89 @@ def test_chunked_suites_equal_per_sample_reference(monkeypatch, suite, level, sa
     assert got == [r.to_json() for r in REFERENCES[suite](cfg)]
     if chunk is not None and samples == 37:  # several chunks, a partial last one
         assert calls and all(sizes == [5] * 7 + [2] for sizes in calls)
+
+
+@pytest.mark.parametrize("samples", [1, 37])
+@pytest.mark.parametrize("level", [1, 3, 5])
+@pytest.mark.parametrize("suite", ["leibniz", "normalization-bridge"])
+def test_working_level_reports_equal_the_per_level_ambient_layout(suite, level, samples):
+    """One ambient per sample changes the reports below the working level
+    only: at level L the suites draw and check what a fresh ambient per
+    level did."""
+    cfg = RunConfig(level=level, samples=samples, suites=(suite,), seed=level * samples)
+    want = ref_per_level_ambient_top(cfg, suite)
+    assert run_suite(cfg)[-1].to_json() == want.to_json()
+
+
+def test_one_ambient_draw_per_sample(monkeypatch):
+    """leibniz draws a pair at every level and one ambient per sample at
+    the working level; normalization-bridge draws one ambient per sample."""
+    from towerforms.cli import main
+
+    drawn = []
+
+    def counted(rng, samples, *shapes):
+        for blocks in normal_chunks(rng, samples, *shapes):
+            drawn.append(sum(block.size for block in blocks))
+            yield blocks
+
+    monkeypatch.setattr(harness, "normal_chunks", counted)
+    level, samples = 4, 7
+    code = main([
+        "verify", "--suite", "leibniz,normalization-bridge",
+        "--level", str(level), "--samples", str(samples),
+    ])
+    assert code == 0
+    pairs = sum(4 * 4 ** n * samples for n in range(1, level + 1))
+    ambients = 2 * (2 * 4 ** level * samples)
+    assert sum(drawn) == pairs + ambients
+
+
+def test_nan_in_one_ambient_fails_that_sample_at_every_level(monkeypatch):
+    """A NaN in the ambient of one sample reaches every level through the
+    tower: each leibniz report has a NaN worst margin and one failure."""
+    def poisoned(rng, samples, *shapes):
+        for blocks in normal_chunks(rng, samples, *shapes):
+            if len(blocks) == 3 and len(blocks[2]) > 1:  # the working level's ambient
+                blocks[2][1].flat[0] = np.nan
+            yield blocks
+
+    monkeypatch.setattr(harness, "normal_chunks", poisoned)
+    monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 2 ** 20)
+    reports = run_suite(RunConfig(level=4, samples=12, suites=("leibniz",)))
+    assert [r.level for r in reports] == [1, 2, 3, 4]
+    for rep in reports:
+        assert np.isnan(rep.worst_margin) and rep.failures == 1
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_planted_energy_defect_fails_every_sample_at_every_level(monkeypatch, level):
+    """A commutator energy off by one part in 10^6 fails every sample of
+    both suites at every level: the shared ambient drops no check."""
+    true_energies = harness.commutator_energies
+    monkeypatch.setattr(
+        harness, "commutator_energies", lambda b: true_energies(b) * (1 + 1e-6)
+    )
+    cfg = RunConfig(level=level, samples=9, suites=("leibniz", "normalization-bridge"))
+    reports = run_suite(cfg)
+    assert [(r.suite, r.level) for r in reports] == [
+        (suite, n) for suite in cfg.suites for n in range(1, level + 1)
+    ]
+    assert all(r.failures == r.samples for r in reports)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_planted_right_action_defect_fails_the_product_rule(monkeypatch, level):
+    """A right action off by 100 tol of its scale fails every leibniz
+    sample at every level: the pair streams drop no check."""
+    cfg = RunConfig(level=level, samples=9, suites=("leibniz",))
+    true_action = harness.right_action
+    monkeypatch.setattr(
+        harness, "right_action", lambda r, a: true_action(r, a) * (1 + 100 * cfg.tol)
+    )
+    reports = run_suite(cfg)
+    assert [r.level for r in reports] == list(range(1, level + 1))
+    assert all(r.failures == r.samples for r in reports)
 
 
 def test_normal_chunks_draw_the_per_sample_stream(monkeypatch):

@@ -211,6 +211,19 @@ def test_verify_single_suite(tmp_path):
     assert code == 0
 
 
+def test_leibniz_alone_writes_the_reports_of_the_full_run(tmp_path):
+    """leibniz reads its ambient from its own stream: running it alone or
+    with every other suite writes the same leibniz reports."""
+    alone, full = tmp_path / "alone", tmp_path / "all"
+    for suite, out in (("leibniz", alone), ("all", full)):
+        args = ["verify", "--suite", suite, "--level", "4", "--samples", "12"]
+        assert main(args + ["--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in alone.glob("leibniz-level*.json"))
+    assert names == [f"leibniz-level{n}.json" for n in range(1, 5)]
+    for name in names:
+        assert (alone / name).read_bytes() == (full / name).read_bytes()
+
+
 def test_verify_unknown_suite_lists_names(tmp_path, capsys):
     code = main(["verify", "--suite", "bogus", "--level", "2"])
     assert code == 2
