@@ -343,7 +343,9 @@ def family_compatibility_margin(family: CompatibleFamily):
             dev = np.abs(lhs - rhs)
             first = int(np.argmax(dev))  # the first largest entry, or first NaN
             local, unit = float(dev.flat[first]), divmod(first, d)
-            values = complex(np.conj(lhs[unit])), complex(np.conj(rhs[unit]))
+            # conjugated as complex numbers: a real coefficient gets the
+            # imaginary part -0.0, as a complex one with imaginary part 0 does
+            values = complex(lhs[unit]).conjugate(), complex(rhs[unit]).conjugate()
             candidate = (n, unit, unit, *values)
         if not local <= worst and not np.isnan(worst):
             worst, witness = local, candidate

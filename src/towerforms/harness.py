@@ -12,6 +12,7 @@ import csv
 import functools
 import math
 import os
+import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,88 +154,108 @@ def _schur_deviation(x: SuperOperator, y: SuperOperator, scale: float = 1.0) -> 
 # --------------------------------------------------------------------------
 
 
-def _run_dirichlet(cfg: RunConfig) -> list[PropertyReport]:
-    reports = []
-    for n in range(1, cfg.level + 1):
-        reports.append(
-            dirichlet_check(
-                diagonal_form(n),
-                samples=cfg.samples,
-                seed=_suite_seed(cfg.seed, "dirichlet", n),
-                tol=cfg.tol,
-            )
+@dataclass(frozen=True)
+class _Unit:
+    """One independent part of a suite, with its own forms, generators and
+    rng: level is the level it works at, nbytes the bytes of one of its
+    samples (one sample's normals, or the largest matrix of a unit that
+    draws none), and part names a unit that is not its level's check (the
+    choi transpose control)."""
+
+    level: int
+    nbytes: int
+    part: str = ""
+
+
+def _levels(top: int, nbytes_per_entry: int) -> list[_Unit]:
+    """One unit per level 1 .. top whose samples hold nbytes_per_entry bytes
+    per entry of a level-n matrix."""
+    return [_Unit(n, nbytes_per_entry * 4 ** n) for n in range(1, top + 1)]
+
+
+def _run_dirichlet(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
+    n = unit.level
+    return [
+        dirichlet_check(
+            diagonal_form(n),
+            samples=cfg.samples,
+            seed=_suite_seed(cfg.seed, "dirichlet", n),
+            tol=cfg.tol,
         )
-    return reports
+    ]
 
 
-def _run_markov(cfg: RunConfig) -> list[PropertyReport]:
-    reports = []
-    for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1):
-        reports.append(
-            markov_check(
-                DiagonalComplement(2 ** n),
-                t_samples=cfg.times,
-                n_samples=cfg.samples,
-                seed=_suite_seed(cfg.seed, "markov", n),
-                tol=cfg.tol,
-            )
+def _run_markov(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
+    n = unit.level
+    return [
+        markov_check(
+            DiagonalComplement(2 ** n),
+            t_samples=cfg.times,
+            n_samples=cfg.samples,
+            seed=_suite_seed(cfg.seed, "markov", n),
+            tol=cfg.tol,
         )
-    return reports
+    ]
 
 
-def _run_symmetry(cfg: RunConfig) -> list[PropertyReport]:
-    reports = []
-    for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1):
-        reports.append(
-            symmetry_conservativity_check(
-                DiagonalComplement(2 ** n),
-                samples=cfg.samples,
-                seed=_suite_seed(cfg.seed, "symmetry", n),
-                tol=cfg.tol,
-                t_samples=cfg.times,
-            )
+def _run_symmetry(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
+    n = unit.level
+    return [
+        symmetry_conservativity_check(
+            DiagonalComplement(2 ** n),
+            samples=cfg.samples,
+            seed=_suite_seed(cfg.seed, "symmetry", n),
+            tol=cfg.tol,
+            t_samples=cfg.times,
         )
-    return reports
+    ]
 
 
-def _run_choi(cfg: RunConfig) -> list[PropertyReport]:
+def _choi_units(cfg: RunConfig) -> list[_Unit]:
+    """A unit per level, whose largest matrix is the d^2 x d^2 Choi matrix,
+    and the transpose control at level 1."""
+    levels = range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1)
+    return [_Unit(n, 16 * 16 ** n) for n in levels] + [
+        _Unit(1, 16 * 16, "transpose-control")
+    ]
+
+
+def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Semigroup maps of the diagonal generator must be completely
     positive; the transpose map is the injected negative control and must
     be flagged non-CP with smallest Choi eigenvalue -1."""
-    reports = []
-    for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1):
-        gen = DiagonalComplement(2 ** n)
-        worst = -np.inf
-        failures = 0
-        for t in cfg.times:
-            margin = -choi_min_eigenvalue(SemigroupMap(gen, t))
-            worst = worst_of(worst, margin)
-            if not margin <= cfg.tol:
-                failures += 1
-        reports.append(
+    if unit.part == "transpose-control":
+        control = abs(choi_min_eigenvalue(TransposeMap(2)) + 1.0)
+        return [
             PropertyReport(
-                suite="choi",
-                level=n,
-                samples=len(cfg.times),
-                failures=failures,
-                worst_margin=float(worst),
+                suite="choi-transpose-control",
+                level=1,
+                samples=1,
+                failures=0 if control <= cfg.tol else 1,
+                worst_margin=float(control),
                 seed=cfg.seed,
                 tol=cfg.tol,
             )
-        )
-    control = abs(choi_min_eigenvalue(TransposeMap(2)) + 1.0)
-    reports.append(
+        ]
+    gen = DiagonalComplement(2 ** unit.level)
+    worst = -np.inf
+    failures = 0
+    for t in cfg.times:
+        margin = -choi_min_eigenvalue(SemigroupMap(gen, t))
+        worst = worst_of(worst, margin)
+        if not margin <= cfg.tol:
+            failures += 1
+    return [
         PropertyReport(
-            suite="choi-transpose-control",
-            level=1,
-            samples=1,
-            failures=0 if control <= cfg.tol else 1,
-            worst_margin=float(control),
+            suite="choi",
+            level=unit.level,
+            samples=len(cfg.times),
+            failures=failures,
+            worst_margin=float(worst),
             seed=cfg.seed,
             tol=cfg.tol,
         )
-    )
-    return reports
+    ]
 
 
 def _suite_report(suite, level, samples, failures, worst, seed, tol):
@@ -319,59 +340,69 @@ def _energy_gaps(b: np.ndarray) -> np.ndarray:
     return np.abs(energy - commutator_energies(b))
 
 
-def _run_leibniz(cfg: RunConfig) -> list[PropertyReport]:
-    """Product rule for the derivation on pairs at its own level, plus the
-    energy identity tau(<da, da>) = commutator energy for ambient samples.
+def _leibniz_units(cfg: RunConfig) -> list[_Unit]:
+    """One unit per level's stream: two matrices a sample (pair a, pair b)
+    below the working level, three at it (pair a, pair b, ambient)."""
+    return [
+        _Unit(n, (48 if n == cfg.level else 32) * 4 ** n)
+        for n in range(1, cfg.level + 1)
+    ]
+
+
+def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
+    """Product rule for the derivation on pairs at its own level, plus, at
+    the working level, the energy identity tau(<da, da>) = commutator
+    energy for ambient samples at every level.
 
     Sample i of level n is the pair i of level n's stream with E_n of the
     ambient i, which the working level's stream draws after its own pair i;
     every level reads its E_n off that one ambient (see _expectation_towers).
-    The streams are drawn and checked a chunk at a time (see
-    tower.normal_chunks), each level's margins held until both parts are
-    in; every margin comes from the arithmetic of the per-sample element API
-    (derive, bimodule_*, commutator_form_eval)."""
-    level, samples = cfg.level, cfg.samples
-    seeds = [_suite_seed(cfg.seed, "leibniz", n) for n in range(1, level + 1)]
-    defects = np.empty((level, samples))
-    gaps = np.empty((level, samples))
-    top = [(2, 2 ** level, 2 ** level)] * 3
+    The stream is drawn and checked a chunk at a time (see
+    tower.normal_chunks); every margin comes from the arithmetic of the
+    per-sample element API (derive, bimodule_*, commutator_form_eval).
+    Returns the defects of the unit's level, one per sample, and at the
+    working level the gaps of every level (one row per level), else None."""
+    level, samples, d = cfg.level, cfg.samples, 2 ** unit.level
+    rng = np.random.default_rng(_suite_seed(cfg.seed, "leibniz", unit.level))
+    top = unit.level == level
+    defects = np.empty(samples)
 
-    def ambients():  # the working level's stream: its pairs, then the ambient
+    def checked():  # each chunk's pairs checked, then its ambients yielded
         start = 0
-        rng = np.random.default_rng(seeds[-1])
-        for za, zb, z in normal_chunks(rng, samples, *top):
-            part = slice(start, start + len(z))
-            start = part.stop
-            defects[-1, part] = _leibniz_defects(
-                complex_gaussian(za), complex_gaussian(zb)
-            )
-            yield complex_gaussian(z)
-
-    for n, part, b in _expectation_towers(ambients(), level):
-        gaps[n - 1, part] = _energy_gaps(b)
-    for n, seed in enumerate(seeds[:-1], start=1):
-        rng = np.random.default_rng(seed)
-        pair = (2, 2 ** n, 2 ** n)
-        start = 0
-        for za, zb in normal_chunks(rng, samples, pair, pair):
+        for za, zb, *z in normal_chunks(rng, samples, *[(2, d, d)] * (2 + top)):
             part = slice(start, start + len(za))
             start = part.stop
-            defects[n - 1, part] = _leibniz_defects(
-                complex_gaussian(za), complex_gaussian(zb)
-            )
+            defects[part] = _leibniz_defects(complex_gaussian(za), complex_gaussian(zb))
+            yield from map(complex_gaussian, z)
+
+    if not top:
+        for _ in checked():  # yields nothing below the working level
+            pass
+        return defects, None
+    gaps = np.empty((level, samples))
+    for n, part, b in _expectation_towers(checked(), level):
+        gaps[n - 1, part] = _energy_gaps(b)
+    return defects, gaps
+
+
+def _leibniz_reports(cfg: RunConfig, parts: list) -> list[PropertyReport]:
+    """Level n's report from its defects and gaps: a sample fails when
+    either margin exceeds tol, both folded in sample order."""
+    gaps = parts[-1][1]
     reports = []
-    for n, seed, defect, gap in zip(range(1, level + 1), seeds, defects, gaps):
+    for n, (defect, _), gap in zip(range(1, cfg.level + 1), parts, gaps):
         margin = worst_along(np.stack((defect, gap), axis=1))
         failures = int(np.count_nonzero(~(margin <= cfg.tol)))
         reports.append(
             _suite_report(
-                "leibniz", n, samples, failures, worst_along(margin), seed, cfg.tol
+                "leibniz", n, cfg.samples, failures, worst_along(margin),
+                _suite_seed(cfg.seed, "leibniz", n), cfg.tol,
             )
         )
     return reports
 
 
-def _run_compatibility(cfg: RunConfig) -> list[PropertyReport]:
+def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Commutator-form family: compatibility margin on full matrix-unit
     bases, recovery of the top form, and rejection of a x2-perturbed
     family as a negative control. A family that build_from_family rejects
@@ -417,7 +448,7 @@ def _run_compatibility(cfg: RunConfig) -> list[PropertyReport]:
     ]
 
 
-def _run_normalization_bridge(cfg: RunConfig) -> list[PropertyReport]:
+def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """The commutator sum equals twice the diagonal-form energy of the
     conditioned element, and the double-commutator generator over the
     diagonal projections has exactly twice the Schur coefficients of the
@@ -461,7 +492,7 @@ def _sqrt_energy(e: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(0.0 > e, 0.0, e))
 
 
-def _run_convergence(cfg: RunConfig) -> list[PropertyReport]:
+def _run_convergence(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Restricted-energy chain for the diagonal form on random ambient
     elements: |sqrt(E_n) - sqrt(E)| <= sqrt(E(Q_n a)), the tail bound
     E(Q_n a) <= ||Q_n a||_2^2, and exactness at the top level. Samples go
@@ -501,6 +532,25 @@ def _run_convergence(cfg: RunConfig) -> list[PropertyReport]:
     ]
 
 
+def _top_unit(cfg: RunConfig) -> list[_Unit]:
+    """The one unit of a suite that works on level-L matrices only."""
+    return [_Unit(cfg.level, 16 * 4 ** cfg.level)]
+
+
+# Each suite's units, in the order its results fold; a runner runs one unit,
+# and _SUITE_FOLDS turns a suite's unit results into its reports (by
+# default, each unit's reports in unit order).
+_SUITE_UNITS = {
+    "dirichlet": lambda cfg: _levels(cfg.level, 32),
+    "markov": lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 16),
+    "symmetry": lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 32),
+    "choi": _choi_units,
+    "leibniz": _leibniz_units,
+    "compatibility": _top_unit,
+    "normalization-bridge": _top_unit,
+    "convergence": _top_unit,
+}
+
 _SUITE_RUNNERS = {
     "dirichlet": _run_dirichlet,
     "markov": _run_markov,
@@ -512,15 +562,49 @@ _SUITE_RUNNERS = {
     "convergence": _run_convergence,
 }
 
+_SUITE_FOLDS = {"leibniz": _leibniz_reports}
+
+
+def _concatenated(cfg: RunConfig, parts: list) -> list[PropertyReport]:
+    return [rep for part in parts for rep in part]
+
 
 def run_suite(cfg: RunConfig) -> list[PropertyReport]:
-    """Run the selected suites in registry order; write reports when
-    cfg.out_dir is set. The caller decides the process exit status from
-    the failure counts."""
+    """Run the selected suites; write reports when cfg.out_dir is set. The
+    caller decides the process exit status from the failure counts.
+
+    Every suite is split into independent units (see _SUITE_UNITS), each
+    run by one call of its suite's _SUITE_RUNNERS entry. The units of all
+    selected suites share max(1, CPUs // BLAS threads) threads, as in
+    evolve_table. One worker runs them one at a time in the calling thread,
+    in registry order. Several workers first run, one at a time, every unit
+    whose sample exceeds POOL_CHUNK_BYTES (levels 8 and above), then share
+    the others, highest level first with ties in registry order. Each
+    suite's results are folded in registry order, so the reports are
+    byte-identical to one thread. An error in any unit is raised unchanged,
+    and no report is written."""
+    selected = [name for name in SUITE_NAMES if name in cfg.suites]
+    units = [(name, unit) for name in selected for unit in _SUITE_UNITS[name](cfg)]
+
+    def run(item):
+        name, unit = item
+        return _SUITE_RUNNERS[name](cfg, unit)
+
+    workers = _pool_workers(os.environ, _available_cpus())
+    if workers == 1:
+        batches = [(list(range(len(units))), 1)]
+    else:
+        by_level = sorted(range(len(units)), key=lambda i: -units[i][1].level)
+        alone = [i for i in by_level if units[i][1].nbytes > POOL_CHUNK_BYTES]
+        shared = [i for i in by_level if units[i][1].nbytes <= POOL_CHUNK_BYTES]
+        batches = [(alone, 1), (shared, workers)]
+    results = {}
+    for order, n in batches:
+        results.update(zip(order, _pool_map(run, [units[i] for i in order], n)))
     reports: list[PropertyReport] = []
-    for name in SUITE_NAMES:
-        if name in cfg.suites:
-            reports.extend(_SUITE_RUNNERS[name](cfg))
+    for name in selected:
+        parts = [results[i] for i, (owner, _) in enumerate(units) if owner == name]
+        reports.extend(_SUITE_FOLDS.get(name, _concatenated)(cfg, parts))
     if cfg.out_dir is not None:
         write_reports(cfg.out_dir, reports)
     return reports
@@ -598,19 +682,21 @@ def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
     return rows
 
 
-# Bytes of stacked Hermitian parts each of several evolve workers holds at
-# once: 8 rows at level 7; from level 9 on one row exceeds it.
-EVOLVE_CHUNK_BYTES = 2 * 2 ** 20
+# Bytes of stacked samples each of several pool workers holds at once: 8
+# evolve rows at level 7. From level 9 on one evolve row exceeds it, and
+# from level 8 on the largest suite units do; those run on one thread.
+POOL_CHUNK_BYTES = 2 * 2 ** 20
 
 # The variables a BLAS reads its thread count from, first taking precedence:
 # OpenBLAS and MKL each let their own variable override OMP_NUM_THREADS.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _evolve_workers(env, cpus: int) -> int:
-    """Threads for evolve_table: the CPUs divided by the BLAS's own thread
-    count, which is every CPU unless a variable in _BLAS_THREAD_VARS holds a
-    positive integer (anything else counts as unset)."""
+def _pool_workers(env, cpus: int) -> int:
+    """Threads for run_suite and evolve_table: the CPUs divided by the
+    BLAS's own thread count, which is every CPU unless a variable in
+    _BLAS_THREAD_VARS holds a positive integer (anything else counts as
+    unset)."""
     blas = cpus
     for name in _BLAS_THREAD_VARS:
         try:
@@ -627,6 +713,46 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pool_map(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items] on min(workers, len(items)) threads, in item
+    order. The calling thread is one of them: it starts the others, and
+    each thread takes the next item in order whenever it is free, so only
+    workers - 1 threads are started (each new thread costs memory for its
+    own allocator arena). After an error no item starts; the first error in
+    item order is raised unchanged once the running calls have ended."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    order = iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _evolve_chunk(gen, form, a, times) -> list[dict]:
@@ -659,9 +785,9 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     level; min/max eigenvalues refer to the Hermitian part.
 
     The rows run on max(1, CPUs // BLAS threads) threads, with the BLAS
-    thread count read as in _evolve_workers. One worker computes them one at
+    thread count read as in _pool_workers. One worker computes them one at
     a time in the calling thread. Several workers share chunks of at most
-    EVOLVE_CHUNK_BYTES of Hermitian parts, and each chunk takes its spectra
+    POOL_CHUNK_BYTES of Hermitian parts, and each chunk takes its spectra
     from one stacked eigvalsh call (a stack releases the GIL). When one
     Hermitian part exceeds that budget (level 9 on), one worker runs. There
     is no setting. Every row comes from the same operations as in
@@ -671,23 +797,15 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     gen = DiagonalComplement(a.dim)
     form = diagonal_form(a.level)
     times = [float(t) for t in t_grid]
-    step = EVOLVE_CHUNK_BYTES // (16 * a.dim * a.dim)
-    workers = _evolve_workers(os.environ, _available_cpus()) if step else 1
+    step = POOL_CHUNK_BYTES // (16 * a.dim * a.dim)
+    workers = _pool_workers(os.environ, _available_cpus()) if step else 1
     if workers == 1:
         step = 1  # a stack pays only for releasing the GIL
     chunks = [times[i:i + step] for i in range(0, len(times), step)]
+    # The chunks share gen, whose lazily cached Schur measure is a pure
+    # function of gen: threads that fill it at once store equal values.
     run = functools.partial(_evolve_chunk, gen, form, a)
-    workers = min(workers, len(chunks))
-    if workers <= 1:
-        parts = list(map(run, chunks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # ~3 ms; evolve only
-
-        # The chunks share gen, whose lazily cached Schur measure is a pure
-        # function of gen: threads that fill it at once store equal values.
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(run, chunks))
-    return [row for part in parts for row in part]
+    return [row for part in _pool_map(run, chunks, workers) for row in part]
 
 
 def write_table_csv(path, columns, rows) -> None:

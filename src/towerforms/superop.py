@@ -306,9 +306,10 @@ class DoubleCommutatorFamily(SuperOperator):
     the family is the Schur multiplier with coefficients
     sum_i (mu_i[j] - mu_i[k])^2 + eta[j] + eta[k] = G_jj + G_kk - 2 G_jk
     + eta[j] + eta[k], G = sum_i mu_i mu_i^T; it is collapsed to those
-    coefficients (``schur``) at construction with one product for G, and
-    ``ms`` is None. Otherwise ``schur`` is None, ``ms`` holds every m_i as
-    a matrix and the family is evaluated with matrix products.
+    coefficients (``schur``, real when every imaginary part is 0) at
+    construction with one product for G, and ``ms`` is None. Otherwise
+    ``schur`` is None, ``ms`` holds every m_i as a matrix and the family is
+    evaluated with matrix products.
 
     Finite data can still overflow: construction rejects a family whose
     Schur coefficients, or the entry bound 2 max|L| + 2 sum_i max|m_i|^2
@@ -353,7 +354,9 @@ class DoubleCommutatorFamily(SuperOperator):
                 if self.h is not None:
                     eta = np.diagonal(self.h)
                     coeffs += eta[:, None] + eta[None, :]
-                self.schur = coeffs
+                # real data: half the memory, and a real factor times a
+                # complex matrix casts to the same complex values
+                self.schur = coeffs if coeffs.imag.any() else coeffs.real.copy()
                 bound = np.abs(coeffs).max()
                 what = "its Schur coefficients are"
             else:

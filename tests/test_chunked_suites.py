@@ -254,7 +254,11 @@ REFERENCES = {
 
 def chunks_of(monkeypatch, size) -> list:
     """Make every normal_chunks call of the suites yield chunks of `size`
-    samples (None: the default budget); return the chunk sizes of each call."""
+    samples (None: the default budget); return the chunk sizes of each call.
+    The budget is a module global set per call, so the suites run on one
+    worker here; the pooled path is compared with one worker in
+    test_harness.py."""
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
     calls = []
 
     def sized(rng, samples, *shapes):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -203,13 +204,17 @@ def sequential_evolve(a, t_grid):
     return rows
 
 
-def chunk_threads(monkeypatch) -> list:
-    """Record the thread each evolve_table chunk runs in."""
+def chunk_threads(monkeypatch, meet=0) -> list:
+    """Record the thread each evolve_table chunk runs in; the first `meet`
+    chunks wait for one another, so they run at once on that many threads."""
     threads = []
     chunk = harness._evolve_chunk
+    barrier = threading.Barrier(meet, timeout=60) if meet else None
 
     def spy(*args):
         threads.append(threading.current_thread())
+        if len(threads) <= meet:
+            barrier.wait()
         return chunk(*args)
 
     monkeypatch.setattr(harness, "_evolve_chunk", spy)
@@ -222,15 +227,16 @@ def test_evolve_table_equals_sequential_rows(monkeypatch, blas_threads, workers,
     monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
-    threads = chunk_threads(monkeypatch)
+    pooled = workers == 2 and rows > 8
+    threads = chunk_threads(monkeypatch, meet=2 if pooled else 0)
     a = random_element(7, "general", 409)
     grid = [0.25 * k for k in range(rows)]
     assert evolve_table(a, grid) == sequential_evolve(a, grid)
-    # two workers stack 8 rows per chunk at level 7, and one chunk runs in
-    # the calling thread; one worker takes the rows one at a time
+    # two workers stack 8 rows per chunk at level 7, and a single chunk runs
+    # in the calling thread; one worker takes the rows one at a time
     assert len(threads) == (-(-rows // 8) if workers == 2 else rows)
-    in_pool = any(t is not threading.main_thread() for t in threads)
-    assert in_pool == (workers == 2 and rows > 8)
+    assert threading.main_thread() in threads
+    assert len(set(threads)) == (2 if pooled else 1)
 
 
 def test_evolve_table_many_workers_share_the_generator(monkeypatch):
@@ -238,7 +244,7 @@ def test_evolve_table_many_workers_share_the_generator(monkeypatch):
     the generator's lazily cached Schur measure is filled by racing threads."""
     monkeypatch.setattr(harness, "_available_cpus", lambda: 8)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(harness, "EVOLVE_CHUNK_BYTES", 16 * 16 * 16)
+    monkeypatch.setattr(harness, "POOL_CHUNK_BYTES", 16 * 16 * 16)
     a = random_element(4, "general", 411)
     grid = [0.125 * k for k in range(64)]
     interval = sys.getswitchinterval()
@@ -271,29 +277,74 @@ def test_evolve_table_many_workers_share_the_generator(monkeypatch):
     ],
 )
 def test_evolve_worker_rule(env, cpus, workers):
-    assert harness._evolve_workers(env, cpus) == workers
+    assert harness._pool_workers(env, cpus) == workers
 
 
 def test_evolve_table_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(harness, "EVOLVE_CHUNK_BYTES", 16 * 4 * 4)  # one row per chunk
+    monkeypatch.setattr(harness, "POOL_CHUNK_BYTES", 16 * 4 * 4)  # one row per chunk
     raised = []
+    threads = chunk_threads(monkeypatch, meet=2)
     chunk = harness._evolve_chunk
 
     def spy(*args):
         try:
             return chunk(*args)
         except ValueError as exc:
-            raised.append((exc, threading.current_thread()))
+            raised.append(exc)
             raise
 
     monkeypatch.setattr(harness, "_evolve_chunk", spy)
     a = random_element(2, "general", 410)
+    before = threading.active_count()
     with pytest.raises(ValueError, match="semigroup time must be finite and nonnegative") as err:
         evolve_table(a, (0.0, 0.5, float("nan")))
-    [(exc, thread)] = raised
-    assert err.value is exc and thread is not threading.main_thread()
+    [exc] = raised
+    assert err.value is exc and len(set(threads)) == 2
+    assert threading.active_count() == before
+
+
+def test_pool_map_error_in_a_started_thread_reaches_caller():
+    """Items 0 and 1 run at once; the one in the started thread raises. The
+    same exception object reaches the caller, and the thread has ended."""
+    barrier = threading.Barrier(2, timeout=60)
+    planted = RuntimeError("planted")
+
+    def fn(x):
+        if x < 2:
+            barrier.wait()
+            if threading.current_thread() is not threading.main_thread():
+                raise planted
+        return x
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        harness._pool_map(fn, [0, 1, 2, 3], 2)
+    assert err.value is planted
+    assert threading.active_count() == before
+
+
+def test_pool_map_starts_no_item_after_an_error():
+    """Items 0 and 1 run at once; 0 raises while 1 is still running, and no
+    later item starts. Results come back in item order."""
+    barrier = threading.Barrier(2, timeout=60)
+    started = []
+
+    def fn(x):
+        started.append(x)
+        if x < 2:
+            barrier.wait()
+        if x == 0:
+            raise KeyError(x)
+        if x == 1:
+            time.sleep(0.5)  # the error is recorded long before this returns
+        return x
+
+    with pytest.raises(KeyError):
+        harness._pool_map(fn, list(range(8)), 2)
+    assert sorted(started) == [0, 1]
+    assert harness._pool_map(lambda x: x * x, list(range(9)), 3) == [x * x for x in range(9)]
 
 
 # --------------------------------------------------------------------------
@@ -316,6 +367,196 @@ def test_run_suite_selection():
     reports = run_suite(cfg)
     assert {r.suite for r in reports} == {"markov"}
     assert [r.level for r in reports] == [1, 2]
+
+
+# --------------------------------------------------------------------------
+# suites on every CPU
+# --------------------------------------------------------------------------
+
+
+def use_workers(monkeypatch, workers):
+    """Make run_suite and evolve_table use `workers` threads: 2 CPUs and a
+    BLAS on 2 threads for one, as many CPUs as workers and BLAS on one
+    thread for more."""
+    monkeypatch.setattr(harness, "_available_cpus", lambda: max(2, workers))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2" if workers == 1 else "1")
+
+
+def suite_jsons(monkeypatch, cfg, workers) -> list:
+    use_workers(monkeypatch, workers)
+    return [r.to_json() for r in run_suite(cfg)]
+
+
+def unit_threads(monkeypatch, meet=0) -> list:
+    """Record (suite, unit, thread) of every unit run_suite runs; the first
+    `meet` units wait for one another, so they run at once."""
+    runs = []
+    barrier = threading.Barrier(meet, timeout=60) if meet else None
+    for name, runner in list(harness._SUITE_RUNNERS.items()):
+        def spy(cfg, unit, name=name, runner=runner):
+            runs.append((name, unit, threading.current_thread()))
+            if len(runs) <= meet:
+                barrier.wait()
+            return runner(cfg, unit)
+
+        monkeypatch.setitem(harness._SUITE_RUNNERS, name, spy)
+    return runs
+
+
+POOLED_CASES = [
+    (level, samples)
+    for level in range(1, 7)
+    for samples in (1, 37, 200)
+    if samples < 200 or level <= 4
+]
+
+
+@pytest.mark.parametrize("level, samples", POOLED_CASES)
+def test_pooled_suites_equal_one_worker(monkeypatch, level, samples):
+    cfg = RunConfig(level=level, samples=samples, seed=level * samples)
+    one = suite_jsons(monkeypatch, cfg, 1)
+    runs = unit_threads(monkeypatch)
+    assert suite_jsons(monkeypatch, cfg, 2) == one
+    units = [(name, unit) for name in SUITE_NAMES for unit in harness._SUITE_UNITS[name](cfg)]
+    assert sorted(map(repr, units)) == sorted(repr((name, unit)) for name, unit, _ in runs)
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_pooled_suites_equal_one_worker_under_thread_switches(monkeypatch, workers):
+    """A switch interval of 1 microsecond interleaves the units' threads
+    almost at every bytecode, also with more threads than cores: no result
+    is lost or misplaced, and the reports do not change."""
+    cfg = RunConfig(level=4, samples=37, seed=11)
+    one = suite_jsons(monkeypatch, cfg, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = suite_jsons(monkeypatch, cfg, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == one
+
+
+def test_pooled_verify_writes_the_same_files(monkeypatch, tmp_path, capsys):
+    from towerforms.cli import main
+
+    out = {}
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        d = tmp_path / f"w{workers}"
+        code = main(["verify", "--level", "4", "--samples", "37", "--seed", "3",
+                     "--out-dir", str(d)])
+        assert code == 0
+        out[workers] = {p.name: p.read_bytes() for p in d.iterdir()}
+    assert "summary.csv" in out[1] and len(out[1]) == 25
+    assert out[2] == out[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_units_run_on_every_worker(monkeypatch, workers):
+    """Two workers run two units at once, in the calling thread and one
+    started thread; one worker runs every unit in the calling thread and
+    starts none."""
+    cfg = RunConfig(level=3, samples=5)
+    want = suite_jsons(monkeypatch, cfg, 1)
+    runs = unit_threads(monkeypatch, meet=2 if workers == 2 else 0)
+    before = threading.active_count()
+    assert suite_jsons(monkeypatch, cfg, workers) == want
+    assert threading.active_count() == before
+    threads = {thread for _, _, thread in runs}
+    assert threading.main_thread() in threads and len(threads) == workers
+
+
+def test_units_larger_than_the_budget_run_alone(monkeypatch):
+    """Units whose sample exceeds POOL_CHUNK_BYTES run first, one at a time;
+    the others share the workers. Each batch goes highest level first, with
+    ties in registry order."""
+    cfg = RunConfig(level=3, samples=5)
+    want = suite_jsons(monkeypatch, cfg, 1)
+    budget = 16 * 4 ** 3
+    monkeypatch.setattr(harness, "POOL_CHUNK_BYTES", budget)
+    calls = []
+    pool_map = harness._pool_map
+
+    def spy(fn, items, workers):
+        if items and isinstance(items[0], tuple):  # run_suite's (suite, unit) items
+            calls.append((list(items), workers))
+        return pool_map(fn, items, workers)
+
+    monkeypatch.setattr(harness, "_pool_map", spy)
+    assert suite_jsons(monkeypatch, cfg, 2) == want
+    units = [(name, unit) for name in SUITE_NAMES for unit in harness._SUITE_UNITS[name](cfg)]
+    by_level = sorted(units, key=lambda item: -item[1].level)
+    alone = [item for item in by_level if item[1].nbytes > budget]
+    shared = [item for item in by_level if item[1].nbytes <= budget]
+    assert alone and shared
+    assert calls == [(alone, 1), (shared, 2)]
+    assert [item[1].level for item in shared][:3] == [3, 3, 3]
+
+
+def test_largest_units_run_alone_from_level_8():
+    """With the default budget every unit up to level 7 shares the workers,
+    and from level 8 on the largest do not."""
+    def alone(level):
+        cfg = RunConfig(level=level, samples=1)
+        return {
+            (name, unit.level, unit.part)
+            for name in SUITE_NAMES
+            for unit in harness._SUITE_UNITS[name](cfg)
+            if unit.nbytes > harness.POOL_CHUNK_BYTES
+        }
+
+    assert alone(7) == set()
+    assert alone(8) == {("leibniz", 8, "")}
+    assert ("dirichlet", 9, "") in alone(10) and ("leibniz", 9, "") in alone(10)
+
+
+def test_pooled_unit_error_reaches_caller_and_writes_nothing(monkeypatch, tmp_path):
+    planted = RuntimeError("planted unit failure")
+    runner = harness._SUITE_RUNNERS["convergence"]
+
+    def failing(cfg, unit):
+        runner(cfg, unit)
+        raise planted
+
+    monkeypatch.setitem(harness._SUITE_RUNNERS, "convergence", failing)
+    use_workers(monkeypatch, 2)
+    runs = unit_threads(monkeypatch, meet=2)
+    before = threading.active_count()
+    out = tmp_path / "reports"
+    with pytest.raises(RuntimeError) as err:
+        run_suite(RunConfig(level=3, samples=5, out_dir=str(out)))
+    assert err.value is planted
+    assert not out.exists()
+    assert threading.active_count() == before
+    assert len({thread for _, _, thread in runs}) == 2
+
+
+def test_planted_nan_fails_alike_on_one_and_two_workers(monkeypatch):
+    monkeypatch.setattr(
+        harness, "commutator_energies", lambda b: np.full(b.shape[:-2], np.nan)
+    )
+    cfg = RunConfig(level=4, samples=9, seed=5)
+    one = suite_jsons(monkeypatch, cfg, 1)
+    assert suite_jsons(monkeypatch, cfg, 2) == one
+    failing = [r for r in run_suite(cfg) if r.failures]
+    assert {r.suite for r in failing} == {"leibniz", "normalization-bridge"}
+    assert all(r.failures == r.samples and np.isnan(r.worst_margin) for r in failing)
+
+
+def test_evolve_and_suites_share_one_pool_helper(monkeypatch):
+    use_workers(monkeypatch, 2)
+    callers = []
+    pool_map = harness._pool_map
+
+    def spy(fn, items, workers):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return pool_map(fn, items, workers)
+
+    monkeypatch.setattr(harness, "_pool_map", spy)
+    evolve_table(random_element(2, "general", 412), (0.0, 0.5))
+    run_suite(RunConfig(level=1, samples=1))
+    assert callers == ["evolve_table", "run_suite", "run_suite"]
 
 
 def test_single_sample_report_is_structurally_valid():

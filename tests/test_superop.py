@@ -619,6 +619,23 @@ def test_commutator_family_takes_diagonal_m_as_vectors(n):
         DoubleCommutatorFamily([mus[0] + 1j])
 
 
+def test_collapsed_commutator_family_keeps_real_coefficients_real():
+    """Real data gives float64 coefficients, half the memory, which act on a
+    matrix bit for bit as their complex form did; an imaginary part within
+    the Hermitian tolerance keeps them complex."""
+    rng = np.random.default_rng(86)
+    mus = [rng.standard_normal(8) for _ in range(3)]
+    fam = DoubleCommutatorFamily(mus, h=np.diag(mus[0]))
+    assert fam.schur.dtype == np.float64
+    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    x[0, 1] = complex(np.inf, -0.0)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the complex product
+        want = fam.schur.astype(np.complex128) * x
+        assert fam.apply_matrix(x).tobytes() == want.tobytes()
+    tilted = mus[0] + 1e-14j * np.arange(8)
+    assert DoubleCommutatorFamily([tilted, mus[1]]).schur.dtype == np.complex128
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_choi_matrix_is_block_of_images(n):
     d = 2 ** n
