@@ -364,23 +364,26 @@ def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
     working level the gaps of every level (one row per level), else None."""
     level, samples, d = cfg.level, cfg.samples, 2 ** unit.level
     rng = np.random.default_rng(_suite_seed(cfg.seed, "leibniz", unit.level))
-    top = unit.level == level
+    pair = (2, d, d)
     defects = np.empty(samples)
-
-    def checked():  # each chunk's pairs checked, then its ambients yielded
+    if unit.level < level:
         start = 0
-        for za, zb, *z in normal_chunks(rng, samples, *[(2, d, d)] * (2 + top)):
+        for za, zb in normal_chunks(rng, samples, pair, pair):
             part = slice(start, start + len(za))
             start = part.stop
             defects[part] = _leibniz_defects(complex_gaussian(za), complex_gaussian(zb))
-            yield from map(complex_gaussian, z)
-
-    if not top:
-        for _ in checked():  # yields nothing below the working level
-            pass
         return defects, None
+
+    def ambients():  # the working level's stream: its pairs, then the ambient
+        start = 0
+        for za, zb, z in normal_chunks(rng, samples, pair, pair, pair):
+            part = slice(start, start + len(z))
+            start = part.stop
+            defects[part] = _leibniz_defects(complex_gaussian(za), complex_gaussian(zb))
+            yield complex_gaussian(z)
+
     gaps = np.empty((level, samples))
-    for n, part, b in _expectation_towers(checked(), level):
+    for n, part, b in _expectation_towers(ambients(), level):
         gaps[n - 1, part] = _energy_gaps(b)
     return defects, gaps
 
@@ -576,13 +579,12 @@ def run_suite(cfg: RunConfig) -> list[PropertyReport]:
     Every suite is split into independent units (see _SUITE_UNITS), each
     run by one call of its suite's _SUITE_RUNNERS entry. The units of all
     selected suites share max(1, CPUs // BLAS threads) threads, as in
-    evolve_table. One worker runs them one at a time in the calling thread,
-    in registry order. Several workers first run, one at a time, every unit
-    whose sample exceeds POOL_CHUNK_BYTES (levels 8 and above), then share
-    the others, highest level first with ties in registry order. Each
-    suite's results are folded in registry order, so the reports are
-    byte-identical to one thread. An error in any unit is raised unchanged,
-    and no report is written."""
+    evolve_table (one worker runs them in the calling thread). Every unit
+    whose sample exceeds POOL_CHUNK_BYTES (levels 8 and above) runs first,
+    one at a time; the others then share the workers. Both go highest level
+    first, ties in registry order. Each suite's results are folded in
+    registry order, so the reports are byte-identical to one thread. An
+    error in any unit is raised unchanged, and no report is written."""
     selected = [name for name in SUITE_NAMES if name in cfg.suites]
     units = [(name, unit) for name in selected for unit in _SUITE_UNITS[name](cfg)]
 
@@ -591,15 +593,11 @@ def run_suite(cfg: RunConfig) -> list[PropertyReport]:
         return _SUITE_RUNNERS[name](cfg, unit)
 
     workers = _pool_workers(os.environ, _available_cpus())
-    if workers == 1:
-        batches = [(list(range(len(units))), 1)]
-    else:
-        by_level = sorted(range(len(units)), key=lambda i: -units[i][1].level)
-        alone = [i for i in by_level if units[i][1].nbytes > POOL_CHUNK_BYTES]
-        shared = [i for i in by_level if units[i][1].nbytes <= POOL_CHUNK_BYTES]
-        batches = [(alone, 1), (shared, workers)]
+    by_level = sorted(range(len(units)), key=lambda i: -units[i][1].level)
+    alone = [i for i in by_level if units[i][1].nbytes > POOL_CHUNK_BYTES]
+    shared = [i for i in by_level if units[i][1].nbytes <= POOL_CHUNK_BYTES]
     results = {}
-    for order, n in batches:
+    for order, n in [(alone, 1), (shared, workers)]:
         results.update(zip(order, _pool_map(run, [units[i] for i in order], n)))
     reports: list[PropertyReport] = []
     for name in selected:

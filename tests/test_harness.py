@@ -1,7 +1,7 @@
 import math
 import sys
 import threading
-import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -325,24 +325,46 @@ def test_pool_map_error_in_a_started_thread_reaches_caller():
     assert threading.active_count() == before
 
 
-def test_pool_map_starts_no_item_after_an_error():
-    """Items 0 and 1 run at once; 0 raises while 1 is still running, and no
-    later item starts. Results come back in item order."""
+def test_pool_map_starts_no_item_after_an_error(monkeypatch):
+    """Items 0 and 1 run at once; 0 raises, 1 returns only once that error
+    is recorded, and no later item starts. Results come back in item order."""
     barrier = threading.Barrier(2, timeout=60)
+    raised, recorded = threading.Event(), threading.Event()
     started = []
+
+    class SpyLock:
+        """_pool_map's lock: the first release after item 0 raised is the
+        one that recorded its error (item 1 is inside fn until then)."""
+
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            self._lock.acquire()
+
+        def __exit__(self, *exc_info):
+            self._lock.release()
+            if raised.is_set():
+                recorded.set()
+
+    monkeypatch.setattr(
+        harness, "threading", SimpleNamespace(Lock=SpyLock, Thread=threading.Thread)
+    )
 
     def fn(x):
         started.append(x)
         if x < 2:
             barrier.wait()
         if x == 0:
+            raised.set()
             raise KeyError(x)
         if x == 1:
-            time.sleep(0.5)  # the error is recorded long before this returns
+            recorded.wait(timeout=60)
         return x
 
     with pytest.raises(KeyError):
         harness._pool_map(fn, list(range(8)), 2)
+    assert recorded.is_set()
     assert sorted(started) == [0, 1]
     assert harness._pool_map(lambda x: x * x, list(range(9)), 3) == [x * x for x in range(9)]
 
