@@ -54,7 +54,6 @@ from .forms import (
     wedge_one,
     dirichlet_check,
     amplified_form,
-    restricted_form,
     build_from_family,
 )
 from .derivation import (

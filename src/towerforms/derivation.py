@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tower
-from .tower import AlgebraElement, element_to_json
+from .tower import AlgebraElement
 from .expectations import cond_expect
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "bimodule_left",
     "bimodule_right",
     "bimodule_inner",
-    "bimodule_to_json",
     "derive_factors",
     "left_action",
     "right_action",
@@ -92,16 +91,6 @@ class BimoduleVector:
         stack = self.left @ self.right
         stack.setflags(write=False)
         return stack
-
-    def max_abs(self) -> float:
-        """max |entry| over the components, NaN when any entry is NaN (see
-        max_abs_factors)."""
-        return float(max_abs_factors(self.left, self.right))
-
-    @property
-    def components(self) -> tuple[AlgebraElement, ...]:
-        """The components as algebra elements (for serialization and tests)."""
-        return tuple(AlgebraElement(self.carrier_level, c) for c in self.stack)
 
     def __add__(self, other: "BimoduleVector") -> "BimoduleVector":
         return self._concat(other, other.left)
@@ -234,7 +223,3 @@ def bimodule_inner(f: BimoduleVector, g: BimoduleVector) -> AlgebraElement:
     return AlgebraElement(
         f.carrier_level, inner_factors(f.left, f.right, g.left, g.right)
     )
-
-
-def bimodule_to_json(f: BimoduleVector) -> list:
-    return [element_to_json(c) for c in f.components]

@@ -2,9 +2,8 @@
 
 The central example is the diagonal form <(I - B)a, a>_2 over the
 complement of the diagonal expectation, together with its commutator
-presentation, block-matrix amplifications, restrictions to lower tower
-levels and the construction of a top-level form from a compatible family
-of per-level forms.
+presentation, block-matrix amplifications and the construction of a
+top-level form from a compatible family of per-level forms.
 
 A family is compared in Schur coefficients: the compression of a Schur
 generator c_{n+1} to the embedded level n multiplies entrywise by the
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import PropertyReport, worst_along, worst_of
+from .report import PropertyReport, fold
 from .tower import (
     AlgebraElement,
     check_hermitian,
@@ -36,12 +35,10 @@ from .superop import (
     DENSIFY_DIM_CAP,
     SYM_TOL,
     BlockwiseMap,
-    ComposedMap,
     DiagonalComplement,
     DoubleCommutatorFamily,
     ScaledMap,
     SuperOperator,
-    TowerProjection,
 )
 
 __all__ = [
@@ -59,7 +56,6 @@ __all__ = [
     "wedge_one",
     "dirichlet_check",
     "amplified_form",
-    "restricted_form",
     "family_compatibility_margin",
     "build_from_family",
 ]
@@ -191,12 +187,9 @@ def dirichlet_check(
     per-sample arithmetic, so the report is byte-identical to evaluating
     one sample at a time. A sample with a NaN margin counts as a failure.
     """
-    if level is None:
-        level = form.level
     rng = np.random.default_rng(seed)
     d = form.dim
-    worst = -np.inf
-    failures = 0
+    margins = [np.empty((0, 2))]  # no rows when there are no samples
     for za, zg in normal_chunks(rng, samples, (2, d, d), (2, d, d)):
         a = hermitian_part(complex_gaussian(za))
         wedged = clamp_spectrum(a, 0.0, 1.0)
@@ -206,18 +199,9 @@ def dirichlet_check(
         reality = np.abs(
             form_energies(form, g.conj().swapaxes(-1, -2)) - form_energies(form, g)
         )
-        margin = worst_along(np.stack((contraction, reality), axis=1))
-        worst = worst_of(worst, worst_along(margin))
-        failures += int(np.count_nonzero(~(margin <= tol)))
-    return PropertyReport(
-        suite="dirichlet",
-        level=level,
-        samples=samples,
-        failures=failures,
-        worst_margin=float(worst),
-        seed=seed,
-        tol=tol,
-    )
+        margins.append(np.stack((contraction, reality), axis=1))
+    level = form.level if level is None else level
+    return fold("dirichlet", level, seed, tol, np.concatenate(margins))
 
 
 def amplified_form(form: QuadraticForm, k: int) -> QuadraticForm:
@@ -239,21 +223,6 @@ def amplified_form(form: QuadraticForm, k: int) -> QuadraticForm:
     return QuadraticForm(
         ScaledMap(float(k), BlockwiseMap(form.generator, k)),
         label=f"{form.label} amplified k={k}",
-    )
-
-
-def restricted_form(form: QuadraticForm, n: int) -> QuadraticForm:
-    """The form a -> E(P_n a) with generator P_n o generator o P_n; bounded
-    with operator norm at most that of the original generator."""
-    level = form.level
-    if n > level:
-        raise ValueError(f"cannot restrict level-{level} form to higher level {n}")
-    if n == level:
-        return form
-    proj = TowerProjection(level, n)
-    return QuadraticForm(
-        ComposedMap([proj, form.generator, proj]),
-        label=f"{form.label} restricted to level {n}",
     )
 
 

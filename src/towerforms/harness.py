@@ -14,13 +14,13 @@ import math
 import os
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tower
-from .report import PropertyReport, worst_along, worst_of
+from .report import PropertyReport, fold, worst_of
 from .tower import (
     AlgebraElement,
     check_nonnegative,
@@ -30,7 +30,7 @@ from .tower import (
     normal_chunks,
     normalized_trace,
 )
-from .expectations import partial_trace_matrix, project_P, project_Q
+from .expectations import partial_trace_matrix
 from .forms import (
     CompatibleFamily,
     FamilyCompatibilityError,
@@ -133,6 +133,11 @@ class RunConfig:
                 f"unknown suite name(s) {unknown}; valid names: "
                 f"{', '.join(SUITE_NAMES)} (or 'all')"
             )
+        if not suites:
+            raise ValueError(
+                f"no suite selected; name at least one of {', '.join(SUITE_NAMES)} "
+                f"(or 'all')"
+            )
         object.__setattr__(self, "suites", suites)
 
 
@@ -226,48 +231,10 @@ def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     be flagged non-CP with smallest Choi eigenvalue -1."""
     if unit.part == "transpose-control":
         control = abs(choi_min_eigenvalue(TransposeMap(2)) + 1.0)
-        return [
-            PropertyReport(
-                suite="choi-transpose-control",
-                level=1,
-                samples=1,
-                failures=0 if control <= cfg.tol else 1,
-                worst_margin=float(control),
-                seed=cfg.seed,
-                tol=cfg.tol,
-            )
-        ]
+        return [fold("choi-transpose-control", 1, cfg.seed, cfg.tol, [[control]])]
     gen = DiagonalComplement(2 ** unit.level)
-    worst = -np.inf
-    failures = 0
-    for t in cfg.times:
-        margin = -choi_min_eigenvalue(SemigroupMap(gen, t))
-        worst = worst_of(worst, margin)
-        if not margin <= cfg.tol:
-            failures += 1
-    return [
-        PropertyReport(
-            suite="choi",
-            level=unit.level,
-            samples=len(cfg.times),
-            failures=failures,
-            worst_margin=float(worst),
-            seed=cfg.seed,
-            tol=cfg.tol,
-        )
-    ]
-
-
-def _suite_report(suite, level, samples, failures, worst, seed, tol):
-    return PropertyReport(
-        suite=suite,
-        level=level,
-        samples=samples,
-        failures=failures,
-        worst_margin=float(worst),
-        seed=seed,
-        tol=tol,
-    )
+    margins = [[-choi_min_eigenvalue(SemigroupMap(gen, t))] for t in cfg.times]
+    return [fold("choi", unit.level, cfg.seed, cfg.tol, margins)]
 
 
 def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,20 +356,15 @@ def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
 
 
 def _leibniz_reports(cfg: RunConfig, parts: list) -> list[PropertyReport]:
-    """Level n's report from its defects and gaps: a sample fails when
-    either margin exceeds tol, both folded in sample order."""
+    """Level n's report from its defects and gaps, a sample's two margins."""
     gaps = parts[-1][1]
-    reports = []
-    for n, (defect, _), gap in zip(range(1, cfg.level + 1), parts, gaps):
-        margin = worst_along(np.stack((defect, gap), axis=1))
-        failures = int(np.count_nonzero(~(margin <= cfg.tol)))
-        reports.append(
-            _suite_report(
-                "leibniz", n, cfg.samples, failures, worst_along(margin),
-                _suite_seed(cfg.seed, "leibniz", n), cfg.tol,
-            )
+    return [
+        fold(
+            "leibniz", n, _suite_seed(cfg.seed, "leibniz", n), cfg.tol,
+            np.stack((defect, gap), axis=1),
         )
-    return reports
+        for n, (defect, _), gap in zip(range(1, cfg.level + 1), parts, gaps)
+    ]
 
 
 def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
@@ -477,14 +439,11 @@ def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyRepor
         generator_dev = _schur_deviation(
             commutator_generator(n), DiagonalComplement(2 ** n), scale=2.0
         )
-        worst = worst_of(worst_along(bridge), generator_dev)
-        failures = int(np.count_nonzero(~(bridge <= cfg.eig_tol)))
-        if not generator_dev <= cfg.eig_tol:
-            failures += 1
+        margins = np.append(bridge, generator_dev)[:, None]  # the generator last
         reports.append(
-            _suite_report(
-                "normalization-bridge", n, cfg.samples, failures, worst, seed,
-                cfg.eig_tol,
+            fold(
+                "normalization-bridge", n, seed, cfg.eig_tol, margins,
+                samples=cfg.samples,
             )
         )
     return reports
@@ -495,42 +454,44 @@ def _sqrt_energy(e: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(0.0 > e, 0.0, e))
 
 
+def _restricted_energies(form: QuadraticForm, a: np.ndarray):
+    """(n, E(P_n a), E(Q_n a), ||Q_n a||_2^2) for n = 1 .. L of a level-L
+    matrix a, or of each matrix of a stack, with P_n a = embed(cond_expect(a,
+    n)) and Q_n a = a - P_n a, by the arithmetic of project_P, project_Q,
+    eval_form and gns_inner on one element."""
+    level, top = form.level, form.dim
+    for n in range(1, level + 1):
+        pa = np.kron(partial_trace_matrix(a, level, n), np.eye(2 ** (level - n)))
+        e_n = form_energies(form, pa)
+        qa = a - pa
+        del pa
+        e_q, q_sq = form_energies(form, qa), (matrix_vdot(qa, qa) / top).real
+        del qa
+        yield n, e_n, e_q, q_sq
+
+
 def _run_convergence(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Restricted-energy chain for the diagonal form on random ambient
     elements: |sqrt(E_n) - sqrt(E)| <= sqrt(E(Q_n a)), the tail bound
-    E(Q_n a) <= ||Q_n a||_2^2, and exactness at the top level. Samples go
-    a chunk at a time, each P_n a built as embed(cond_expect(a, n))."""
+    E(Q_n a) <= ||Q_n a||_2^2, and exactness at the top level, E(Q_L a)
+    within eig_tol. Samples go a chunk at a time (see _restricted_energies)."""
     seed = _suite_seed(cfg.seed, "convergence", cfg.level)
     rng = np.random.default_rng(seed)
     form = diagonal_form(cfg.level)
     top = 2 ** cfg.level
-    worst = -np.inf
-    failures = 0
+    margins = []
     for (z,) in normal_chunks(rng, cfg.samples, (2, top, top)):
         a = complex_gaussian(z)
         root = _sqrt_energy(form_energies(form, a))
-        margins = []
-        for n in range(1, cfg.level + 1):
-            pa = np.kron(
-                partial_trace_matrix(a, cfg.level, n), np.eye(2 ** (cfg.level - n))
-            )
-            qa = a - pa
-            e_n = form_energies(form, pa)
-            del pa
-            e_q = form_energies(form, qa)
-            chain = np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q)
-            tail = e_q - (matrix_vdot(qa, qa) / top).real
-            del qa
-            margins += [chain, tail]
-        margin, top_tail = worst_along(np.stack(margins, axis=1)), e_q
-        # per sample worst_of(worst, margin, top_tail), in sample order
-        in_order = np.stack((margin, top_tail), axis=1).ravel()
-        worst = worst_of(worst, worst_along(in_order))
-        passed = (margin <= cfg.tol) & (top_tail <= cfg.eig_tol)
-        failures += int(np.count_nonzero(~passed))
+        row = []
+        for _, e_n, e_q, q_sq in _restricted_energies(form, a):
+            row += [np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q), e_q - q_sq]
+        margins.append(np.stack(row + [e_q], axis=1))  # e_q: E(Q_L a)
+    limits = [cfg.tol] * (2 * cfg.level) + [cfg.eig_tol]
     return [
-        _suite_report(
-            "convergence", cfg.level, cfg.samples, failures, worst, seed, cfg.tol
+        fold(
+            "convergence", cfg.level, seed, cfg.tol, np.concatenate(margins),
+            limits=limits,
         )
     ]
 
@@ -623,23 +584,8 @@ def write_reports(out_dir, reports: list[PropertyReport]) -> None:
     for rep in reports:
         with _open_new(out / f"{rep.suite}-level{rep.level}.json") as fh:
             fh.write(rep.to_json())
-    with _open_new(out / "summary.csv") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["suite", "level", "samples", "failures", "worst_margin", "seed", "tol"]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.suite,
-                    rep.level,
-                    rep.samples,
-                    rep.failures,
-                    repr(rep.worst_margin),
-                    rep.seed,
-                    repr(rep.tol),
-                ]
-            )
+    columns = [field.name for field in fields(PropertyReport)]
+    write_table_csv(out / "summary.csv", columns, map(asdict, reports))
 
 
 # --------------------------------------------------------------------------
@@ -659,25 +605,17 @@ def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
             f"{cfg.level}"
         )
     form = diagonal_form(cfg.level)
-    energy = eval_form(form, a)
-    rows = []
-    for n in range(1, cfg.level + 1):
-        pa = project_P(a, n)
-        qa = project_Q(a, n)
-        e_n = eval_form(form, pa)
-        e_q = eval_form(form, qa)
-        rows.append(
-            {
-                "n": n,
-                "E_n": e_n,
-                "E_Q_n": e_q,
-                "Q_n_norm_sq": gns_inner(qa, qa).real,
-                "sqrt_gap": abs(
-                    math.sqrt(max(e_n, 0.0)) - math.sqrt(max(energy, 0.0))
-                ),
-            }
-        )
-    return rows
+    root = _sqrt_energy(form_energies(form, a.entries))
+    return [
+        {
+            "n": n,
+            "E_n": float(e_n),
+            "E_Q_n": float(e_q),
+            "Q_n_norm_sq": float(q_sq),
+            "sqrt_gap": float(abs(_sqrt_energy(e_n) - root)),
+        }
+        for n, e_n, e_q, q_sq in _restricted_energies(form, a.entries)
+    ]
 
 
 # Bytes of stacked samples each of several pool workers holds at once: 8

@@ -1,21 +1,21 @@
-"""Outcome records for the randomized property suites."""
+"""Outcome records for the randomized property suites, and the one rule
+that turns a suite's margins into its record."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["PropertyReport", "worst_of", "worst_along"]
+__all__ = ["PropertyReport", "fold", "worst_of", "worst_along"]
 
 
 def worst_of(*margins) -> float:
     """The largest margin, NaN when any margin is NaN.
 
     Python's max drops a NaN that is not its first argument, which would
-    let a NaN sample read as slack; a suite folds its margins with this
-    and counts a failure when ``not margin <= tol``.
+    let a NaN sample read as slack.
     """
     return float(np.max(margins))
 
@@ -51,15 +51,7 @@ class PropertyReport:
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "level": self.level,
-            "samples": self.samples,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -71,3 +63,28 @@ class PropertyReport:
             f"failures={self.failures} worst_margin={self.worst_margin:.3e} "
             f"(tol={self.tol:.1e}, seed={self.seed})"
         )
+
+
+def fold(suite, level, seed, tol, margins, samples=None, limits=None) -> PropertyReport:
+    """The report of a suite's margins: one row per sample or lone check,
+    in the order they ran, one column per margin of that row.
+
+    A row fails unless every margin is within its limit (``limits``, one
+    per column; tol for every column by default), so a NaN fails its row.
+    worst_margin is worst_along over every margin in row order: NaN when
+    any is NaN, else the largest, of equal ones the last, -inf for none.
+    samples defaults to the number of rows.
+    """
+    margins, bounds = np.asarray(margins, dtype=float), tol
+    if limits is not None:  # one per column, also when there are no rows
+        margins, bounds = margins.reshape(len(margins), len(limits)), np.asarray(limits)
+    passed = np.all(margins <= bounds, axis=-1)
+    return PropertyReport(
+        suite=suite,
+        level=level,
+        samples=len(margins) if samples is None else samples,
+        failures=int(np.count_nonzero(~passed)),
+        worst_margin=float(worst_along(np.append(-np.inf, margins))),
+        seed=seed,
+        tol=tol,
+    )

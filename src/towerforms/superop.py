@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import PropertyReport, worst_along, worst_of
+from .report import PropertyReport, fold
 from .tower import (
     AlgebraElement,
     check_hermitian,
@@ -595,9 +595,6 @@ class SpectralResolution:
             _mix_pairs(x, _U_BLOCK)
         return unvec(x, self.dim)
 
-    def reconstruct(self, mat: np.ndarray) -> np.ndarray:
-        return self.apply_function(lambda lam: lam, mat)
-
     def function_body(self, func) -> np.ndarray:
         """Dense body of f(map): F W f(Lambda) W* F* with W the basis and F
         the frame, one real product for a real basis."""
@@ -831,27 +828,16 @@ def markov_check(
     t_samples = tuple(float(t) for t in t_samples)
     rng = np.random.default_rng(seed)
     d = op.dim
-    worst = -np.inf
-    failures = 0
+    margins = [np.empty((0, 2 * len(t_samples)))]  # no rows for no samples
     for (z,) in normal_chunks(rng, n_samples, (2, d, d)):
         x = clamp_spectrum(hermitian_part(complex_gaussian(z)), 0.0, 1.0)
-        margins = []
+        per_time = []
         for t in t_samples:
             y = _semigroup_matrix(op, t, x)
             ev = finite_spectra(np.linalg.eigvalsh, hermitian_part(y))
-            margins += [-ev[:, 0], ev[:, -1] - 1.0]
-        margin = worst_along(np.stack(margins, axis=1))
-        worst = worst_of(worst, worst_along(margin))
-        failures += int(np.count_nonzero(~(margin <= tol)))
-    return PropertyReport(
-        suite="markov",
-        level=op.level,
-        samples=n_samples,
-        failures=failures,
-        worst_margin=float(worst),
-        seed=seed,
-        tol=tol,
-    )
+            per_time += [-ev[:, 0], ev[:, -1] - 1.0]
+        margins.append(np.stack(per_time, axis=1))
+    return fold("markov", op.level, seed, tol, np.concatenate(margins))
 
 
 def symmetry_conservativity_check(
@@ -874,33 +860,19 @@ def symmetry_conservativity_check(
     rng = np.random.default_rng(seed)
     d = op.dim
     eye = np.eye(d, dtype=np.complex128)
-
-    conserv = -np.inf
-    for t in t_samples:
-        drift = np.abs(_semigroup_matrix(op, t, eye) - eye).max()
-        conserv = worst_of(conserv, drift)
-
-    worst = conserv
-    failures = 0 if conserv <= tol else 1
+    drifts = [np.abs(_semigroup_matrix(op, t, eye) - eye).max() for t in t_samples]
+    margins = [np.array([drifts])]  # the unit's row comes first
     for zx, zy in normal_chunks(rng, samples, (2, d, d), (2, d, d)):
         x, y = complex_gaussian(zx), complex_gaussian(zy)
-        margins = []
+        per_time = []
         for t in t_samples:
             lhs = np.trace(_semigroup_matrix(op, t, x) @ y, axis1=-2, axis2=-1) / d
             rhs = np.trace(x @ _semigroup_matrix(op, t, y), axis1=-2, axis2=-1) / d
             diff = lhs - rhs
-            margins.append(np.hypot(diff.real, diff.imag))  # abs() of each scalar
-        margin = worst_along(np.stack(margins, axis=1))
-        worst = worst_of(worst, worst_along(margin))
-        failures += int(np.count_nonzero(~(margin <= tol)))
-    return PropertyReport(
-        suite="symmetry",
-        level=op.level,
-        samples=samples,
-        failures=failures,
-        worst_margin=float(worst),
-        seed=seed,
-        tol=tol,
+            per_time.append(np.hypot(diff.real, diff.imag))  # abs() of each scalar
+        margins.append(np.stack(per_time, axis=1))
+    return fold(
+        "symmetry", op.level, seed, tol, np.concatenate(margins), samples=samples
     )
 
 

@@ -211,8 +211,8 @@ def test_criterion_7_derivation_suite():
             worst_leibniz = max(
                 worst_leibniz,
                 max(
-                    np.abs(x.entries - y.entries).max()
-                    for x, y in zip(lhs.components, rhs.components)
+                    np.abs(x - y).max()
+                    for x, y in zip(lhs.stack, rhs.stack)
                 ),
             )
     worst_energy = -np.inf

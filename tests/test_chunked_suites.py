@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from towerforms import forms, harness, superop, tower
 from towerforms.derivation import bimodule_inner, bimodule_left, bimodule_right, derive
@@ -24,7 +25,7 @@ from towerforms.forms import (
     eval_form_matrix,
 )
 from towerforms.harness import SEMIGROUP_LEVEL_CAP, RunConfig, run_suite
-from towerforms.report import PropertyReport, worst_along, worst_of
+from towerforms.report import PropertyReport, fold, worst_along, worst_of
 from towerforms.superop import DiagonalComplement, semigroup_apply
 from towerforms.tower import (
     AlgebraElement,
@@ -139,7 +140,7 @@ def ref_leibniz(cfg):
         for n, (a, b), e_n in zip(levels, pairs, ref_tower(amb)):
             lhs = derive(a @ b, n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = (lhs - rhs).max_abs()
+            margin = np.abs((lhs - rhs).stack).max()
             df = derive(e_n, n)
             energy = normalized_trace(bimodule_inner(df, df)).real
             margin = worst_of(margin, abs(energy - commutator_form_eval(e_n, n)))
@@ -193,7 +194,7 @@ def ref_per_level_ambient_top(cfg, suite):
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
             lhs = derive(a @ b, n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = (lhs - rhs).max_abs()
+            margin = np.abs((lhs - rhs).stack).max()
             amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
             df = derive(amb, n)
             energy = normalized_trace(bimodule_inner(df, df)).real
@@ -235,6 +236,28 @@ def ref_convergence(cfg):
         worst = worst_of(worst, margin, top_tail)
         failures += not (margin <= cfg.tol and top_tail <= cfg.eig_tol)
     return [_report("convergence", cfg.level, cfg.samples, failures, worst, seed, cfg.tol)]
+
+
+def ref_converge_table(cfg, a):
+    """converge_table's rows through the element API, one projection at a
+    time."""
+    form = diagonal_form(cfg.level)
+    energy = eval_form(form, a)
+    rows = []
+    for n in range(1, cfg.level + 1):
+        pa = project_P(a, n)
+        qa = project_Q(a, n)
+        e_n = eval_form(form, pa)
+        rows.append(
+            {
+                "n": n,
+                "E_n": e_n,
+                "E_Q_n": eval_form(form, qa),
+                "Q_n_norm_sq": gns_inner(qa, qa).real,
+                "sqrt_gap": abs(math.sqrt(max(e_n, 0.0)) - math.sqrt(max(energy, 0.0))),
+            }
+        )
+    return rows
 
 
 REFERENCES = {
@@ -439,3 +462,55 @@ def test_worst_along_is_the_worst_of_fold():
             want = worst_of(want, m)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(want) or np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 7])
+def test_converge_table_equals_the_element_api(level):
+    """converge_table and the convergence suite share one stacked kernel;
+    on one element it gives the element API's numbers bit for bit."""
+    cfg = RunConfig(level=level, suites=("convergence",))
+    for kind, seed in [("general", level), ("hermitian", 100 + level)]:
+        a = tower.random_element(level, kind, seed)
+        got = harness.converge_table(cfg, a)
+        assert got == ref_converge_table(cfg, a)
+        assert all(type(v) is float for row in got for k, v in row.items() if k != "n")
+
+
+def ref_fold(suite, level, seed, tol, margins, samples=None, limits=None):
+    """fold as a plain loop: worst_of over every margin, row after row, and
+    a failure for each row with a margin above its limit."""
+    worst, failures = -np.inf, 0
+    for row in margins:
+        bounds = [tol] * len(row) if limits is None else limits
+        for m in row:
+            worst = worst_of(worst, m)
+        failures += not all(m <= bound for m, bound in zip(row, bounds))
+    rows = len(margins) if samples is None else samples
+    return PropertyReport(suite, level, rows, failures, float(worst), seed, tol)
+
+
+_MARGINS = st.sampled_from([-1.0, -0.0, 0.0, 5e-11, 1e-10, 2e-10, 1.0, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.tuples(
+            st.lists(st.lists(_MARGINS, min_size=cols, max_size=cols), max_size=9),
+            st.none() | st.lists(
+                st.sampled_from([0.0, 1e-12, 1e-10]), min_size=cols, max_size=cols
+            ),
+        )
+    ),
+    st.none() | st.integers(0, 20),
+)
+def test_fold_is_the_per_row_worst_of_loop(rows_and_limits, samples):
+    """fold keeps what the per-row loop keeps: NaN wherever it appears, the
+    later of equal margins (0.0 and -0.0), per-column limits, and a samples
+    count that differs from the rows."""
+    margins, limits = rows_and_limits
+    args = ("suite", 3, 11, 1e-10, margins, samples, limits)
+    got, want = fold(*args), ref_fold(*args)
+    assert type(got.worst_margin) is float and type(got.failures) is int
+    assert got.to_json() == want.to_json()
+    assert np.signbit(got.worst_margin) == np.signbit(want.worst_margin)

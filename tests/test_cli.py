@@ -231,6 +231,17 @@ def test_verify_unknown_suite_lists_names(tmp_path, capsys):
     assert "bogus" in err and "dirichlet" in err and "markov" in err
 
 
+@pytest.mark.parametrize("selection", ["", " , ", ","])
+def test_verify_rejects_an_empty_suite_selection(selection, tmp_path, capsys):
+    """A --suite that names no suite exits 2 and writes no report instead of
+    passing with 0 reports."""
+    out = tmp_path / "reports"
+    code = main(["verify", "--suite", selection, "--level", "2", "--out-dir", str(out)])
+    assert code == 2
+    assert "no suite selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--tol", "--eig-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
 def test_verify_rejects_bad_tolerance(flag, value, capsys):

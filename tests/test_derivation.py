@@ -16,8 +16,8 @@ from towerforms.derivation import (
     bimodule_inner,
     bimodule_left,
     bimodule_right,
-    bimodule_to_json,
     derive,
+    max_abs_factors,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -29,8 +29,8 @@ def commutator_oracle(p: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def test_derive_frozen_example():
     f = derive(AlgebraElement(1, X), 1)
-    np.testing.assert_array_equal(f.components[0].entries, [[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_array_equal(f.components[1].entries, [[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(f.stack[0], [[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(f.stack[1], [[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_derive_matches_commutator_oracle():
@@ -40,16 +40,16 @@ def test_derive_matches_commutator_oracle():
         a = AlgebraElement(level, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         f = derive(a, n)
         b = cond_expect(a, n).entries
-        assert f.level == n and len(f.components) == 2 ** n
-        for j, comp in enumerate(f.components):
+        assert f.level == n and len(f.stack) == 2 ** n
+        for j, comp in enumerate(f.stack):
             p = diagonal_projection(n, j).entries
-            np.testing.assert_allclose(comp.entries, commutator_oracle(p, b), atol=1e-13)
+            np.testing.assert_allclose(comp, commutator_oracle(p, b), atol=1e-13)
 
 
 def test_derive_kills_diagonal_and_unit():
     d = AlgebraElement(2, np.diag([1.0, 2.0, 3.0, 4.0]))
-    assert all(np.abs(c.entries).max() == 0.0 for c in derive(d, 2).components)
-    assert all(np.abs(c.entries).max() == 0.0 for c in derive(identity(3), 2).components)
+    assert all(np.abs(c).max() == 0.0 for c in derive(d, 2).stack)
+    assert all(np.abs(c).max() == 0.0 for c in derive(identity(3), 2).stack)
 
 
 def test_derive_is_linear():
@@ -59,16 +59,16 @@ def test_derive_is_linear():
     lam = 1.2 - 0.7j
     lhs = derive(lam * a + b, 2)
     fa, fb = derive(a, 2), derive(b, 2)
-    for l, ca, cb in zip(lhs.components, fa.components, fb.components):
-        np.testing.assert_allclose(l.entries, lam * ca.entries + cb.entries, atol=1e-13)
+    for l, ca, cb in zip(lhs.stack, fa.stack, fb.stack):
+        np.testing.assert_allclose(l, lam * ca + cb, atol=1e-13)
 
 
 def test_derive_vanishes_iff_expectation_diagonal():
     a = AlgebraElement(2, np.kron(X, np.eye(2)))
     f = derive(a, 1)
-    assert any(np.abs(c.entries).max() > 0.5 for c in f.components)
+    assert any(np.abs(c).max() > 0.5 for c in f.stack)
     diag_only = AlgebraElement(2, np.kron(X, X))  # level-1 expectation vanishes
-    assert all(np.abs(c.entries).max() == 0.0 for c in derive(diag_only, 1).components)
+    assert all(np.abs(c).max() == 0.0 for c in derive(diag_only, 1).stack)
 
 
 # --------------------------------------------------------------------------
@@ -112,8 +112,6 @@ def test_stack_is_read_only_and_writable_input_is_copied():
     assert not (g.left.flags.writeable or g.right.flags.writeable)
     h = BimoduleVector(1, g.left, g.right)
     assert h.left is g.left and h.right is g.right  # read-only input is shared
-    for comp, row in zip(g.components, g.stack):
-        np.testing.assert_array_equal(comp.entries, row)
 
 
 def _generic_vector(n: int, rng) -> BimoduleVector:
@@ -184,16 +182,16 @@ def test_unit_acts_trivially():
     f = derive(AlgebraElement(1, X), 1)
     one = identity(1)
     for g in (bimodule_left(one, f), bimodule_right(f, one)):
-        for cf, cg in zip(f.components, g.components):
-            np.testing.assert_array_equal(cf.entries, cg.entries)
+        for cf, cg in zip(f.stack, g.stack):
+            np.testing.assert_array_equal(cf, cg)
 
 
 def test_left_action_matches_componentwise_oracle():
     f = derive(AlgebraElement(1, X), 1)
     p1 = diagonal_projection(1, 0)
     g = bimodule_left(p1, f)
-    for cf, cg in zip(f.components, g.components):
-        np.testing.assert_array_equal(cg.entries, p1.entries @ cf.entries)
+    for cf, cg in zip(f.stack, g.stack):
+        np.testing.assert_array_equal(cg, p1.entries @ cf)
 
 
 def test_actions_commute_and_associate():
@@ -203,12 +201,12 @@ def test_actions_commute_and_associate():
     b = AlgebraElement(2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     lhs = bimodule_right(bimodule_left(a, f), b)
     rhs = bimodule_left(a, bimodule_right(f, b))
-    for cl, cr in zip(lhs.components, rhs.components):
-        np.testing.assert_allclose(cl.entries, cr.entries, atol=1e-12)
+    for cl, cr in zip(lhs.stack, rhs.stack):
+        np.testing.assert_allclose(cl, cr, atol=1e-12)
     lhs2 = bimodule_left(a @ b, f)
     rhs2 = bimodule_left(a, bimodule_left(b, f))
-    for cl, cr in zip(lhs2.components, rhs2.components):
-        np.testing.assert_allclose(cl.entries, cr.entries, atol=1e-12)
+    for cl, cr in zip(lhs2.stack, rhs2.stack):
+        np.testing.assert_allclose(cl, cr, atol=1e-12)
 
 
 def test_action_level_mismatch_rejected():
@@ -259,9 +257,9 @@ def test_leibniz_anchor_squares_to_zero():
     x = AlgebraElement(1, X)
     lhs = derive(x @ x, 1)
     rhs = bimodule_right(derive(x, 1), x) + bimodule_left(x, derive(x, 1))
-    for cl, cr in zip(lhs.components, rhs.components):
-        assert np.abs(cl.entries).max() == 0.0
-        assert np.abs(cr.entries).max() < 1e-14
+    for cl, cr in zip(lhs.stack, rhs.stack):
+        assert np.abs(cl).max() == 0.0
+        assert np.abs(cr).max() < 1e-14
 
 
 def test_leibniz_holds_at_own_level():
@@ -273,8 +271,8 @@ def test_leibniz_holds_at_own_level():
             b = AlgebraElement(n, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
             lhs = derive(a @ b, n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            for cl, cr in zip(lhs.components, rhs.components):
-                assert np.abs(cl.entries - cr.entries).max() < 1e-10
+            for cl, cr in zip(lhs.stack, rhs.stack):
+                assert np.abs(cl - cr).max() < 1e-10
 
 
 def test_leibniz_genuinely_fails_above_its_level():
@@ -289,8 +287,8 @@ def test_leibniz_genuinely_fails_above_its_level():
         cond_expect(a, 1), derive(b, 1)
     )
     err = max(
-        np.abs(cl.entries - cr.entries).max()
-        for cl, cr in zip(lhs.components, rhs.components)
+        np.abs(cl - cr).max()
+        for cl, cr in zip(lhs.stack, rhs.stack)
     )
     assert err > 1e-2
 
@@ -319,7 +317,7 @@ def test_actions_are_componentwise_by_construction():
     right = bimodule_right(f, a)
     np.testing.assert_array_equal(left.right, f.right)
     np.testing.assert_array_equal(right.left, f.left)
-    for j in range(len(f.components)):
+    for j in range(len(f.stack)):
         a_left = a.entries @ f.left[j]
         right_a = f.right[j] @ a.entries
         np.testing.assert_array_equal(left.left[j], a_left)
@@ -328,10 +326,10 @@ def test_actions_are_componentwise_by_construction():
         np.testing.assert_array_equal(right.stack[j], f.left[j] @ right_a)
         # against the dense component, (a L) R rounds apart from a (L R)
         np.testing.assert_allclose(
-            left.components[j].entries, (a @ f.components[j]).entries, rtol=0, atol=1e-14
+            left.stack[j], a.entries @ f.stack[j], rtol=0, atol=1e-14
         )
         np.testing.assert_allclose(
-            right.components[j].entries, (f.components[j] @ a).entries, rtol=0, atol=1e-14
+            right.stack[j], f.stack[j] @ a.entries, rtol=0, atol=1e-14
         )
     changed_left, changed_right = np.array(f.left), np.array(f.right)
     changed_left[0] += 1.0
@@ -340,13 +338,6 @@ def test_actions_are_componentwise_by_construction():
     for acted_f, acted_g in [(left, bimodule_left(a, g)), (right, bimodule_right(g, a))]:
         np.testing.assert_array_equal(acted_f.stack[1:], acted_g.stack[1:])
         assert np.abs(acted_f.stack[0] - acted_g.stack[0]).max() > 0.1
-
-
-def test_bimodule_serializes_as_matrix_array():
-    f = derive(AlgebraElement(1, X), 1)
-    arr = bimodule_to_json(f)
-    assert isinstance(arr, list) and len(arr) == 2
-    assert arr[0]["level"] == 1 and "re" in arr[0] and "im" in arr[0]
 
 
 def test_max_abs_blocks_cover_every_component(monkeypatch):
@@ -361,6 +352,6 @@ def test_max_abs_blocks_cover_every_component(monkeypatch):
     left = rng.standard_normal((k, d, r)) + 1j * rng.standard_normal((k, d, r))
     right = rng.standard_normal((k, r, d))
     f = BimoduleVector(5, left, right)
-    assert f.max_abs() == np.abs(f.stack).max()
+    assert max_abs_factors(f.left, f.right) == np.abs(f.stack).max()
     left[-1, 0, 0] = np.nan
-    assert np.isnan(BimoduleVector(5, left, right).max_abs())
+    assert np.isnan(max_abs_factors(left, right))

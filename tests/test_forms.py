@@ -34,7 +34,6 @@ from towerforms.forms import (
     eval_form,
     eval_form_matrix,
     family_compatibility_margin,
-    restricted_form,
     wedge_one,
     _stabilization_values,
 )
@@ -326,23 +325,24 @@ def test_amplified_invalid_k_rejected():
 
 
 def test_restricted_to_own_level_is_same_form():
+    """The restricted form a -> E(P_n a) is the form itself at n = level."""
     F = diagonal_form(2)
-    assert restricted_form(F, 2) is F
+    a = random_element(2, "general", 330)
+    assert np.array_equal(project_P(a, 2).entries, a.entries)
+    assert eval_form(F, project_P(a, 2)) == eval_form(F, a)
 
 
 def test_restricted_fixes_embedded_low_level_elements():
     F = diagonal_form(2)
-    F1 = restricted_form(F, 1)
     a = embed(AlgebraElement(1, X), 2)
-    assert abs(eval_form(F1, a) - 1.0) < 1e-14
-    assert abs(eval_form(F1, a) - eval_form(F, project_P(a, 1))) < 1e-14
+    assert abs(eval_form(F, project_P(a, 1)) - 1.0) < 1e-14
+    assert abs(eval_form(F, project_P(a, 1)) - eval_form(F, a)) < 1e-14
 
 
 def test_restricted_kills_higher_level_detail():
     F = diagonal_form(2)
-    F1 = restricted_form(F, 1)
     a = AlgebraElement(2, np.kron(X, X))  # vanishing level-1 expectation
-    assert abs(eval_form(F1, a)) < 1e-14
+    assert abs(eval_form(F, project_P(a, 1))) < 1e-14
 
 
 def _operator_norm(form: QuadraticForm) -> float:
@@ -352,16 +352,31 @@ def _operator_norm(form: QuadraticForm) -> float:
 
 
 def test_restricted_form_is_bounded_and_dirichlet():
-    F = diagonal_form(3)
-    F1 = restricted_form(F, 1)
-    assert _operator_norm(F1) <= _operator_norm(F) + 1e-12 == 1.0 + 1e-12
-    rep = dirichlet_check(F1, samples=100, seed=155, tol=1e-10)
-    assert rep.failures == 0
+    """a -> E(P_1 a) at level 3: its generator P_1 L P_1 has spectrum in
+    [0, ||L||] = [0, 1], and it is a Dirichlet form, E(P_1 (a ^ 1)) <=
+    E(P_1 a) for Hermitian a and E(P_1 a*) = E(P_1 a)."""
+    F, d = diagonal_form(3), 8
+    units = [AlgebraElement(3, np.sqrt(d) * e) for e in np.eye(d * d).reshape(-1, d, d)]
+    projected = [project_P(u, 1) for u in units]  # u orthonormal for <., .>_2
+    gram = np.array(
+        [[gns_inner(p, apply(F.generator, q)) for q in projected] for p in projected]
+    )
+    eigenvalues = np.linalg.eigvalsh(gram)
+    assert eigenvalues[0] >= -1e-12
+    assert eigenvalues[-1] <= _operator_norm(F) + 1e-12 == 1.0 + 1e-12
+    for seed in range(100):
+        a = random_element(3, "hermitian", 155 + seed)
+        energy = eval_form(F, project_P(a, 1))
+        assert eval_form(F, project_P(wedge_one(a), 1)) <= energy + 1e-10
+        g = random_element(3, "general", 1155 + seed)
+        adjoint = AlgebraElement(3, g.entries.conj().T)
+        reality = eval_form(F, project_P(adjoint, 1)) - eval_form(F, project_P(g, 1))
+        assert abs(reality) <= 1e-10
 
 
 def test_restricted_rejects_higher_level():
     with pytest.raises(ValueError, match="higher level"):
-        restricted_form(diagonal_form(1), 3)
+        project_P(random_element(1, "general", 364), 3)
 
 
 def test_restricted_values_nonnegative_and_exact_at_top():
@@ -370,9 +385,9 @@ def test_restricted_values_nonnegative_and_exact_at_top():
         a = random_element(3, "general", 310 + seed)
         e = eval_form(F, a)
         for n in (1, 2, 3):
-            e_n = eval_form(restricted_form(F, n), a)
+            e_n = eval_form(F, project_P(a, n))
             assert e_n >= -1e-12
-        assert abs(eval_form(restricted_form(F, 3), a) - e) == 0.0
+        assert abs(eval_form(F, project_P(a, 3)) - e) == 0.0
 
 
 # --------------------------------------------------------------------------

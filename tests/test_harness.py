@@ -56,6 +56,13 @@ def test_config_rejects_bad_values():
         RunConfig(times=(-1.0, 0.5))
 
 
+@pytest.mark.parametrize("suites", [(), []])
+def test_config_rejects_an_empty_suite_selection(suites):
+    """A run must name at least one suite: no suite is no check."""
+    with pytest.raises(ValueError, match="no suite selected"):
+        RunConfig(suites=suites)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
