@@ -25,10 +25,9 @@ from .tower import (
     check_hermitian,
     check_nonnegative,
     clamp_spectrum,
-    complex_gaussian,
+    gaussian_chunks,
     hermitian_part,
     matrix_vdot,
-    normal_chunks,
 )
 from .expectations import cond_expect, partial_trace_matrix
 from .superop import (
@@ -183,25 +182,25 @@ def dirichlet_check(
     general samples checks the reality E(a*) = E(a).
 
     The samples are drawn and checked a chunk at a time (see
-    tower.normal_chunks) with stacked eigh and energy calls that do the
+    tower.gaussian_chunks) with stacked eigh and energy calls that do the
     per-sample arithmetic, so the report is byte-identical to evaluating
-    one sample at a time. A sample with a NaN margin counts as a failure.
+    one sample at a time. A sample with a NaN margin counts as a failure,
+    and so does a sample that is never checked.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    d = form.dim
-    margins = [np.empty((0, 2))]  # no rows when there are no samples
-    for za, zg in normal_chunks(rng, samples, (2, d, d), (2, d, d)):
-        a = hermitian_part(complex_gaussian(za))
+    margins = np.full((samples, 2), np.nan)  # row i: sample i
+    for rows, (a, g) in gaussian_chunks(rng, samples, form.dim, 2):
+        a = hermitian_part(a)
         wedged = clamp_spectrum(a, 0.0, 1.0)
-        contraction = form_energies(form, wedged) - form_energies(form, a)
+        margins[rows, 0] = form_energies(form, wedged) - form_energies(form, a)
         del a, wedged
-        g = complex_gaussian(zg)
-        reality = np.abs(
+        margins[rows, 1] = np.abs(
             form_energies(form, g.conj().swapaxes(-1, -2)) - form_energies(form, g)
         )
-        margins.append(np.stack((contraction, reality), axis=1))
     level = form.level if level is None else level
-    return fold("dirichlet", level, seed, tol, np.concatenate(margins))
+    return fold("dirichlet", level, seed, tol, margins)
 
 
 def amplified_form(form: QuadraticForm, k: int) -> QuadraticForm:

@@ -24,10 +24,9 @@ from .report import PropertyReport, fold, worst_of
 from .tower import (
     AlgebraElement,
     check_nonnegative,
-    complex_gaussian,
+    gaussian_chunks,
     gns_inner,
     matrix_vdot,
-    normal_chunks,
     normalized_trace,
 )
 from .expectations import partial_trace_matrix
@@ -88,8 +87,10 @@ SUITE_NAMES = (
     "convergence",
 )
 
-# The markov, symmetry and choi suites run levels 1 .. min(level, cap).
+# The markov, symmetry and choi suites run levels 1 .. min(level, cap), each
+# at these semigroup times.
 SEMIGROUP_LEVEL_CAP = 3
+SEMIGROUP_TIMES = (0.1, 1.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ class RunConfig:
     seed: int = 7
     tol: float = 1e-10
     eig_tol: float = 1e-12
-    times: tuple = (0.1, 1.0, 10.0)
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -120,10 +120,6 @@ class RunConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         check_nonnegative("tol", self.tol)
         check_nonnegative("eig_tol", self.eig_tol)
-        times = tuple(check_nonnegative("time grid entry", t) for t in self.times)
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise ValueError(f"time grid must be ascending, got {times}")
-        object.__setattr__(self, "times", times)
         suites = tuple(self.suites)
         if suites == ("all",):
             suites = SUITE_NAMES
@@ -164,12 +160,10 @@ class _Unit:
     """One independent part of a suite, with its own forms, generators and
     rng: level is the level it works at, nbytes the bytes of one of its
     samples (one sample's normals, or the largest matrix of a unit that
-    draws none), and part names a unit that is not its level's check (the
-    choi transpose control)."""
+    draws none)."""
 
     level: int
     nbytes: int
-    part: str = ""
 
 
 def _levels(top: int, nbytes_per_entry: int) -> list[_Unit]:
@@ -195,7 +189,7 @@ def _run_markov(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     return [
         markov_check(
             DiagonalComplement(2 ** n),
-            t_samples=cfg.times,
+            t_samples=SEMIGROUP_TIMES,
             n_samples=cfg.samples,
             seed=_suite_seed(cfg.seed, "markov", n),
             tol=cfg.tol,
@@ -211,30 +205,23 @@ def _run_symmetry(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
             samples=cfg.samples,
             seed=_suite_seed(cfg.seed, "symmetry", n),
             tol=cfg.tol,
-            t_samples=cfg.times,
+            t_samples=SEMIGROUP_TIMES,
         )
-    ]
-
-
-def _choi_units(cfg: RunConfig) -> list[_Unit]:
-    """A unit per level, whose largest matrix is the d^2 x d^2 Choi matrix,
-    and the transpose control at level 1."""
-    levels = range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1)
-    return [_Unit(n, 16 * 16 ** n) for n in levels] + [
-        _Unit(1, 16 * 16, "transpose-control")
     ]
 
 
 def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Semigroup maps of the diagonal generator must be completely
-    positive; the transpose map is the injected negative control and must
-    be flagged non-CP with smallest Choi eigenvalue -1."""
-    if unit.part == "transpose-control":
-        control = abs(choi_min_eigenvalue(TransposeMap(2)) + 1.0)
-        return [fold("choi-transpose-control", 1, cfg.seed, cfg.tol, [[control]])]
+    positive. The top unit also checks the transpose map, the injected
+    negative control, which must be flagged non-CP with smallest Choi
+    eigenvalue -1; its report comes after that level's."""
     gen = DiagonalComplement(2 ** unit.level)
-    margins = [[-choi_min_eigenvalue(SemigroupMap(gen, t))] for t in cfg.times]
-    return [fold("choi", unit.level, cfg.seed, cfg.tol, margins)]
+    margins = [[-choi_min_eigenvalue(SemigroupMap(gen, t))] for t in SEMIGROUP_TIMES]
+    reports = [fold("choi", unit.level, cfg.seed, cfg.tol, margins)]
+    if unit.level == min(cfg.level, SEMIGROUP_LEVEL_CAP):
+        control = abs(choi_min_eigenvalue(TransposeMap(2)) + 1.0)
+        reports.append(fold("choi-transpose-control", 1, cfg.seed, cfg.tol, [[control]]))
+    return reports
 
 
 def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,38 +243,36 @@ def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return max_abs_factors(left, right)
 
 
-def _conditioned_down(b: np.ndarray, part: slice, level: int):
-    """(n, part, E_n b) for n = level, ..., 1 of a stack b of level-`level`
+def _conditioned_down(b: np.ndarray, rows: slice, level: int):
+    """(n, rows, E_n b) for n = level, ..., 1 of a stack b of level-`level`
     matrices: each step traces one more leg out of the last, which is E_n b
     by the tower property E_n = E_n E_{n+1}. Only the last stage is kept."""
-    yield level, part, b
+    yield level, rows, b
     for n in range(level - 1, 0, -1):
         b = partial_trace_matrix(b, n + 1, n)
-        yield n, part, b
+        yield n, rows, b
 
 
 def _expectation_towers(ambients, level: int):
-    """(n, part, E_n a) for n = level, ..., 1 of the stacks a of
-    level-`level` matrices that `ambients` yields, part the positions of
-    a's samples in its stream.
+    """(n, rows, E_n a) for n = level, ..., 1 of the (rows, a) that
+    `ambients` yields: a a stack of level-`level` matrices, rows the
+    positions of its samples in their stream.
 
     Level `level` comes a stack at a time. Below it, E_{level-1} a of
     consecutive stacks is gathered until it holds tower.SAMPLE_CHUNK_BYTES
     and then conditioned down a leg at a time (see _conditioned_down), so
     the small levels go in stacks of many samples."""
-    held, first, start = [], 0, 0
-    for a in ambients:
-        part = slice(start, start + len(a))
-        start = part.stop
-        yield level, part, a
+    held, first = [], 0
+    for rows, a in ambients:
+        yield level, rows, a
         if level > 1:
             held.append(partial_trace_matrix(a, level, level - 1))
         del a  # freed before the next chunk is drawn
         if held and sum(b.nbytes for b in held) >= tower.SAMPLE_CHUNK_BYTES:
-            yield from _conditioned_down(_joined(held), slice(first, start), level - 1)
-            held, first = [], start
+            yield from _conditioned_down(_joined(held), slice(first, rows.stop), level - 1)
+            held, first = [], rows.stop
     if held:
-        yield from _conditioned_down(_joined(held), slice(first, start), level - 1)
+        yield from _conditioned_down(_joined(held), slice(first, rows.stop), level - 1)
 
 
 def _joined(stacks: list) -> np.ndarray:
@@ -325,33 +310,28 @@ def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
     ambient i, which the working level's stream draws after its own pair i;
     every level reads its E_n off that one ambient (see _expectation_towers).
     The stream is drawn and checked a chunk at a time (see
-    tower.normal_chunks); every margin comes from the arithmetic of the
+    tower.gaussian_chunks); every margin comes from the arithmetic of the
     per-sample element API (derive, bimodule_*, commutator_form_eval).
     Returns the defects of the unit's level, one per sample, and at the
-    working level the gaps of every level (one row per level), else None."""
+    working level the gaps of every level (one row per level), else None.
+    A sample that is never checked keeps a NaN defect or gap."""
     level, samples, d = cfg.level, cfg.samples, 2 ** unit.level
     rng = np.random.default_rng(_suite_seed(cfg.seed, "leibniz", unit.level))
-    pair = (2, d, d)
-    defects = np.empty(samples)
+    defects = np.full(samples, np.nan)
     if unit.level < level:
-        start = 0
-        for za, zb in normal_chunks(rng, samples, pair, pair):
-            part = slice(start, start + len(za))
-            start = part.stop
-            defects[part] = _leibniz_defects(complex_gaussian(za), complex_gaussian(zb))
+        for rows, (a, b) in gaussian_chunks(rng, samples, d, 2):
+            defects[rows] = _leibniz_defects(a, b)
         return defects, None
 
     def ambients():  # the working level's stream: its pairs, then the ambient
-        start = 0
-        for za, zb, z in normal_chunks(rng, samples, pair, pair, pair):
-            part = slice(start, start + len(z))
-            start = part.stop
-            defects[part] = _leibniz_defects(complex_gaussian(za), complex_gaussian(zb))
-            yield complex_gaussian(z)
+        for rows, (a, b, ambient) in gaussian_chunks(rng, samples, d, 3):
+            defects[rows] = _leibniz_defects(a, b)
+            del a, b  # freed while the ambient is conditioned
+            yield rows, ambient
 
-    gaps = np.empty((level, samples))
-    for n, part, b in _expectation_towers(ambients(), level):
-        gaps[n - 1, part] = _energy_gaps(b)
+    gaps = np.full((level, samples), np.nan)
+    for n, rows, b in _expectation_towers(ambients(), level):
+        gaps[n - 1, rows] = _energy_gaps(b)
     return defects, gaps
 
 
@@ -423,30 +403,25 @@ def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyRepor
     level = cfg.level
     seed = _suite_seed(cfg.seed, "normalization-bridge", level)
     rng = np.random.default_rng(seed)
-    top = 2 ** level
     forms_n = [diagonal_form(n) for n in range(1, level + 1)]
-    bridges = np.empty((level, cfg.samples))
-    ambients = (
-        complex_gaussian(z)
-        for (z,) in normal_chunks(rng, cfg.samples, (2, top, top))
-    )
-    for n, part, b in _expectation_towers(ambients, level):
-        bridges[n - 1, part] = np.abs(
+    # level n's row: column i is sample i, the generator's deviation last
+    bridges = np.full((level, cfg.samples + 1), np.nan)
+    ambients = gaussian_chunks(rng, cfg.samples, 2 ** level, 1)
+    for n, rows, b in _expectation_towers(((r, a) for r, (a,) in ambients), level):
+        bridges[n - 1, rows] = np.abs(
             commutator_energies(b) - 2.0 * form_energies(forms_n[n - 1], b)
         )
-    reports = []
-    for n, bridge in enumerate(bridges, start=1):
-        generator_dev = _schur_deviation(
+    for n in range(1, level + 1):
+        bridges[n - 1, -1] = _schur_deviation(
             commutator_generator(n), DiagonalComplement(2 ** n), scale=2.0
         )
-        margins = np.append(bridge, generator_dev)[:, None]  # the generator last
-        reports.append(
-            fold(
-                "normalization-bridge", n, seed, cfg.eig_tol, margins,
-                samples=cfg.samples,
-            )
+    return [
+        fold(
+            "normalization-bridge", n, seed, cfg.eig_tol, bridge[:, None],
+            samples=cfg.samples,
         )
-    return reports
+        for n, bridge in enumerate(bridges, start=1)
+    ]
 
 
 def _sqrt_energy(e: np.ndarray) -> np.ndarray:
@@ -478,22 +453,15 @@ def _run_convergence(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     seed = _suite_seed(cfg.seed, "convergence", cfg.level)
     rng = np.random.default_rng(seed)
     form = diagonal_form(cfg.level)
-    top = 2 ** cfg.level
-    margins = []
-    for (z,) in normal_chunks(rng, cfg.samples, (2, top, top)):
-        a = complex_gaussian(z)
+    margins = np.full((cfg.samples, 2 * cfg.level + 1), np.nan)  # row i: sample i
+    for rows, (a,) in gaussian_chunks(rng, cfg.samples, form.dim, 1):
         root = _sqrt_energy(form_energies(form, a))
-        row = []
-        for _, e_n, e_q, q_sq in _restricted_energies(form, a):
-            row += [np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q), e_q - q_sq]
-        margins.append(np.stack(row + [e_q], axis=1))  # e_q: E(Q_L a)
+        for n, e_n, e_q, q_sq in _restricted_energies(form, a):
+            margins[rows, 2 * n - 2] = np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q)
+            margins[rows, 2 * n - 1] = e_q - q_sq
+        margins[rows, -1] = e_q  # E(Q_L a)
     limits = [cfg.tol] * (2 * cfg.level) + [cfg.eig_tol]
-    return [
-        fold(
-            "convergence", cfg.level, seed, cfg.tol, np.concatenate(margins),
-            limits=limits,
-        )
-    ]
+    return [fold("convergence", cfg.level, seed, cfg.tol, margins, limits=limits)]
 
 
 def _top_unit(cfg: RunConfig) -> list[_Unit]:
@@ -508,7 +476,9 @@ _SUITE_UNITS = {
     "dirichlet": lambda cfg: _levels(cfg.level, 32),
     "markov": lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 16),
     "symmetry": lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 32),
-    "choi": _choi_units,
+    "choi": lambda cfg: [  # the largest matrix: the d^2 x d^2 Choi matrix
+        _Unit(n, 16 * 16 ** n) for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1)
+    ],
     "leibniz": _leibniz_units,
     "compatibility": _top_unit,
     "normalization-bridge": _top_unit,

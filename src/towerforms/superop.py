@@ -31,10 +31,9 @@ from .tower import (
     check_hermitian,
     check_nonnegative,
     clamp_spectrum,
-    complex_gaussian,
     finite_spectra,
+    gaussian_chunks,
     hermitian_part,
-    normal_chunks,
 )
 from .expectations import diagonal_part, partial_trace_matrix
 
@@ -821,23 +820,26 @@ def markov_check(
     keeps its spectrum inside [-tol, 1 + tol].
 
     The samples are drawn and checked a chunk at a time (see
-    tower.normal_chunks) with stacked eigh/eigvalsh calls that do the
+    tower.gaussian_chunks) with stacked eigh/eigvalsh calls that do the
     per-sample arithmetic, so the report is byte-identical to evaluating
-    one sample at a time. A sample with a NaN margin counts as a failure.
+    one sample at a time. A sample with a NaN margin counts as a failure,
+    and so does a sample that is never checked.
     """
     t_samples = tuple(float(t) for t in t_samples)
+    if not t_samples:
+        raise ValueError("t_samples must hold at least one time")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    d = op.dim
-    margins = [np.empty((0, 2 * len(t_samples)))]  # no rows for no samples
-    for (z,) in normal_chunks(rng, n_samples, (2, d, d)):
-        x = clamp_spectrum(hermitian_part(complex_gaussian(z)), 0.0, 1.0)
-        per_time = []
-        for t in t_samples:
+    margins = np.full((n_samples, 2 * len(t_samples)), np.nan)  # row i: sample i
+    for rows, (x,) in gaussian_chunks(rng, n_samples, op.dim, 1):
+        x = clamp_spectrum(hermitian_part(x), 0.0, 1.0)
+        for k, t in enumerate(t_samples):
             y = _semigroup_matrix(op, t, x)
             ev = finite_spectra(np.linalg.eigvalsh, hermitian_part(y))
-            per_time += [-ev[:, 0], ev[:, -1] - 1.0]
-        margins.append(np.stack(per_time, axis=1))
-    return fold("markov", op.level, seed, tol, np.concatenate(margins))
+            margins[rows, 2 * k] = -ev[:, 0]
+            margins[rows, 2 * k + 1] = ev[:, -1] - 1.0
+    return fold("markov", op.level, seed, tol, margins)
 
 
 def symmetry_conservativity_check(
@@ -850,30 +852,30 @@ def symmetry_conservativity_check(
     """Check trace symmetry tau(Phi_t(x) y) = tau(x Phi_t(y)) on random
     pairs and unit preservation Phi_t(1) = 1.
 
-    A broken unit counts as one failure on top of the per-sample count.
-    The pairs are drawn and checked a chunk at a time (see
-    tower.normal_chunks) with stacked products and traces that do the
-    per-sample arithmetic, so the report is byte-identical to evaluating
-    one pair at a time.
+    A broken unit counts as one failure on top of the per-sample count, and
+    so does a pair that is never checked. The pairs are drawn and checked a
+    chunk at a time (see tower.gaussian_chunks) with stacked products and
+    traces that do the per-sample arithmetic, so the report is
+    byte-identical to evaluating one pair at a time.
     """
     t_samples = tuple(float(t) for t in t_samples)
+    if not t_samples:
+        raise ValueError("t_samples must hold at least one time")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     d = op.dim
     eye = np.eye(d, dtype=np.complex128)
-    drifts = [np.abs(_semigroup_matrix(op, t, eye) - eye).max() for t in t_samples]
-    margins = [np.array([drifts])]  # the unit's row comes first
-    for zx, zy in normal_chunks(rng, samples, (2, d, d), (2, d, d)):
-        x, y = complex_gaussian(zx), complex_gaussian(zy)
-        per_time = []
-        for t in t_samples:
+    margins = np.full((samples + 1, len(t_samples)), np.nan)
+    margins[0] = [np.abs(_semigroup_matrix(op, t, eye) - eye).max() for t in t_samples]
+    pairs = margins[1:]  # row i: pair i, after the unit's row
+    for rows, (x, y) in gaussian_chunks(rng, samples, d, 2):
+        for k, t in enumerate(t_samples):
             lhs = np.trace(_semigroup_matrix(op, t, x) @ y, axis1=-2, axis2=-1) / d
             rhs = np.trace(x @ _semigroup_matrix(op, t, y), axis1=-2, axis2=-1) / d
             diff = lhs - rhs
-            per_time.append(np.hypot(diff.real, diff.imag))  # abs() of each scalar
-        margins.append(np.stack(per_time, axis=1))
-    return fold(
-        "symmetry", op.level, seed, tol, np.concatenate(margins), samples=samples
-    )
+            pairs[rows, k] = np.hypot(diff.real, diff.imag)  # abs() of each scalar
+    return fold("symmetry", op.level, seed, tol, margins, samples=samples)
 
 
 def square_matrix_to_json(mat: np.ndarray) -> dict:

@@ -10,7 +10,6 @@ level n+k appends k identity legs on the right, i.e. ``a -> kron(a, I)``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,7 @@ __all__ = [
     "modular_conjugation",
     "random_element",
     "SAMPLE_CHUNK_BYTES",
-    "normal_chunks",
+    "gaussian_chunks",
     "complex_gaussian",
     "gaussian_general",
     "hermitian_part",
@@ -204,28 +203,24 @@ RANDOM_KINDS = ("hermitian", "general", "contraction", "psd")
 SAMPLE_CHUNK_BYTES = 2 ** 17
 
 
-def normal_chunks(rng: np.random.Generator, samples: int, *shapes):
-    """The standard normals of `samples` samples, one chunk at a time.
+def gaussian_chunks(rng: np.random.Generator, samples: int, dim: int, count: int):
+    """The complex Gaussian dim x dim matrices of `samples` samples of
+    `count` matrices each, one chunk at a time.
 
-    A sample is one block per shape, drawn in that order. A chunk of S
-    samples comes from one rng.standard_normal((S, size)) call; the stream
-    yields the same numbers as S * len(shapes) calls of the per-block
-    shapes, so chunked and per-sample evaluation see the same samples.
-    Each chunk holds at most SAMPLE_CHUNK_BYTES of normals (one sample when
-    a single sample is larger) and is yielded as a tuple of (S, *shape)
-    arrays, one per shape.
+    Yields (rows, mats): rows is the slice of the chunk's sample positions,
+    and mats holds one complex (S, dim, dim) stack per matrix of a sample.
+    A chunk of S samples comes from one rng.standard_normal call, which
+    yields the numbers of drawing each sample's matrices in turn as
+    gaussian_general draws one, so chunked and per-sample evaluation see
+    the same samples. Each chunk holds at most SAMPLE_CHUNK_BYTES of
+    normals (one sample when a single sample is larger).
     """
-    sizes = [math.prod(shape) for shape in shapes]
-    per_sample = sum(sizes)
-    step = max(1, SAMPLE_CHUNK_BYTES // (8 * per_sample))
+    step = max(1, SAMPLE_CHUNK_BYTES // (16 * count * dim * dim))
     for start in range(0, samples, step):
-        count = min(step, samples - start)
-        z = rng.standard_normal((count, per_sample))
-        blocks, offset = [], 0
-        for shape, size in zip(shapes, sizes):
-            blocks.append(z[:, offset:offset + size].reshape(count, *shape))
-            offset += size
-        yield tuple(blocks)
+        rows = slice(start, min(start + step, samples))
+        shape = (rows.stop - start, count, 2, dim, dim)
+        # unnamed here, so each stack is freed when its caller drops it
+        yield rows, tuple(map(complex_gaussian, rng.standard_normal(shape).swapaxes(0, 1)))
 
 
 def complex_gaussian(z: np.ndarray) -> np.ndarray:
@@ -276,7 +271,7 @@ def clamp_spectrum(mat: np.ndarray, lo=None, hi=None) -> np.ndarray:
 
 
 def random_matrix(dim: int, kind: str, rng: np.random.Generator) -> np.ndarray:
-    """Raw-matrix sampler used by the property suites; see random_element."""
+    """Raw-matrix sampler of random_element; see there."""
     if kind == "general":
         return gaussian_general(dim, rng)
     if kind == "hermitian":

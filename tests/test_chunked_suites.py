@@ -24,16 +24,16 @@ from towerforms.forms import (
     eval_form,
     eval_form_matrix,
 )
-from towerforms.harness import SEMIGROUP_LEVEL_CAP, RunConfig, run_suite
+from towerforms.harness import SEMIGROUP_LEVEL_CAP, SEMIGROUP_TIMES, RunConfig, run_suite
 from towerforms.report import PropertyReport, fold, worst_along, worst_of
 from towerforms.superop import DiagonalComplement, semigroup_apply
 from towerforms.tower import (
     AlgebraElement,
     clamp_spectrum,
+    gaussian_chunks,
     gaussian_general,
     gaussian_hermitian,
     gns_inner,
-    normal_chunks,
     normalized_trace,
     random_matrix,
 )
@@ -78,7 +78,7 @@ def ref_markov(cfg):
         for _ in range(cfg.samples):
             x = AlgebraElement(n, random_matrix(2 ** n, "contraction", rng))
             margin = -np.inf
-            for t in cfg.times:
+            for t in SEMIGROUP_TIMES:
                 y = semigroup_apply(gen, t, x).entries
                 ev = np.linalg.eigvalsh(0.5 * (y + y.conj().T))
                 margin = worst_of(margin, -ev[0], ev[-1] - 1.0)
@@ -96,7 +96,7 @@ def ref_symmetry(cfg):
         gen, d = DiagonalComplement(2 ** n), 2 ** n
         eye = AlgebraElement(n, np.eye(d))
         conserv = -np.inf
-        for t in cfg.times:
+        for t in SEMIGROUP_TIMES:
             drift = np.abs(semigroup_apply(gen, t, eye).entries - eye.entries).max()
             conserv = worst_of(conserv, drift)
         worst, failures = conserv, 0 if conserv <= cfg.tol else 1
@@ -104,7 +104,7 @@ def ref_symmetry(cfg):
             x = AlgebraElement(n, random_matrix(d, "general", rng))
             y = AlgebraElement(n, random_matrix(d, "general", rng))
             margin = -np.inf
-            for t in cfg.times:
+            for t in SEMIGROUP_TIMES:
                 lhs = np.trace(semigroup_apply(gen, t, x).entries @ y.entries) / d
                 rhs = np.trace(x.entries @ semigroup_apply(gen, t, y).entries) / d
                 margin = worst_of(margin, abs(lhs - rhs))
@@ -276,7 +276,7 @@ REFERENCES = {
 
 
 def chunks_of(monkeypatch, size) -> list:
-    """Make every normal_chunks call of the suites yield chunks of `size`
+    """Make every gaussian_chunks call of the suites yield chunks of `size`
     samples (None: the default budget); return the chunk sizes of each call.
     The budget is a module global set per call, so the suites run on one
     worker here; the pooled path is compared with one worker in
@@ -284,17 +284,17 @@ def chunks_of(monkeypatch, size) -> list:
     monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
     calls = []
 
-    def sized(rng, samples, *shapes):
+    def sized(rng, samples, dim, count):
         if size is not None:
-            per_sample = 8 * sum(math.prod(s) for s in shapes)
+            per_sample = 16 * count * dim * dim
             monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", size * per_sample)
         calls.append([])
-        for blocks in normal_chunks(rng, samples, *shapes):
-            calls[-1].append(len(blocks[0]))
-            yield blocks
+        for rows, mats in gaussian_chunks(rng, samples, dim, count):
+            calls[-1].append(len(mats[0]))
+            yield rows, mats
 
     for module in (harness, forms, superop):
-        monkeypatch.setattr(module, "normal_chunks", sized)
+        monkeypatch.setattr(module, "gaussian_chunks", sized)
     return calls
 
 
@@ -331,12 +331,12 @@ def test_one_ambient_draw_per_sample(monkeypatch):
 
     drawn = []
 
-    def counted(rng, samples, *shapes):
-        for blocks in normal_chunks(rng, samples, *shapes):
-            drawn.append(sum(block.size for block in blocks))
-            yield blocks
+    def counted(rng, samples, dim, count):
+        for rows, mats in gaussian_chunks(rng, samples, dim, count):
+            drawn.append(sum(2 * m.size for m in mats))  # a real and an imaginary normal
+            yield rows, mats
 
-    monkeypatch.setattr(harness, "normal_chunks", counted)
+    monkeypatch.setattr(harness, "gaussian_chunks", counted)
     level, samples = 4, 7
     code = main([
         "verify", "--suite", "leibniz,normalization-bridge",
@@ -351,13 +351,13 @@ def test_one_ambient_draw_per_sample(monkeypatch):
 def test_nan_in_one_ambient_fails_that_sample_at_every_level(monkeypatch):
     """A NaN in the ambient of one sample reaches every level through the
     tower: each leibniz report has a NaN worst margin and one failure."""
-    def poisoned(rng, samples, *shapes):
-        for blocks in normal_chunks(rng, samples, *shapes):
-            if len(blocks) == 3 and len(blocks[2]) > 1:  # the working level's ambient
-                blocks[2][1].flat[0] = np.nan
-            yield blocks
+    def poisoned(rng, samples, dim, count):
+        for rows, mats in gaussian_chunks(rng, samples, dim, count):
+            if count == 3 and len(mats[2]) > 1:  # the working level's ambient
+                mats[2][1].flat[0] = np.nan
+            yield rows, mats
 
-    monkeypatch.setattr(harness, "normal_chunks", poisoned)
+    monkeypatch.setattr(harness, "gaussian_chunks", poisoned)
     monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 2 ** 20)
     reports = run_suite(RunConfig(level=4, samples=12, suites=("leibniz",)))
     assert [r.level for r in reports] == [1, 2, 3, 4]
@@ -395,30 +395,36 @@ def test_planted_right_action_defect_fails_the_product_rule(monkeypatch, level):
     assert all(r.failures == r.samples for r in reports)
 
 
-def test_normal_chunks_draw_the_per_sample_stream(monkeypatch):
-    """One (S, n) draw yields the numbers of S samples drawn one block at a
-    time; the budget bounds the chunk, and one sample is the least."""
-    shapes = ((2, 2, 2), (3,), (2, 4, 4))
-    per_sample = sum(math.prod(s) for s in shapes)
-    monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 3 * 8 * per_sample + 7)
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    chunks = list(normal_chunks(rng, 11, *shapes))
-    assert [len(c[0]) for c in chunks] == [3, 3, 3, 2]
-    for chunk in chunks:
-        assert [b.shape[1:] for b in chunk] == list(shapes)
-        for i in range(len(chunk[0])):
-            for block in chunk:
-                assert np.array_equal(block[i], ref.standard_normal(block.shape[1:]))
-    assert rng.standard_normal() == ref.standard_normal()  # same stream position
-    monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 1)
-    assert [len(c[0]) for c in normal_chunks(rng, 3, *shapes)] == [1, 1, 1]
+def test_gaussian_chunks_draw_the_per_sample_stream(monkeypatch):
+    """One draw per chunk yields the matrices of drawing each sample's
+    matrices in turn with gaussian_general; rows tile the samples in order,
+    the budget bounds the chunk, and one sample is the least."""
+    for dim, count in [(1, 1), (4, 2), (8, 3)]:
+        per_sample = 16 * count * dim * dim
+        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 3 * per_sample + 7)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        chunks = list(gaussian_chunks(rng, 11, dim, count))
+        assert [rows for rows, _ in chunks] == [
+            slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 11)
+        ]
+        for rows, mats in chunks:
+            size = rows.stop - rows.start
+            assert size * per_sample <= tower.SAMPLE_CHUNK_BYTES
+            assert [m.shape for m in mats] == [(size, dim, dim)] * count
+            for i in range(size):
+                for m in mats:
+                    assert np.array_equal(m[i], gaussian_general(dim, ref))
+        assert rng.standard_normal() == ref.standard_normal()  # same stream position
+        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 1)
+        chunks = list(gaussian_chunks(rng, 3, dim, count))
+        assert [rows for rows, _ in chunks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_gaussian_general_is_one_chunk_of_one_sample():
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     g = gaussian_general(4, rng)
-    ((z,),) = normal_chunks(ref, 1, (2, 4, 4))
-    assert np.array_equal(g, z[0, 0] + 1j * z[0, 1])
+    ((rows, (mat,)),) = gaussian_chunks(ref, 1, 4, 1)
+    assert rows == slice(0, 1) and np.array_equal(g, mat[0])
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])

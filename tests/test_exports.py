@@ -52,3 +52,24 @@ def test_no_module_imports_a_name_it_never_uses(name):
     import behind. The package __init__ only re-exports, so it is skipped."""
     path = Path(towerforms.__file__).with_name(f"{name}.py")
     assert _unused_imports(path) == [], name
+
+
+def test_every_run_config_field_is_set_by_verify():
+    """A RunConfig field that `verify` never passes is a knob no user can
+    turn: the call to RunConfig in cli._cmd_verify names every field."""
+    from dataclasses import fields
+
+    from towerforms import cli
+    from towerforms.harness import RunConfig
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (verify,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_cmd_verify"
+    ]
+    (call,) = [
+        node for node in ast.walk(verify)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RunConfig"
+    ]
+    assert not call.args
+    assert {kw.arg for kw in call.keywords} == {f.name for f in fields(RunConfig)}

@@ -268,6 +268,13 @@ def test_dirichlet_check_fails_closed_on_nan_generator():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_dirichlet_check_rejects_fewer_than_one_sample(samples):
+    """No sample is no check: it raises instead of passing vacuously."""
+    with pytest.raises(ValueError, match=r"samples must be >= 1"):
+        dirichlet_check(diagonal_form(2), samples=samples, seed=1, tol=1e-10)
+
+
 # --------------------------------------------------------------------------
 # amplification
 # --------------------------------------------------------------------------

@@ -50,10 +50,19 @@ def test_config_rejects_bad_values():
         RunConfig(level=0)
     with pytest.raises(ValueError, match="samples"):
         RunConfig(samples=0)
-    with pytest.raises(ValueError, match="ascending"):
-        RunConfig(times=(1.0, 0.5))
-    with pytest.raises(ValueError, match="nonnegative"):
-        RunConfig(times=(-1.0, 0.5))
+
+
+def test_semigroup_times_are_a_constant_not_a_setting():
+    """verify has no time-grid flag, so RunConfig has no time field: every
+    semigroup suite runs at SEMIGROUP_TIMES, one choi margin per time."""
+    with pytest.raises(TypeError, match="times"):
+        RunConfig(times=())
+    reports = run_suite(RunConfig(level=2, samples=3, suites=("choi",)))
+    assert [(r.suite, r.samples) for r in reports] == [
+        ("choi", len(harness.SEMIGROUP_TIMES)),
+        ("choi", len(harness.SEMIGROUP_TIMES)),
+        ("choi-transpose-control", 1),
+    ]
 
 
 @pytest.mark.parametrize("suites", [(), []])
@@ -70,8 +79,6 @@ def test_config_rejects_an_empty_suite_selection(suites):
         ("tol", -1e-10),
         ("eig_tol", float("nan")),
         ("eig_tol", float("inf")),
-        ("times", (0.1, float("nan"))),
-        ("times", (0.1, float("inf"))),
     ],
 )
 def test_config_rejects_non_finite_or_negative_tolerances_and_times(field, value):
@@ -529,15 +536,15 @@ def test_largest_units_run_alone_from_level_8():
     def alone(level):
         cfg = RunConfig(level=level, samples=1)
         return {
-            (name, unit.level, unit.part)
+            (name, unit.level)
             for name in SUITE_NAMES
             for unit in harness._SUITE_UNITS[name](cfg)
             if unit.nbytes > harness.POOL_CHUNK_BYTES
         }
 
     assert alone(7) == set()
-    assert alone(8) == {("leibniz", 8, "")}
-    assert ("dirichlet", 9, "") in alone(10) and ("leibniz", 9, "") in alone(10)
+    assert alone(8) == {("leibniz", 8)}
+    assert ("dirichlet", 9) in alone(10) and ("leibniz", 9) in alone(10)
 
 
 def test_pooled_unit_error_reaches_caller_and_writes_nothing(monkeypatch, tmp_path):
@@ -616,28 +623,33 @@ def test_different_seed_changes_margins(tmp_path):
     assert any(a.worst_margin != b.worst_margin for a, b in zip(r1, r2))
 
 
+def patch_sampler(monkeypatch, sampler) -> None:
+    """Make the suites of every module draw from `sampler`, which takes
+    gaussian_chunks's arguments, on one worker."""
+    from towerforms import forms, superop
+
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
+    for module in (harness, forms, superop):
+        monkeypatch.setattr(module, "gaussian_chunks", sampler)
+
+
 def poison_mid_chunk(monkeypatch, index=5, chunk=4) -> list:
-    """Make every normal_chunks call of the suites yield chunks of `chunk`
+    """Make every gaussian_chunks call of the suites yield chunks of `chunk`
     samples and put a NaN into sample `index`; return (start, count) of each
     chunk that received one."""
-    from towerforms import forms, superop, tower
+    from towerforms import tower
 
     hit = []
 
-    def poisoned(rng, samples, *shapes):
-        per_sample = 8 * sum(math.prod(s) for s in shapes)
-        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", chunk * per_sample)
-        start = 0
-        for blocks in tower.normal_chunks(rng, samples, *shapes):
-            count = len(blocks[0])
-            if start <= index < start + count:
-                blocks[0][index - start].flat[0] = np.nan  # Re a_00: seen at every level
-                hit.append((start, count))
-            start += count
-            yield blocks
+    def poisoned(rng, samples, dim, count):
+        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", chunk * 16 * count * dim * dim)
+        for rows, mats in tower.gaussian_chunks(rng, samples, dim, count):
+            if rows.start <= index < rows.stop:
+                mats[0][index - rows.start].flat[0] = np.nan  # a_00: seen at every level
+                hit.append((rows.start, rows.stop - rows.start))
+            yield rows, mats
 
-    for module in (harness, forms, superop):
-        monkeypatch.setattr(module, "normal_chunks", poisoned)
+    patch_sampler(monkeypatch, poisoned)
     return hit
 
 
@@ -666,6 +678,29 @@ def test_leibniz_nan_sample_gives_nan_margin_and_fails(monkeypatch):
 )
 def test_nan_sample_mid_chunk_gives_nan_margin_and_fails_alone(monkeypatch, suite):
     check_nan_sample_fails_alone(monkeypatch, suite)
+
+
+RANDOMIZED_SUITES = (
+    "dirichlet", "markov", "symmetry", "leibniz", "normalization-bridge", "convergence"
+)
+
+
+@pytest.mark.parametrize("level", [1, 2, 6])
+def test_dropped_last_chunk_fails_every_randomized_report(monkeypatch, level):
+    """A sampler that loses its last chunk leaves samples unchecked: their
+    NaN rows fail every randomized report, which still names every sample,
+    at levels where that chunk is all the samples (1, 2) and one of many (6)."""
+    from towerforms import tower
+
+    def truncated(rng, samples, dim, count):
+        chunks = list(tower.gaussian_chunks(rng, samples, dim, count))
+        yield from chunks[:-1]
+
+    patch_sampler(monkeypatch, truncated)
+    reports = run_suite(RunConfig(level=level, samples=200, suites=RANDOMIZED_SUITES))
+    assert {r.suite for r in reports} == set(RANDOMIZED_SUITES)
+    for rep in reports:
+        assert rep.samples == 200 and rep.failures >= 1 and np.isnan(rep.worst_margin)
 
 
 @pytest.mark.parametrize("suite", ["compatibility", "normalization-bridge"])

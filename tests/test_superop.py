@@ -463,6 +463,26 @@ def test_conservativity_fails_with_nonzero_h():
     assert rep.worst_margin > 1e-3
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_semigroup_checks_reject_fewer_than_one_sample(samples):
+    """No sample is no check: both suites raise, naming the argument."""
+    gen = DiagonalComplement(4)
+    with pytest.raises(ValueError, match=r"n_samples must be >= 1"):
+        markov_check(gen, t_samples=(1.0,), n_samples=samples, seed=1, tol=1e-10)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1"):
+        symmetry_conservativity_check(gen, samples=samples, seed=1, tol=1e-10)
+
+
+@pytest.mark.parametrize("times", [(), []])
+def test_semigroup_checks_reject_an_empty_time_grid(times):
+    """No time is no check: both suites raise, naming the argument."""
+    gen = DiagonalComplement(4)
+    with pytest.raises(ValueError, match="t_samples must hold at least one time"):
+        markov_check(gen, t_samples=times, n_samples=5, seed=1, tol=1e-10)
+    with pytest.raises(ValueError, match="t_samples must hold at least one time"):
+        symmetry_conservativity_check(gen, samples=5, seed=1, tol=1e-10, t_samples=times)
+
+
 # --------------------------------------------------------------------------
 # composite bodies and export
 # --------------------------------------------------------------------------
