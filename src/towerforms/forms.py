@@ -328,11 +328,7 @@ def _stabilization_values(family: CompatibleFamily, m: int) -> np.ndarray:
     ) / 2 ** m
 
 
-def build_from_family(
-    family: CompatibleFamily,
-    ambient_level: int | None = None,
-    tol: float = 1e-12,
-) -> QuadraticForm:
+def build_from_family(family: CompatibleFamily, tol: float = 1e-12) -> QuadraticForm:
     """Recover the top-level form from a compatible family.
 
     Verifies the compatibility invariant (family_compatibility_margin
@@ -351,10 +347,6 @@ def build_from_family(
     within the tolerance, NaN included, is the witness.
     """
     top = family.top_level
-    if ambient_level is not None and ambient_level != top:
-        raise ValueError(
-            f"ambient level {ambient_level} does not match family top level {top}"
-        )
     check_nonnegative("family compatibility tol", tol)
     worst, witness = family_compatibility_margin(family)
     if not worst <= tol:

@@ -53,6 +53,8 @@ from .derivation import (
 )
 from .superop import (
     DENSIFY_DIM_CAP,
+    SEMIGROUP_LEVEL_CAP,
+    SEMIGROUP_TIMES,
     DiagonalComplement,
     ScaledMap,
     SemigroupMap,
@@ -86,11 +88,6 @@ SUITE_NAMES = (
     "normalization-bridge",
     "convergence",
 )
-
-# The markov, symmetry and choi suites run levels 1 .. min(level, cap), each
-# at these semigroup times.
-SEMIGROUP_LEVEL_CAP = 3
-SEMIGROUP_TIMES = (0.1, 1.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -189,8 +186,7 @@ def _run_markov(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     return [
         markov_check(
             DiagonalComplement(2 ** n),
-            t_samples=SEMIGROUP_TIMES,
-            n_samples=cfg.samples,
+            samples=cfg.samples,
             seed=_suite_seed(cfg.seed, "markov", n),
             tol=cfg.tol,
         )
@@ -205,7 +201,6 @@ def _run_symmetry(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
             samples=cfg.samples,
             seed=_suite_seed(cfg.seed, "symmetry", n),
             tol=cfg.tol,
-            t_samples=SEMIGROUP_TIMES,
         )
     ]
 
@@ -357,7 +352,7 @@ def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     )
     worst, _ = family_compatibility_margin(family)
     try:
-        recovered = build_from_family(family, ambient_level=cfg.level, tol=cfg.eig_tol)
+        recovered = build_from_family(family, tol=cfg.eig_tol)
     except FamilyCompatibilityError:
         failures = 1
     else:

@@ -39,6 +39,8 @@ from .expectations import diagonal_part, partial_trace_matrix
 
 __all__ = [
     "DENSIFY_DIM_CAP",
+    "SEMIGROUP_LEVEL_CAP",
+    "SEMIGROUP_TIMES",
     "SYM_TOL",
     "EIG_TOL",
     "SuperOperator",
@@ -76,6 +78,10 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-12
 # Hermitian defect allowed in map data (Schur coefficients, m_i and h).
 _DATA_HERM_TOL = 1e-12
+# The semigroup checks run at these times; the markov, symmetry and choi
+# suites run them at levels 1 .. min(level, SEMIGROUP_LEVEL_CAP).
+SEMIGROUP_LEVEL_CAP = 3
+SEMIGROUP_TIMES = (0.1, 1.0, 10.0)
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -544,19 +550,16 @@ class SpectralResolution:
     """Eigendecomposition of a GNS-self-adjoint map.
 
     eigenvalues are ascending. The orthonormal columns of ``basis``
-    (dim^2 x dim^2) are the eigenvectors' coordinates in a frame: the
-    Hermitian matrix units U of the module docstring when
-    ``hermitian_units``, else the matrix units e_kl (a Schur map, whose
-    basis is a permutation). The basis of a Hermiticity-preserving map is
-    real, so its eigenvectors u_k are Hermitian matrices. A resolution
-    exists only for a map that passed the SYM_TOL check, so a cached one
-    needs no recheck.
+    (dim^2 x dim^2) are the eigenvectors' coordinates in the Hermitian
+    matrix units U of the module docstring. The basis of a
+    Hermiticity-preserving map is real, so its eigenvectors u_k are
+    Hermitian matrices. A resolution exists only for a map that passed
+    the SYM_TOL check, so a cached one needs no recheck.
     """
 
     dim: int
     eigenvalues: np.ndarray
     basis: np.ndarray
-    hermitian_units: bool = True
 
     @property
     def min_eigenvalue(self) -> float:
@@ -571,36 +574,15 @@ class SpectralResolution:
         """The matrices u_k, shape (dim^2, dim, dim), orthonormal for the
         GNS inner product: u_k is sqrt(dim) times the k-th basis vector."""
         frame = self.basis.astype(np.complex128)
-        if self.hermitian_units:
-            _mix_pairs(frame, _U_BLOCK)
+        _mix_pairs(frame, _U_BLOCK)
         return (frame.T * np.sqrt(self.dim)).reshape(-1, self.dim, self.dim)
 
-    def _coordinates(self, mat: np.ndarray) -> np.ndarray:
-        """basis* F* vec(mat), F being the frame: the GNS coefficients
-        times sqrt(dim)."""
-        x = np.array(vec(mat), dtype=np.complex128)
-        if self.hermitian_units:
-            _mix_pairs(x, _U_BLOCK.conj().T)
-        return self.basis.conj().T @ x
-
-    def coefficients(self, mat: np.ndarray) -> np.ndarray:
-        """GNS coefficients <u_k, mat>_2."""
-        return self._coordinates(mat) / np.sqrt(self.dim)
-
-    def apply_function(self, func, mat: np.ndarray) -> np.ndarray:
-        """Evaluate f(map) on mat through the spectral sum."""
-        x = self.basis @ (func(self.eigenvalues) * self._coordinates(mat))
-        if self.hermitian_units:
-            _mix_pairs(x, _U_BLOCK)
-        return unvec(x, self.dim)
-
     def function_body(self, func) -> np.ndarray:
-        """Dense body of f(map): F W f(Lambda) W* F* with W the basis and F
-        the frame, one real product for a real basis."""
+        """Dense body of f(map): U W f(Lambda) W* U* with W the basis, one
+        real product for a real basis."""
         w = self.basis
         body = np.asarray((w * func(self.eigenvalues)) @ w.conj().T, np.complex128)
-        if self.hermitian_units:
-            _from_hermitian_units(body)
+        _from_hermitian_units(body)
         return body
 
 
@@ -635,30 +617,14 @@ def spectral_resolve(op: SuperOperator) -> SpectralResolution:
     SYM_TOL is rejected with the largest defect entry as witness. The
     resolution is cached on the map; a rejected map caches nothing.
 
-    A Schur map c resolves in closed form: eigenvalues sorted Re c,
-    eigenvectors sqrt(dim) e_kl. Any other map is resolved in the
-    Hermitian matrix-unit basis, with a real ``eigh`` when the map
-    preserves Hermiticity (see ``_hermitian_in_units``).
+    The map is resolved in the Hermitian matrix-unit basis, with a real
+    ``eigh`` when it preserves Hermiticity (see ``_hermitian_in_units``).
     """
     res = op._spectral
-    if res is not None:
-        return res
-    d = op.dim
-    if op.schur is not None:
-        _check_budget(d, "densification")
-        rates, _, _ = _measure_schur(op)
-        order = np.argsort(vec(rates), kind="stable")
-        res = SpectralResolution(
-            dim=d,
-            eigenvalues=vec(rates)[order],
-            basis=np.eye(d * d)[:, order],
-            hermitian_units=False,
-        )
-    else:
+    if res is None:
         herm = _hermitian_in_units(densify(op).matrix, _NOT_SELF_ADJOINT)
         w, basis = np.linalg.eigh(herm)
-        res = SpectralResolution(dim=d, eigenvalues=w, basis=basis)
-    op._spectral = res
+        res = op._spectral = SpectralResolution(dim=op.dim, eigenvalues=w, basis=basis)
     return res
 
 
@@ -677,13 +643,6 @@ def _check_positive(lowest: float, norm: float) -> None:
             f"generator is not positive: min eigenvalue {lowest:.3e} "
             f"below -EIG_TOL * (1 + norm) = {-bound:.3e}"
         )
-
-
-def _positive_resolution(op: SuperOperator) -> SpectralResolution:
-    res = spectral_resolve(op)
-    norm = max(-res.min_eigenvalue, res.max_eigenvalue)
-    _check_positive(res.min_eigenvalue, norm)
-    return res
 
 
 _MAX_FLOAT = float(np.finfo(np.float64).max)
@@ -705,12 +664,6 @@ def _decay(rates: np.ndarray, lowest: float, norm: float, t: float) -> np.ndarra
     return np.exp(-t * rates)
 
 
-def _spectral_decay(lam: np.ndarray, t: float) -> np.ndarray:
-    """_decay on ascending eigenvalues."""
-    lowest, highest = float(lam[0]), float(lam[-1])
-    return _decay(lam, lowest, max(-lowest, highest), t)
-
-
 def _schur_semigroup(op: SuperOperator, t: float) -> np.ndarray:
     """Coefficients e^{-t Re c} of the semigroup of a Schur generator c,
     after the checks the spectral path makes on the body diag(vec(c))."""
@@ -719,18 +672,29 @@ def _schur_semigroup(op: SuperOperator, t: float) -> np.ndarray:
     return _decay(rates, lowest, norm, t)
 
 
+def _semigroup_body(op: SuperOperator, t: float) -> np.ndarray:
+    """Dense body of e^{-t op}: diag(vec(e^{-tc})) for a Schur generator c,
+    else U W e^{-t Lambda} W* U* from the spectral resolution of a
+    generator whose least eigenvalue passes _check_positive."""
+    if op.schur is not None:
+        return _schur_body(_schur_semigroup(op, t))
+    res = spectral_resolve(op)
+    lowest = res.min_eigenvalue
+    norm = max(-lowest, res.max_eigenvalue)
+    _check_positive(lowest, norm)
+    return res.function_body(lambda lam: _decay(lam, lowest, norm, t))
+
+
 def _semigroup_matrix(op: SuperOperator, t: float, mat: np.ndarray) -> np.ndarray:
     """e^{-t op} on a matrix or on each matrix of a stack: one broadcast
-    product for a Schur generator, else the spectral sum slice by slice."""
+    product for a Schur generator, else one product of the row-stacked
+    matrices with the dense body."""
     check_nonnegative("semigroup time", t)
     mat = np.asarray(mat, dtype=np.complex128)
     if op.schur is not None:
         return _schur_semigroup(op, t) * mat
-    res = _positive_resolution(op)
-    out = np.empty(mat.shape, dtype=np.complex128)
-    for x, y in zip(mat.reshape(-1, op.dim, op.dim), out.reshape(-1, op.dim, op.dim)):
-        y[...] = res.apply_function(lambda lam: _spectral_decay(lam, t), x)
-    return out
+    rows = mat.reshape(-1, op.dim * op.dim)
+    return (rows @ _semigroup_body(op, t).T).reshape(mat.shape)
 
 
 def semigroup_apply(op: SuperOperator, t: float, a: AlgebraElement) -> AlgebraElement:
@@ -738,7 +702,7 @@ def semigroup_apply(op: SuperOperator, t: float, a: AlgebraElement) -> AlgebraEl
 
     The generator must be GNS-self-adjoint and positive; a Schur
     generator c gives the Schur multiplier e^{-tc}, everything else goes
-    through the spectral resolution.
+    through the dense body of its semigroup.
     """
     if op.dim != a.dim:
         raise ValueError(
@@ -760,10 +724,7 @@ class SemigroupMap(SuperOperator):
         return _semigroup_matrix(self.generator, self.t, mat)
 
     def dense_body(self):
-        if self.generator.schur is not None:
-            return _schur_body(_schur_semigroup(self.generator, self.t))
-        res = _positive_resolution(self.generator)
-        return res.function_body(lambda lam: _spectral_decay(lam, self.t))
+        return _semigroup_body(self.generator, self.t)
 
 
 # --------------------------------------------------------------------------
@@ -809,15 +770,9 @@ def choi_min_eigenvalue(target) -> float:
 # --------------------------------------------------------------------------
 
 
-def markov_check(
-    op: SuperOperator,
-    t_samples,
-    n_samples: int,
-    seed: int,
-    tol: float,
-) -> PropertyReport:
-    """Sample contractions x with 0 <= x <= 1 and check that every Phi_t(x)
-    keeps its spectrum inside [-tol, 1 + tol].
+def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> PropertyReport:
+    """Sample contractions x with 0 <= x <= 1 and check that every Phi_t(x),
+    t in SEMIGROUP_TIMES, keeps its spectrum inside [-tol, 1 + tol].
 
     The samples are drawn and checked a chunk at a time (see
     tower.gaussian_chunks) with stacked eigh/eigvalsh calls that do the
@@ -825,16 +780,13 @@ def markov_check(
     one sample at a time. A sample with a NaN margin counts as a failure,
     and so does a sample that is never checked.
     """
-    t_samples = tuple(float(t) for t in t_samples)
-    if not t_samples:
-        raise ValueError("t_samples must hold at least one time")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    margins = np.full((n_samples, 2 * len(t_samples)), np.nan)  # row i: sample i
-    for rows, (x,) in gaussian_chunks(rng, n_samples, op.dim, 1):
+    margins = np.full((samples, 2 * len(SEMIGROUP_TIMES)), np.nan)  # row i: sample i
+    for rows, (x,) in gaussian_chunks(rng, samples, op.dim, 1):
         x = clamp_spectrum(hermitian_part(x), 0.0, 1.0)
-        for k, t in enumerate(t_samples):
+        for k, t in enumerate(SEMIGROUP_TIMES):
             y = _semigroup_matrix(op, t, x)
             ev = finite_spectra(np.linalg.eigvalsh, hermitian_part(y))
             margins[rows, 2 * k] = -ev[:, 0]
@@ -843,14 +795,10 @@ def markov_check(
 
 
 def symmetry_conservativity_check(
-    op: SuperOperator,
-    samples: int,
-    seed: int,
-    tol: float,
-    t_samples=(0.1, 1.0, 10.0),
+    op: SuperOperator, samples: int, seed: int, tol: float
 ) -> PropertyReport:
     """Check trace symmetry tau(Phi_t(x) y) = tau(x Phi_t(y)) on random
-    pairs and unit preservation Phi_t(1) = 1.
+    pairs and unit preservation Phi_t(1) = 1, t in SEMIGROUP_TIMES.
 
     A broken unit counts as one failure on top of the per-sample count, and
     so does a pair that is never checked. The pairs are drawn and checked a
@@ -858,21 +806,21 @@ def symmetry_conservativity_check(
     traces that do the per-sample arithmetic, so the report is
     byte-identical to evaluating one pair at a time.
     """
-    t_samples = tuple(float(t) for t in t_samples)
-    if not t_samples:
-        raise ValueError("t_samples must hold at least one time")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     d = op.dim
     eye = np.eye(d, dtype=np.complex128)
-    margins = np.full((samples + 1, len(t_samples)), np.nan)
-    margins[0] = [np.abs(_semigroup_matrix(op, t, eye) - eye).max() for t in t_samples]
+    margins = np.full((samples + 1, len(SEMIGROUP_TIMES)), np.nan)
+    margins[0] = [
+        np.abs(_semigroup_matrix(op, t, eye) - eye).max() for t in SEMIGROUP_TIMES
+    ]
     pairs = margins[1:]  # row i: pair i, after the unit's row
     for rows, (x, y) in gaussian_chunks(rng, samples, d, 2):
-        for k, t in enumerate(t_samples):
-            lhs = np.trace(_semigroup_matrix(op, t, x) @ y, axis1=-2, axis2=-1) / d
-            rhs = np.trace(x @ _semigroup_matrix(op, t, y), axis1=-2, axis2=-1) / d
+        for k, t in enumerate(SEMIGROUP_TIMES):
+            phi_x, phi_y = _semigroup_matrix(op, t, np.stack((x, y)))
+            lhs = np.trace(phi_x @ y, axis1=-2, axis2=-1) / d
+            rhs = np.trace(x @ phi_y, axis1=-2, axis2=-1) / d
             diff = lhs - rhs
             pairs[rows, k] = np.hypot(diff.real, diff.imag)  # abs() of each scalar
     return fold("symmetry", op.level, seed, tol, margins, samples=samples)

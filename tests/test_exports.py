@@ -73,3 +73,51 @@ def test_every_run_config_field_is_set_by_verify():
     ]
     assert not call.args
     assert {kw.arg for kw in call.keywords} == {f.name for f in fields(RunConfig)}
+
+
+def _source_trees() -> dict:
+    """The parsed source of every module of the package, by module name."""
+    root = Path(towerforms.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+
+
+def _is_literal(node, value) -> bool:
+    try:
+        return ast.literal_eval(node) == value
+    except ValueError:  # not a literal
+        return False
+
+
+def test_semigroup_times_and_cap_have_one_home():
+    """One time grid and one level cap: only superop assigns them, harness
+    re-exports the same objects, no other module spells the grid out, and
+    the semigroup checks take no time grid of their own."""
+    from towerforms import harness, superop
+
+    grid = (0.1, 1.0, 10.0)
+    constants = ("SEMIGROUP_TIMES", "SEMIGROUP_LEVEL_CAP")
+    assigners = {name: set() for name in constants}
+    spelled = set()
+    trees = _source_trees()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                for target in targets:
+                    if getattr(target, "id", None) in constants:
+                        assigners[target.id].add(module)
+            if isinstance(node, ast.Tuple) and _is_literal(node, grid):
+                spelled.add(module)
+    assert assigners == {name: {"superop"} for name in constants}
+    assert spelled == {"superop"}
+    checks = {"markov_check", "symmetry_conservativity_check"}
+    signatures = {
+        node.name: node.args for node in trees["superop"].body
+        if isinstance(node, ast.FunctionDef) and node.name in checks
+    }
+    assert set(signatures) == checks
+    for args in signatures.values():
+        assert [a.arg for a in args.posonlyargs + args.args] == ["op", "samples", "seed", "tol"]
+        assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+    assert harness.SEMIGROUP_TIMES is superop.SEMIGROUP_TIMES == grid
+    assert harness.SEMIGROUP_LEVEL_CAP is superop.SEMIGROUP_LEVEL_CAP

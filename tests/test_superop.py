@@ -4,6 +4,7 @@ import pytest
 from towerforms.tower import AlgebraElement, identity, random_element
 from towerforms.expectations import diagonal_part
 from towerforms.superop import (
+    SEMIGROUP_TIMES,
     _check_budget,
     _from_hermitian_units,
     _hermitian_defect,
@@ -222,10 +223,10 @@ def test_spectral_reconstruction_and_parseval():
     res = spectral_resolve(op)
     for _ in range(5):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rebuilt = res.apply_function(lambda lam: lam, a)
+        rebuilt = unvec(res.function_body(lambda lam: lam) @ vec(a), 4)
         np.testing.assert_allclose(rebuilt, op.apply_matrix(a), atol=1e-12)
         direct = np.vdot(op.apply_matrix(a), a).real / 4
-        coeffs = res.coefficients(a)
+        coeffs = np.einsum("kij,ij->k", res.eigenvectors.conj(), a) / 4
         spectral = float(np.sum(res.eigenvalues * np.abs(coeffs) ** 2))
         assert abs(direct - spectral) < 1e-10
 
@@ -418,10 +419,7 @@ def test_choi_of_double_commutator_semigroup_is_psd():
 
 def test_markov_check_passes_for_diagonal_generator():
     for n, samples in ((1, 100), (2, 100), (3, 100), (4, 50)):
-        rep = markov_check(
-            DiagonalComplement(2 ** n), t_samples=(0.1, 1.0, 10.0),
-            n_samples=samples, seed=71, tol=1e-10,
-        )
+        rep = markov_check(DiagonalComplement(2 ** n), samples=samples, seed=71, tol=1e-10)
         assert rep.failures == 0
         assert rep.worst_margin <= 1e-10
         assert rep.suite == "markov" and rep.level == n
@@ -467,20 +465,10 @@ def test_conservativity_fails_with_nonzero_h():
 def test_semigroup_checks_reject_fewer_than_one_sample(samples):
     """No sample is no check: both suites raise, naming the argument."""
     gen = DiagonalComplement(4)
-    with pytest.raises(ValueError, match=r"n_samples must be >= 1"):
-        markov_check(gen, t_samples=(1.0,), n_samples=samples, seed=1, tol=1e-10)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1"):
+        markov_check(gen, samples=samples, seed=1, tol=1e-10)
     with pytest.raises(ValueError, match=r"^samples must be >= 1"):
         symmetry_conservativity_check(gen, samples=samples, seed=1, tol=1e-10)
-
-
-@pytest.mark.parametrize("times", [(), []])
-def test_semigroup_checks_reject_an_empty_time_grid(times):
-    """No time is no check: both suites raise, naming the argument."""
-    gen = DiagonalComplement(4)
-    with pytest.raises(ValueError, match="t_samples must hold at least one time"):
-        markov_check(gen, t_samples=times, n_samples=5, seed=1, tol=1e-10)
-    with pytest.raises(ValueError, match="t_samples must hold at least one time"):
-        symmetry_conservativity_check(gen, samples=5, seed=1, tol=1e-10, t_samples=times)
 
 
 # --------------------------------------------------------------------------
@@ -712,7 +700,7 @@ def test_choi_certificate_rejects_nan_map():
 def test_nan_generator_fails_markov_and_symmetry_closed():
     bad = ScaledMap(float("nan"), DiagonalComplement(2))
     with pytest.raises(ValueError, match="self-adjoint"):
-        markov_check(bad, t_samples=(1.0,), n_samples=2, seed=84, tol=1e-10)
+        markov_check(bad, samples=2, seed=84, tol=1e-10)
     with pytest.raises(ValueError, match="self-adjoint"):
         symmetry_conservativity_check(bad, samples=2, seed=84, tol=1e-10)
 
@@ -787,7 +775,7 @@ def test_bodies_are_real_in_hermitian_units(n):
         res.eigenvalues, np.linalg.eigvalsh(left.matrix), rtol=0, atol=1e-12
     )
     a = random_element(n, "general", 89).entries
-    rebuilt = res.apply_function(lambda lam: lam, a)
+    rebuilt = unvec(res.function_body(lambda lam: lam) @ vec(a), d)
     np.testing.assert_allclose(rebuilt, x @ a, rtol=0, atol=1e-12)
 
 
@@ -811,20 +799,48 @@ def test_spectral_resolution_matches_complex_eigh_reference(n):
         assert np.abs(gen.apply_matrix(u) - res.eigenvalues[k] * u).max() <= 1e-12 * scale
 
 
-def test_schur_maps_resolve_in_closed_form():
-    coeffs = np.array(
-        [[0.0, 2.0, 1.0, 3.0], [2.0, 0.0, 3.0, 1.0], [1.0, 3.0, 0.0, 2.0], [3.0, 1.0, 2.0, 0.5]]
-    )
-    res = spectral_resolve(SchurMultiplier(coeffs))
-    np.testing.assert_array_equal(res.eigenvalues, np.sort(vec(coeffs), kind="stable"))
-    assert not res.hermitian_units
-    for k in range(16):
-        u = res.eigenvectors[k]
-        assert np.count_nonzero(u) == 1 and np.abs(u).max() == 2.0  # sqrt(d) e_kl
-        np.testing.assert_array_equal(
-            SchurMultiplier(coeffs).apply_matrix(u), res.eigenvalues[k] * u
-        )
-    assert spectral_resolve(DiagonalComplement(8)).max_eigenvalue == 1.0
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_non_schur_semigroup_on_stacks_matches_complex_eigh(n):
+    """A non-Schur semigroup acts on a matrix stack through its dense body:
+    each vec of the stack goes to v e^{-tw} v* vec(x), with v, w from a
+    complex eigh of the generator's dense body."""
+    d = 2 ** n
+    gen = _lindblad(n, 94)
+    assert gen.schur is None
+    body = gen.dense_body()
+    w, v = np.linalg.eigh(0.5 * (body + body.conj().T))
+    rng = np.random.default_rng([95, n])
+    for t in SEMIGROUP_TIMES:
+        reference = (v * np.exp(-t * w)) @ v.conj().T
+        phi = SemigroupMap(gen, t)
+        for count in (1, 5, 33):
+            x = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+            got = phi.apply_matrix(x)
+            assert got.shape == x.shape
+            for slice_in, slice_out in zip(x, got):
+                expected = unvec(reference @ vec(slice_in), d)
+                bound = 1e-12 * (1.0 + np.abs(slice_in).max())
+                assert np.abs(slice_out - expected).max() <= bound, (n, t, count)
+
+
+def test_semigroup_checks_on_a_non_diagonal_lindblad_generator():
+    """sum_i [m_i, [m_i, .]] with non-diagonal Hermitian m_i generates a
+    unital, trace-symmetric, completely positive semigroup: both checks
+    pass at level 2. Adding h != 0 breaks unit preservation, which the
+    symmetry check must catch."""
+    rng = np.random.default_rng(96)
+    ms = [_hermitian(rng, 4) / 4 for _ in range(3)]
+    conservative = DoubleCommutatorFamily(ms)
+    assert conservative.schur is None
+    rep = markov_check(conservative, samples=50, seed=97, tol=1e-10)
+    assert rep.failures == 0 and rep.worst_margin <= 1e-10
+    rep = symmetry_conservativity_check(conservative, samples=50, seed=98, tol=1e-10)
+    assert rep.failures == 0 and rep.worst_margin <= 1e-10
+    psd = _hermitian(rng, 4)
+    leaky = DoubleCommutatorFamily(ms, h=psd @ psd / 4)
+    rep = symmetry_conservativity_check(leaky, samples=50, seed=98, tol=1e-10)
+    assert rep.failures >= 1
+    assert rep.worst_margin > 1e-3
 
 
 def _choi_reference(op):
