@@ -204,15 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"suite name, comma list, or 'all'; names: {', '.join(SUITE_NAMES)}",
     )
-    p.add_argument("--level", type=int, default=4, help="working level N")
-    p.add_argument("--samples", type=int, default=200, help="samples per suite/level")
-    p.add_argument("--seed", type=int, default=7, help="base RNG seed")
-    p.add_argument("--tol", type=float, default=1e-10, help="suite tolerance")
+    cfg = RunConfig()  # the defaults of verify's flags
+    p.add_argument("--level", type=int, default=cfg.level, help="working level N")
     p.add_argument(
-        "--eig-tol", type=float, default=1e-12, help="exactness/PSD tolerance"
+        "--samples", type=int, default=cfg.samples, help="samples per suite/level"
+    )
+    p.add_argument("--seed", type=int, default=cfg.seed, help="base RNG seed")
+    p.add_argument("--tol", type=float, default=cfg.tol, help="suite tolerance")
+    p.add_argument(
+        "--eig-tol", type=float, default=cfg.eig_tol, help="exactness/PSD tolerance"
     )
     p.add_argument(
-        "--out-dir", default=None, help="directory for JSON reports + summary.csv"
+        "--out-dir", default=cfg.out_dir, help="directory for JSON reports + summary.csv"
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -101,21 +101,12 @@ def commutator_form(level: int) -> QuadraticForm:
 
 
 def form_energies(form: QuadraticForm, mats: np.ndarray) -> np.ndarray:
-    """<generator(x), x>_2 for a matrix x, or for each matrix of a stack.
-
-    A Schur generator acts on the whole stack at once; any other generator
-    is applied slice by slice. Each energy is computed as for one matrix.
+    """<generator(x), x>_2 for a matrix x, or for each matrix of a stack,
+    with one call of the generator on the whole stack. Each energy is
+    computed as for one matrix.
     """
     mats = np.asarray(mats, dtype=np.complex128)
-    gen = form.generator
-    if gen.schur is not None:
-        images = gen.apply_matrix(mats)
-    else:
-        d = form.dim
-        images = np.stack(
-            [gen.apply_matrix(x) for x in mats.reshape(-1, d, d)]
-        ).reshape(mats.shape)
-    return matrix_vdot(images, mats).real / form.dim
+    return matrix_vdot(form.generator.apply_matrix(mats), mats).real / form.dim
 
 
 def eval_form_matrix(form: QuadraticForm, mat: np.ndarray) -> float:
@@ -189,6 +180,7 @@ def dirichlet_check(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    level = form.level if level is None else level
     rng = np.random.default_rng(seed)
     margins = np.full((samples, 2), np.nan)  # row i: sample i
     for rows, (a, g) in gaussian_chunks(rng, samples, form.dim, 2):
@@ -199,7 +191,6 @@ def dirichlet_check(
         margins[rows, 1] = np.abs(
             form_energies(form, g.conj().swapaxes(-1, -2)) - form_energies(form, g)
         )
-    level = form.level if level is None else level
     return fold("dirichlet", level, seed, tol, margins)
 
 

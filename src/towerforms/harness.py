@@ -169,40 +169,18 @@ def _levels(top: int, nbytes_per_entry: int) -> list[_Unit]:
     return [_Unit(n, nbytes_per_entry * 4 ** n) for n in range(1, top + 1)]
 
 
-def _run_dirichlet(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
+# The per-level checks: suite -> (check, what it checks at level n).
+_LEVEL_CHECKS = {
+    "dirichlet": (dirichlet_check, diagonal_form),
+    "markov": (markov_check, lambda n: DiagonalComplement(2 ** n)),
+    "symmetry": (symmetry_conservativity_check, lambda n: DiagonalComplement(2 ** n)),
+}
+
+
+def _run_level_check(suite: str, cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
+    check, subject = _LEVEL_CHECKS[suite]
     n = unit.level
-    return [
-        dirichlet_check(
-            diagonal_form(n),
-            samples=cfg.samples,
-            seed=_suite_seed(cfg.seed, "dirichlet", n),
-            tol=cfg.tol,
-        )
-    ]
-
-
-def _run_markov(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
-    n = unit.level
-    return [
-        markov_check(
-            DiagonalComplement(2 ** n),
-            samples=cfg.samples,
-            seed=_suite_seed(cfg.seed, "markov", n),
-            tol=cfg.tol,
-        )
-    ]
-
-
-def _run_symmetry(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
-    n = unit.level
-    return [
-        symmetry_conservativity_check(
-            DiagonalComplement(2 ** n),
-            samples=cfg.samples,
-            seed=_suite_seed(cfg.seed, "symmetry", n),
-            tol=cfg.tol,
-        )
-    ]
+    return [check(subject(n), cfg.samples, _suite_seed(cfg.seed, suite, n), cfg.tol)]
 
 
 def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
@@ -481,9 +459,7 @@ _SUITE_UNITS = {
 }
 
 _SUITE_RUNNERS = {
-    "dirichlet": _run_dirichlet,
-    "markov": _run_markov,
-    "symmetry": _run_symmetry,
+    **{suite: functools.partial(_run_level_check, suite) for suite in _LEVEL_CHECKS},
     "choi": _run_choi,
     "leibniz": _run_leibniz,
     "compatibility": _run_compatibility,
@@ -561,9 +537,11 @@ CONVERGE_COLUMNS = ("n", "E_n", "E_Q_n", "Q_n_norm_sq", "sqrt_gap")
 EVOLVE_COLUMNS = ("t", "trace_re", "trace_im", "gns_norm", "energy", "min_eig", "max_eig")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite_rows fails closed
 def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
     """Rows (n, E_n(a), E(Q_n a), ||Q_n a||_2^2, |sqrt(E_n) - sqrt(E)|) for
-    the diagonal form at the working level; the last row is exact."""
+    the diagonal form at the working level; the last row is exact. A
+    non-finite entry raises a ValueError (see _finite_rows)."""
     if a.level != cfg.level:
         raise ValueError(
             f"input element has level {a.level}, configured working level is "
@@ -571,7 +549,7 @@ def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
         )
     form = diagonal_form(cfg.level)
     root = _sqrt_energy(form_energies(form, a.entries))
-    return [
+    rows = [
         {
             "n": n,
             "E_n": float(e_n),
@@ -581,6 +559,18 @@ def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
         }
         for n, e_n, e_q, q_sq in _restricted_energies(form, a.entries)
     ]
+    return _finite_rows("converge", CONVERGE_COLUMNS, rows)
+
+
+def _finite_rows(table: str, columns, rows: list[dict]) -> list[dict]:
+    """rows, or a ValueError naming the first non-finite row and column."""
+    for i, row in enumerate(rows):
+        for c in columns:
+            if not math.isfinite(row[c]):
+                raise ValueError(
+                    f"{table} table row {i}, column {c} is {row[c]!r}; rescale the input"
+                )
+    return rows
 
 
 # Bytes of stacked samples each of several pool workers holds at once: 8
@@ -656,6 +646,7 @@ def _pool_map(fn, items: list, workers: int) -> list:
     return results
 
 
+@np.errstate(over="ignore", invalid="ignore")  # evolve_table fails closed
 def _evolve_chunk(gen, form, a, times) -> list[dict]:
     """Rows of evolve_table for one chunk of the time grid, with all spectra
     from one eigvalsh call on the stacked Hermitian parts."""
@@ -694,7 +685,7 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     is no setting. Every row comes from the same operations as in
     sequential evaluation, so the output is byte-identical to it, in grid
     order. An error in any chunk is raised unchanged, and no rows are
-    returned."""
+    returned. A non-finite entry raises a ValueError (see _finite_rows)."""
     gen = DiagonalComplement(a.dim)
     form = diagonal_form(a.level)
     times = [float(t) for t in t_grid]
@@ -706,7 +697,8 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     # The chunks share gen, whose lazily cached Schur measure is a pure
     # function of gen: threads that fill it at once store equal values.
     run = functools.partial(_evolve_chunk, gen, form, a)
-    return [row for part in _pool_map(run, chunks, workers) for row in part]
+    rows = [row for part in _pool_map(run, chunks, workers) for row in part]
+    return _finite_rows("evolve", EVOLVE_COLUMNS, rows)
 
 
 def write_table_csv(path, columns, rows) -> None:

@@ -56,7 +56,6 @@ __all__ = [
     "SemigroupMap",
     "SpectralResolution",
     "vec",
-    "unvec",
     "apply",
     "densify",
     "spectral_resolve",
@@ -89,13 +88,15 @@ def vec(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat).reshape(-1)
 
 
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v).reshape(dim, dim)
-
-
 def _schur_body(coeffs: np.ndarray) -> np.ndarray:
     """Dense body of entrywise multiplication by coeffs: diag(vec(coeffs))."""
     return np.diag(vec(coeffs).astype(np.complex128))
+
+
+def _apply_body(body: np.ndarray, mat) -> np.ndarray:
+    """A dense body on a matrix or a stack: one product with the row-stacked matrices."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    return (mat.reshape(-1, body.shape[0]) @ body.T).reshape(mat.shape)
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:
@@ -232,25 +233,25 @@ class SuperOperator:
         return n
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """The map on a dim x dim matrix or each matrix of a stack (..., dim, dim),
+        as a new array of the input's shape; each matrix gets what its own call gives."""
         raise NotImplementedError
 
     def dense_body(self) -> np.ndarray:
         """The dim^2 x dim^2 matrix of the map on row-stacked inputs.
 
-        Besides diag(vec(schur)), this default probes every matrix unit
-        e_kl (column k*dim + l); classes with a closed form override it.
+        Besides diag(vec(schur)), this default probes the matrix units e_kl
+        (column k*dim + l), one row k per call; closed forms override it.
         No budget check here: callers go through ``densify`` or ``choi_matrix``.
         """
         if self.schur is not None:
             return _schur_body(self.schur)
         d = self.dim
         dense = np.empty((d * d, d * d), dtype=np.complex128)
-        probe = np.zeros((d, d), dtype=np.complex128)
         for k in range(d):
-            for l in range(d):
-                probe[k, l] = 1.0
-                dense[:, k * d + l] = vec(self.apply_matrix(probe))
-                probe[k, l] = 0.0
+            units = np.zeros((d, d, d), dtype=np.complex128)  # units[l] = e_kl
+            units[:, k] = np.eye(d)
+            dense[:, k * d:(k + 1) * d] = self.apply_matrix(units).reshape(d, d * d).T
         return dense
 
     def __repr__(self) -> str:
@@ -289,7 +290,7 @@ class TransposeMap(SuperOperator):
     """The transpose map: positive but not completely positive."""
 
     def apply_matrix(self, mat):
-        return np.asarray(mat, dtype=np.complex128).T.copy()
+        return np.asarray(mat, dtype=np.complex128).swapaxes(-1, -2).copy()
 
     def dense_body(self):
         # the swap permutation: vec(a^T)[i*d + j] = vec(a)[j*d + i]
@@ -422,7 +423,7 @@ class DenseMap(SuperOperator):
         self.matrix = matrix
 
     def apply_matrix(self, mat):
-        return unvec(self.matrix @ vec(np.asarray(mat, dtype=np.complex128)), self.dim)
+        return _apply_body(self.matrix, mat)
 
     def dense_body(self):
         return self.matrix
@@ -442,13 +443,11 @@ class TowerProjection(SuperOperator):
         self.target_level = int(target_level)
 
     def apply_matrix(self, mat):
-        pt = partial_trace_matrix(
-            np.asarray(mat, dtype=np.complex128), self.ambient_level, self.target_level
-        )
-        k = self.ambient_level - self.target_level
-        if k == 0:
-            return pt
-        return np.kron(pt, np.eye(2 ** k))
+        mat = np.asarray(mat, dtype=np.complex128)
+        pt = partial_trace_matrix(mat, self.ambient_level, self.target_level)
+        # pt kron I by broadcasting: [..., i, s, j, t] = pt[..., i, j] I[s, t]
+        eye = np.eye(2 ** (self.ambient_level - self.target_level))
+        return (pt[..., :, None, :, None] * eye[:, None, :]).reshape(mat.shape)
 
 
 class ScaledMap(SuperOperator):
@@ -504,13 +503,9 @@ class BlockwiseMap(SuperOperator):
     def apply_matrix(self, mat):
         k, d = self.k, self.inner.dim
         mat = np.asarray(mat, dtype=np.complex128)
-        out = np.empty_like(mat)
-        for i in range(k):
-            for j in range(k):
-                out[i * d:(i + 1) * d, j * d:(j + 1) * d] = self.inner.apply_matrix(
-                    mat[i * d:(i + 1) * d, j * d:(j + 1) * d]
-                )
-        return out
+        # the (..., k, k, d, d) view whose [..., i, j] is block (i, j)
+        blocks = mat.reshape(*mat.shape[:-2], k, d, k, d).swapaxes(-3, -2)
+        return self.inner.apply_matrix(blocks).swapaxes(-3, -2).reshape(mat.shape)
 
 
 # --------------------------------------------------------------------------
@@ -690,11 +685,9 @@ def _semigroup_matrix(op: SuperOperator, t: float, mat: np.ndarray) -> np.ndarra
     product for a Schur generator, else one product of the row-stacked
     matrices with the dense body."""
     check_nonnegative("semigroup time", t)
-    mat = np.asarray(mat, dtype=np.complex128)
     if op.schur is not None:
-        return _schur_semigroup(op, t) * mat
-    rows = mat.reshape(-1, op.dim * op.dim)
-    return (rows @ _semigroup_body(op, t).T).reshape(mat.shape)
+        return _schur_semigroup(op, t) * np.asarray(mat, dtype=np.complex128)
+    return _apply_body(_semigroup_body(op, t), mat)
 
 
 def semigroup_apply(op: SuperOperator, t: float, a: AlgebraElement) -> AlgebraElement:
@@ -782,6 +775,7 @@ def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> Prop
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    level = op.level
     rng = np.random.default_rng(seed)
     margins = np.full((samples, 2 * len(SEMIGROUP_TIMES)), np.nan)  # row i: sample i
     for rows, (x,) in gaussian_chunks(rng, samples, op.dim, 1):
@@ -791,7 +785,7 @@ def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> Prop
             ev = finite_spectra(np.linalg.eigvalsh, hermitian_part(y))
             margins[rows, 2 * k] = -ev[:, 0]
             margins[rows, 2 * k + 1] = ev[:, -1] - 1.0
-    return fold("markov", op.level, seed, tol, margins)
+    return fold("markov", level, seed, tol, margins)
 
 
 def symmetry_conservativity_check(
@@ -808,8 +802,8 @@ def symmetry_conservativity_check(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    level, d = op.level, op.dim
     rng = np.random.default_rng(seed)
-    d = op.dim
     eye = np.eye(d, dtype=np.complex128)
     margins = np.full((samples + 1, len(SEMIGROUP_TIMES)), np.nan)
     margins[0] = [
@@ -823,7 +817,7 @@ def symmetry_conservativity_check(
             rhs = np.trace(x @ phi_y, axis1=-2, axis2=-1) / d
             diff = lhs - rhs
             pairs[rows, k] = np.hypot(diff.real, diff.imag)  # abs() of each scalar
-    return fold("symmetry", op.level, seed, tol, margins, samples=samples)
+    return fold("symmetry", level, seed, tol, margins, samples=samples)
 
 
 def square_matrix_to_json(mat: np.ndarray) -> dict:

@@ -436,6 +436,13 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
     y = np.stack([gaussian_general(2 * d, rng) for _ in range(5)])
     h = tower.hermitian_part(x)
     level = (2 * d).bit_length() - 1
+    amplified = forms.amplified_form(diagonal_form(level - 1), 2)
+    full = forms.QuadraticForm(
+        superop.DoubleCommutatorFamily(
+            [tower.hermitian_part(gaussian_general(2 * d, rng)) / d for _ in range(2)]
+        )
+    )
+    assert full.generator.schur is None
     for xs, ys in [(x, y), (x.swapaxes(-1, -2), y), (h, h)]:
         got = tower.matrix_vdot(xs, ys)
         assert all(got[s] == np.vdot(xs[s], ys[s]) for s in range(5))
@@ -444,6 +451,8 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
         "ptrace": partial_trace_matrix(x, level, level - 1),
         "diag": diagonal_part(x),
         "energy": forms.form_energies(diagonal_form(level), x),
+        "amplified": forms.form_energies(amplified, x),
+        "full": forms.form_energies(full, x),
         "commutator": forms.commutator_energies(x),
     }
     for s in range(5):
@@ -453,7 +462,34 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
         )
         assert np.array_equal(stacked["diag"][s], np.diag(np.diag(x[s])))
         assert stacked["energy"][s] == eval_form_matrix(diagonal_form(level), x[s])
+        assert stacked["amplified"][s] == eval_form_matrix(amplified, x[s])
+        assert stacked["full"][s] == eval_form_matrix(full, x[s])
         assert stacked["commutator"][s] == forms.commutator_energies(x[s])
+
+
+@pytest.mark.parametrize(
+    "check, subject",
+    [
+        (forms.dirichlet_check, lambda: forms.amplified_form(diagonal_form(1), 3)),
+        (superop.markov_check, lambda: superop.BlockwiseMap(DiagonalComplement(2), 3)),
+        (
+            superop.symmetry_conservativity_check,
+            lambda: superop.BlockwiseMap(DiagonalComplement(2), 3),
+        ),
+    ],
+    ids=["dirichlet", "markov", "symmetry"],
+)
+def test_checks_read_their_report_level_before_they_draw(check, subject, monkeypatch):
+    """A check on a map of dimension 6 has no report level: it fails before
+    a single sample is drawn."""
+
+    def spy(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(forms, "gaussian_chunks", spy)
+    monkeypatch.setattr(superop, "gaussian_chunks", spy)
+    with pytest.raises(ValueError, match="not a power of two"):
+        check(subject(), 3, 1, 1e-10)
 
 
 def test_worst_along_is_the_worst_of_fold():

@@ -452,6 +452,27 @@ def test_converge_and_evolve_reject_non_finite_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        (["converge", "--level", "2"], "converge table row 0, column E_n is inf"),
+        (["evolve", "--t-grid", "0,1"], "evolve table row 0, column gns_norm is inf"),
+    ],
+)
+def test_converge_and_evolve_fail_closed_on_overflowing_input(
+    tmp_path, capsys, command, where
+):
+    """Finite entries of 1e200 pass the input check but overflow the
+    energies and norms: the table is refused, naming the first non-finite
+    row and column, and nothing is written."""
+    inp = tmp_path / "huge.json"
+    save_element(AlgebraElement(2, np.full((4, 4), 1e200, dtype=complex)), inp)
+    out = tmp_path / "o.csv"
+    assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["ms", "h"])
 def test_choi_lindblad_rejects_non_finite_data(tmp_path, capsys, field):
     p1 = element_to_json(AlgebraElement(1, np.diag([1.0, 0.0])))

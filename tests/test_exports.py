@@ -121,3 +121,44 @@ def test_semigroup_times_and_cap_have_one_home():
         assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
     assert harness.SEMIGROUP_TIMES is superop.SEMIGROUP_TIMES == grid
     assert harness.SEMIGROUP_LEVEL_CAP is superop.SEMIGROUP_LEVEL_CAP
+
+
+def _is_number(node) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:  # not a literal
+        return False
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def test_verify_flag_defaults_are_run_config_defaults():
+    """verify spells no numeric default of its own: parsing no flags gives
+    RunConfig() field for field."""
+    from dataclasses import fields
+
+    from towerforms import cli
+    from towerforms.harness import RunConfig
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (build,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_parser"
+    ]
+    parser, defaults = None, []
+    for node in build.body:  # the statements in source order
+        call = getattr(node, "value", None)
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+            continue
+        if call.func.attr == "add_parser":
+            parser = ast.literal_eval(call.args[0])
+        elif call.func.attr == "add_argument" and parser == "verify":
+            defaults += [kw.value for kw in call.keywords if kw.arg == "default"]
+    assert len(defaults) == len(fields(RunConfig))
+    assert [ast.unparse(value) for value in defaults if _is_number(value)] == []
+    args = cli.build_parser().parse_args(["verify"])
+    expected = RunConfig()
+    for field in fields(RunConfig):
+        if field.name == "suites":
+            assert RunConfig(suites=(args.suite,)).suites == expected.suites
+        else:
+            assert getattr(args, field.name) == getattr(expected, field.name), field.name

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from towerforms.tower import AlgebraElement, identity, random_element
-from towerforms.expectations import diagonal_part
+from towerforms.expectations import diagonal_part, partial_trace_matrix
 from towerforms.superop import (
     SEMIGROUP_TIMES,
     _check_budget,
@@ -28,7 +28,6 @@ from towerforms.superop import (
     spectral_resolve,
     square_matrix_to_json,
     symmetry_conservativity_check,
-    unvec,
     vec,
 )
 
@@ -175,7 +174,7 @@ def test_budget_rejects_huge_dimension_with_value_error():
 def test_vec_unvec_row_stacking():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(vec(a), [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(unvec(vec(a), 2), a)
+    np.testing.assert_array_equal(vec(a).reshape(2, 2), a)
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def test_spectral_reconstruction_and_parseval():
     res = spectral_resolve(op)
     for _ in range(5):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rebuilt = unvec(res.function_body(lambda lam: lam) @ vec(a), 4)
+        rebuilt = (res.function_body(lambda lam: lam) @ vec(a)).reshape(4, 4)
         np.testing.assert_allclose(rebuilt, op.apply_matrix(a), atol=1e-12)
         direct = np.vdot(op.apply_matrix(a), a).real / 4
         coeffs = np.einsum("kij,ij->k", res.eigenvectors.conj(), a) / 4
@@ -587,6 +586,83 @@ def test_closed_form_bodies_match_probe_reference(n):
         np.testing.assert_array_equal(densify(op).matrix, body)
 
 
+# One map of each class at level n, each built from (n, d, rng); the
+# dense-body maps are compared with a tolerance, every other bit for bit.
+_STACK_MAPS = {
+    "schur family": lambda n, d, rng: DoubleCommutatorFamily(
+        [rng.standard_normal(d) for _ in range(2)], h=np.diag(rng.standard_normal(d))
+    ),
+    "full family": lambda n, d, rng: _lindblad(n, 97),
+    "diagonal complement": lambda n, d, rng: DiagonalComplement(d),
+    "schur multiplier": lambda n, d, rng: SchurMultiplier(_hermitian(rng, d)),
+    "transpose": lambda n, d, rng: TransposeMap(d),
+    "dense": lambda n, d, rng: DenseMap(rng.standard_normal((d * d, d * d)) / d),
+    "tower projection": lambda n, d, rng: TowerProjection(n, n - 1),
+    "scaled": lambda n, d, rng: ScaledMap(0.7 - 0.2j, _lindblad(n, 98)),
+    "composed": lambda n, d, rng: ComposedMap(
+        (TransposeMap(d), _lindblad(n, 99), TowerProjection(n, 0))
+    ),
+    "blockwise": lambda n, d, rng: BlockwiseMap(_lindblad(n - 1, 100), 2),
+    "schur semigroup": lambda n, d, rng: SemigroupMap(DiagonalComplement(d), 0.5),
+    "semigroup": lambda n, d, rng: SemigroupMap(_lindblad(n, 101), 0.5),
+}
+_DENSE_BODY_MAPS = ("dense", "semigroup")
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_STACK_MAPS))
+def test_every_map_takes_a_stack(name, n, lead):
+    """apply_matrix on a stack (..., d, d) gives the input's shape, and each
+    matrix what its own call gives: bit for bit, or within 1e-12 (1 +
+    max|x|) for a map applied through its dense body."""
+    d = 2 ** n
+    rng = np.random.default_rng([102, n])
+    op = _STACK_MAPS[name](n, d, rng)
+    x = rng.standard_normal((*lead, d, d)) + 1j * rng.standard_normal((*lead, d, d))
+    got = op.apply_matrix(x)
+    assert got.shape == x.shape
+    for idx in np.ndindex(lead):
+        want = op.apply_matrix(x[idx])
+        if name in _DENSE_BODY_MAPS:
+            assert np.abs(got[idx] - want).max() <= 1e-12 * (1.0 + np.abs(x[idx]).max())
+        else:
+            assert np.array_equal(got[idx], want), idx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_dense_body_maps_one_row_of_units_per_call(n):
+    """The probing default makes d calls, each on the d matrix units of one
+    row, and gives the body of the one-unit-per-call probe bit for bit."""
+    d = 2 ** n
+    rng = np.random.default_rng([103, n])
+    for name in ("tower projection", "composed", "blockwise"):
+        op = _STACK_MAPS[name](n, d, rng)
+        shapes = []
+
+        def spy(mat, apply=op.apply_matrix):
+            shapes.append(mat.shape)
+            return apply(mat)
+
+        op.apply_matrix = spy
+        body = op.dense_body()
+        assert shapes == [(d, d, d)] * d, name
+        del op.apply_matrix
+        assert np.array_equal(body, _probe_body(op)), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tower_projection_lifts_by_kron_into_a_new_array(n):
+    x = random_element(n, "general", 104).entries
+    own = TowerProjection(n, n).apply_matrix(x)
+    assert own is not x and not np.shares_memory(own, x)
+    assert np.array_equal(own, x)
+    for target in range(n):
+        pt = partial_trace_matrix(x, n, target)
+        want = np.kron(pt, np.eye(2 ** (n - target)))
+        assert np.array_equal(TowerProjection(n, target).apply_matrix(x), want)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_commutator_family_collapses_only_when_exactly_diagonal(n):
     d = 2 ** n
@@ -738,7 +814,7 @@ def test_hermitian_unit_basis_is_unitary_and_round_trips(n):
     d = 2 ** n
     u = _hermitian_unit_matrix(d)
     for col in range(d * d):
-        unit = unvec(u[:, col], d)
+        unit = u[:, col].reshape(d, d)
         assert np.array_equal(unit, unit.conj().T)
     assert np.abs(u.conj().T @ u - np.eye(d * d)).max() <= 1e-15
     assert np.abs(_in_units(np.eye(d * d)) - np.eye(d * d)).max() <= 1e-15
@@ -775,7 +851,7 @@ def test_bodies_are_real_in_hermitian_units(n):
         res.eigenvalues, np.linalg.eigvalsh(left.matrix), rtol=0, atol=1e-12
     )
     a = random_element(n, "general", 89).entries
-    rebuilt = unvec(res.function_body(lambda lam: lam) @ vec(a), d)
+    rebuilt = (res.function_body(lambda lam: lam) @ vec(a)).reshape(d, d)
     np.testing.assert_allclose(rebuilt, x @ a, rtol=0, atol=1e-12)
 
 
@@ -818,7 +894,7 @@ def test_non_schur_semigroup_on_stacks_matches_complex_eigh(n):
             got = phi.apply_matrix(x)
             assert got.shape == x.shape
             for slice_in, slice_out in zip(x, got):
-                expected = unvec(reference @ vec(slice_in), d)
+                expected = (reference @ vec(slice_in)).reshape(d, d)
                 bound = 1e-12 * (1.0 + np.abs(slice_in).max())
                 assert np.abs(slice_out - expected).max() <= bound, (n, t, count)
 
