@@ -36,7 +36,6 @@ from .superop import (
     apply,
     densify,
     spectral_resolve,
-    semigroup_apply,
     choi_matrix,
     choi_min_eigenvalue,
     markov_check,

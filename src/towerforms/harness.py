@@ -60,9 +60,9 @@ from .superop import (
     SemigroupMap,
     SuperOperator,
     TransposeMap,
+    apply,
     choi_min_eigenvalue,
     markov_check,
-    semigroup_apply,
     symmetry_conservativity_check,
 )
 
@@ -653,7 +653,7 @@ def _evolve_chunk(gen, form, a, times) -> list[dict]:
     herms = np.empty((len(times), a.dim, a.dim), dtype=complex)
     rows = []
     for herm, t in zip(herms, times):
-        y = semigroup_apply(gen, t, a)
+        y = apply(SemigroupMap(gen, t), a)
         tr = normalized_trace(y)
         np.add(y.entries, y.entries.conj().T, out=herm)
         herm *= 0.5

@@ -35,7 +35,7 @@ from .tower import (
     gaussian_chunks,
     hermitian_part,
 )
-from .expectations import diagonal_part, partial_trace_matrix
+from .expectations import partial_trace_matrix
 
 __all__ = [
     "DENSIFY_DIM_CAP",
@@ -59,7 +59,6 @@ __all__ = [
     "apply",
     "densify",
     "spectral_resolve",
-    "semigroup_apply",
     "choi_matrix",
     "choi_min_eigenvalue",
     "markov_check",
@@ -86,11 +85,6 @@ SEMIGROUP_TIMES = (0.1, 1.0, 10.0)
 def vec(mat: np.ndarray) -> np.ndarray:
     """Row-stacking vectorization."""
     return np.asarray(mat).reshape(-1)
-
-
-def _schur_body(coeffs: np.ndarray) -> np.ndarray:
-    """Dense body of entrywise multiplication by coeffs: diag(vec(coeffs))."""
-    return np.diag(vec(coeffs).astype(np.complex128))
 
 
 def _apply_body(body: np.ndarray, mat) -> np.ndarray:
@@ -125,10 +119,9 @@ def _mix(x: np.ndarray, p: np.ndarray, q: np.ndarray, block: np.ndarray) -> None
 def _mix_pairs(x: np.ndarray, block: np.ndarray, axis: int = 0) -> None:
     """In place, the coordinates (p, q) = (k*d + l, l*d + k) of x along
     axis <- block @ those coordinates, for every pair k < l (x has d^2
-    entries along axis). It goes a chunk at a time through the memory
-    order of x, so that no temporary is larger than a chunk."""
-    if x.ndim == 2 and not x.flags.c_contiguous:
-        x, axis = x.T, 1 - axis
+    entries along axis). It goes a chunk at a time, through the memory
+    order of a C-ordered x, so that no temporary is larger than a chunk;
+    any layout gives the same result."""
     d = math.isqrt(x.shape[axis])
     k, l = np.triu_indices(d, 1)
     rows_p, rows_q = k * d + l, l * d + k
@@ -245,7 +238,7 @@ class SuperOperator:
         No budget check here: callers go through ``densify`` or ``choi_matrix``.
         """
         if self.schur is not None:
-            return _schur_body(self.schur)
+            return np.diag(vec(self.schur).astype(np.complex128))
         d = self.dim
         dense = np.empty((d * d, d * d), dtype=np.complex128)
         for k in range(d):
@@ -268,8 +261,12 @@ class DiagonalComplement(SuperOperator):
         self.schur = 1.0 - np.eye(self.dim)
 
     def apply_matrix(self, mat):
-        mat = np.asarray(mat, dtype=np.complex128)
-        return mat - diagonal_part(mat)
+        # A C-ordered copy, so that the reshape below is a view, with its
+        # diagonal set to x - x: the bits of mat - diagonal_part(mat) (x - 0 off it).
+        out = np.array(mat, dtype=np.complex128, order="C")
+        diag = out.reshape(*out.shape[:-2], -1)[..., :: out.shape[-1] + 1]
+        diag -= diag
+        return out
 
 
 class SchurMultiplier(SuperOperator):
@@ -659,65 +656,40 @@ def _decay(rates: np.ndarray, lowest: float, norm: float, t: float) -> np.ndarra
     return np.exp(-t * rates)
 
 
-def _schur_semigroup(op: SuperOperator, t: float) -> np.ndarray:
-    """Coefficients e^{-t Re c} of the semigroup of a Schur generator c,
-    after the checks the spectral path makes on the body diag(vec(c))."""
-    rates, lowest, norm = _measure_schur(op)
-    _check_positive(lowest, norm)
-    return _decay(rates, lowest, norm, t)
-
-
-def _semigroup_body(op: SuperOperator, t: float) -> np.ndarray:
-    """Dense body of e^{-t op}: diag(vec(e^{-tc})) for a Schur generator c,
-    else U W e^{-t Lambda} W* U* from the spectral resolution of a
-    generator whose least eigenvalue passes _check_positive."""
-    if op.schur is not None:
-        return _schur_body(_schur_semigroup(op, t))
-    res = spectral_resolve(op)
-    lowest = res.min_eigenvalue
-    norm = max(-lowest, res.max_eigenvalue)
-    _check_positive(lowest, norm)
-    return res.function_body(lambda lam: _decay(lam, lowest, norm, t))
-
-
-def _semigroup_matrix(op: SuperOperator, t: float, mat: np.ndarray) -> np.ndarray:
-    """e^{-t op} on a matrix or on each matrix of a stack: one broadcast
-    product for a Schur generator, else one product of the row-stacked
-    matrices with the dense body."""
-    check_nonnegative("semigroup time", t)
-    if op.schur is not None:
-        return _schur_semigroup(op, t) * np.asarray(mat, dtype=np.complex128)
-    return _apply_body(_semigroup_body(op, t), mat)
-
-
-def semigroup_apply(op: SuperOperator, t: float, a: AlgebraElement) -> AlgebraElement:
-    """Evaluate e^{-t op} on an element.
-
-    The generator must be GNS-self-adjoint and positive; a Schur
-    generator c gives the Schur multiplier e^{-tc}, everything else goes
-    through the dense body of its semigroup.
-    """
-    if op.dim != a.dim:
-        raise ValueError(
-            f"level mismatch: map acts on dimension {op.dim}, element has {a.dim}"
-        )
-    return AlgebraElement(a.level, _semigroup_matrix(op, t, a.entries))
-
-
 class SemigroupMap(SuperOperator):
     """e^{-t generator} frozen at one time, usable wherever a map is
-    expected (Choi certification in particular)."""
+    expected. The generator must be GNS-self-adjoint and positive.
+
+    A Schur generator c is checked once, here, and the semigroup is the
+    Schur multiplier ``schur`` = e^{-t Re c}. Any other generator's body
+    U W e^{-t Lambda} W* U* comes from its spectral resolution, built on
+    each call and never kept: a kept d^2 x d^2 body would raise the peak
+    memory of a Choi certificate, which holds one more of that size.
+    """
 
     def __init__(self, generator: SuperOperator, t: float):
         super().__init__(generator.dim)
         self.generator = generator
         self.t = check_nonnegative("semigroup time", t)
+        if generator.schur is not None:
+            rates, lowest, norm = _measure_schur(generator)
+            _check_positive(lowest, norm)
+            self.schur = _decay(rates, lowest, norm, self.t)
 
     def apply_matrix(self, mat):
-        return _semigroup_matrix(self.generator, self.t, mat)
+        mat = np.asarray(mat, dtype=np.complex128)
+        if self.schur is not None:
+            return self.schur * mat
+        return _apply_body(self.dense_body(), mat)
 
     def dense_body(self):
-        return _semigroup_body(self.generator, self.t)
+        if self.schur is not None:
+            return super().dense_body()
+        res = spectral_resolve(self.generator)
+        lowest = res.min_eigenvalue
+        norm = max(-lowest, res.max_eigenvalue)
+        _check_positive(lowest, norm)
+        return res.function_body(lambda lam: _decay(lam, lowest, norm, self.t))
 
 
 # --------------------------------------------------------------------------
@@ -763,6 +735,13 @@ def choi_min_eigenvalue(target) -> float:
 # --------------------------------------------------------------------------
 
 
+def _semigroup_maps(op: SuperOperator) -> list[SuperOperator]:
+    """The semigroup of op at each time in SEMIGROUP_TIMES, every body
+    built once: a non-Schur semigroup becomes the DenseMap of its body."""
+    maps = [SemigroupMap(op, t) for t in SEMIGROUP_TIMES]
+    return [m if m.schur is not None else DenseMap(m.dense_body()) for m in maps]
+
+
 def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> PropertyReport:
     """Sample contractions x with 0 <= x <= 1 and check that every Phi_t(x),
     t in SEMIGROUP_TIMES, keeps its spectrum inside [-tol, 1 + tol].
@@ -771,17 +750,20 @@ def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> Prop
     tower.gaussian_chunks) with stacked eigh/eigvalsh calls that do the
     per-sample arithmetic, so the report is byte-identical to evaluating
     one sample at a time. A sample with a NaN margin counts as a failure,
-    and so does a sample that is never checked.
+    and so does a sample that is never checked. Each Phi_t is built once,
+    before the draw: a non-Schur generator's body once per time, not once
+    per chunk.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     level = op.level
+    maps = _semigroup_maps(op)
     rng = np.random.default_rng(seed)
     margins = np.full((samples, 2 * len(SEMIGROUP_TIMES)), np.nan)  # row i: sample i
     for rows, (x,) in gaussian_chunks(rng, samples, op.dim, 1):
         x = clamp_spectrum(hermitian_part(x), 0.0, 1.0)
-        for k, t in enumerate(SEMIGROUP_TIMES):
-            y = _semigroup_matrix(op, t, x)
+        for k, phi in enumerate(maps):
+            y = phi.apply_matrix(x)
             ev = finite_spectra(np.linalg.eigvalsh, hermitian_part(y))
             margins[rows, 2 * k] = -ev[:, 0]
             margins[rows, 2 * k + 1] = ev[:, -1] - 1.0
@@ -798,21 +780,21 @@ def symmetry_conservativity_check(
     so does a pair that is never checked. The pairs are drawn and checked a
     chunk at a time (see tower.gaussian_chunks) with stacked products and
     traces that do the per-sample arithmetic, so the report is
-    byte-identical to evaluating one pair at a time.
+    byte-identical to evaluating one pair at a time. As in markov_check,
+    each Phi_t, and so each non-Schur body, is built once, before the draw.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     level, d = op.level, op.dim
+    maps = _semigroup_maps(op)
     rng = np.random.default_rng(seed)
     eye = np.eye(d, dtype=np.complex128)
     margins = np.full((samples + 1, len(SEMIGROUP_TIMES)), np.nan)
-    margins[0] = [
-        np.abs(_semigroup_matrix(op, t, eye) - eye).max() for t in SEMIGROUP_TIMES
-    ]
+    margins[0] = [np.abs(phi.apply_matrix(eye) - eye).max() for phi in maps]
     pairs = margins[1:]  # row i: pair i, after the unit's row
     for rows, (x, y) in gaussian_chunks(rng, samples, d, 2):
-        for k, t in enumerate(SEMIGROUP_TIMES):
-            phi_x, phi_y = _semigroup_matrix(op, t, np.stack((x, y)))
+        for k, phi in enumerate(maps):
+            phi_x, phi_y = phi.apply_matrix(np.stack((x, y)))
             lhs = np.trace(phi_x @ y, axis1=-2, axis2=-1) / d
             rhs = np.trace(x @ phi_y, axis1=-2, axis2=-1) / d
             diff = lhs - rhs

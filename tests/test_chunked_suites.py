@@ -26,7 +26,7 @@ from towerforms.forms import (
 )
 from towerforms.harness import SEMIGROUP_LEVEL_CAP, SEMIGROUP_TIMES, RunConfig, run_suite
 from towerforms.report import PropertyReport, fold, worst_along, worst_of
-from towerforms.superop import DiagonalComplement, semigroup_apply
+from towerforms.superop import DiagonalComplement, SemigroupMap, apply
 from towerforms.tower import (
     AlgebraElement,
     clamp_spectrum,
@@ -79,7 +79,7 @@ def ref_markov(cfg):
             x = AlgebraElement(n, random_matrix(2 ** n, "contraction", rng))
             margin = -np.inf
             for t in SEMIGROUP_TIMES:
-                y = semigroup_apply(gen, t, x).entries
+                y = apply(SemigroupMap(gen, t), x).entries
                 ev = np.linalg.eigvalsh(0.5 * (y + y.conj().T))
                 margin = worst_of(margin, -ev[0], ev[-1] - 1.0)
             worst = worst_of(worst, margin)
@@ -97,7 +97,7 @@ def ref_symmetry(cfg):
         eye = AlgebraElement(n, np.eye(d))
         conserv = -np.inf
         for t in SEMIGROUP_TIMES:
-            drift = np.abs(semigroup_apply(gen, t, eye).entries - eye.entries).max()
+            drift = np.abs(apply(SemigroupMap(gen, t), eye).entries - eye.entries).max()
             conserv = worst_of(conserv, drift)
         worst, failures = conserv, 0 if conserv <= cfg.tol else 1
         for _ in range(cfg.samples):
@@ -105,8 +105,8 @@ def ref_symmetry(cfg):
             y = AlgebraElement(n, random_matrix(d, "general", rng))
             margin = -np.inf
             for t in SEMIGROUP_TIMES:
-                lhs = np.trace(semigroup_apply(gen, t, x).entries @ y.entries) / d
-                rhs = np.trace(x.entries @ semigroup_apply(gen, t, y).entries) / d
+                lhs = np.trace(apply(SemigroupMap(gen, t), x).entries @ y.entries) / d
+                rhs = np.trace(x.entries @ apply(SemigroupMap(gen, t), y).entries) / d
                 margin = worst_of(margin, abs(lhs - rhs))
             worst = worst_of(worst, margin)
             failures += not margin <= cfg.tol

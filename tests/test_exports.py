@@ -123,6 +123,48 @@ def test_semigroup_times_and_cap_have_one_home():
     assert harness.SEMIGROUP_LEVEL_CAP is superop.SEMIGROUP_LEVEL_CAP
 
 
+def _module_level_private_names(tree) -> dict:
+    """Each private (not dunder) name a module defines at its top level,
+    with the statement that defines it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [getattr(target, "id", None) for target in targets]
+        else:
+            continue
+        for name in names:
+            if name and name.startswith("_") and not name.startswith("__"):
+                defined[name] = node
+    return defined
+
+
+def _reads(tree, skip=None) -> set:
+    """Names a tree reads, as a name or an attribute, outside the node skip."""
+    hidden = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load) and id(node) not in hidden
+    }
+
+
+def test_no_private_helper_is_orphaned():
+    """A module-level private helper that nothing in the package reads,
+    besides its own definition, is dead code left behind by a deletion."""
+    trees = _source_trees()
+    orphans = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_reads(t) for m, t in trees.items() if m != module))
+        for name, node in _module_level_private_names(tree).items():
+            if name not in elsewhere and name not in _reads(tree, skip=node):
+                orphans.append(f"{module}.{name}")
+    assert orphans == []
+
+
 def _is_number(node) -> bool:
     try:
         value = ast.literal_eval(node)

@@ -8,7 +8,7 @@ import pytest
 
 from towerforms import harness
 from towerforms.forms import diagonal_form, eval_form
-from towerforms.superop import ComposedMap, DiagonalComplement, semigroup_apply
+from towerforms.superop import ComposedMap, DiagonalComplement, SemigroupMap, apply
 from towerforms.tower import (
     AlgebraElement,
     embed,
@@ -201,7 +201,7 @@ def sequential_evolve(a, t_grid):
     form = diagonal_form(a.level)
     rows = []
     for t in t_grid:
-        y = semigroup_apply(gen, float(t), a)
+        y = apply(SemigroupMap(gen, float(t)), a)
         tr = normalized_trace(y)
         ev = np.linalg.eigvalsh(0.5 * (y.entries + y.entries.conj().T))
         rows.append(

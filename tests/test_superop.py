@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from towerforms.tower import AlgebraElement, identity, random_element
+from towerforms import superop
+from towerforms.tower import SAMPLE_CHUNK_BYTES, AlgebraElement, identity, random_element
 from towerforms.expectations import diagonal_part, partial_trace_matrix
 from towerforms.superop import (
     SEMIGROUP_TIMES,
@@ -17,6 +18,7 @@ from towerforms.superop import (
     ScaledMap,
     SchurMultiplier,
     SemigroupMap,
+    SpectralResolution,
     TowerProjection,
     TransposeMap,
     apply,
@@ -24,7 +26,6 @@ from towerforms.superop import (
     choi_min_eigenvalue,
     densify,
     markov_check,
-    semigroup_apply,
     spectral_resolve,
     square_matrix_to_json,
     symmetry_conservativity_check,
@@ -63,6 +64,34 @@ def test_diagonal_complement_on_offdiagonal_and_diagonal():
     np.testing.assert_array_equal(apply(dc, x).entries, X)
     d = AlgebraElement(1, np.diag([3.0, -1.0]))
     assert np.abs(apply(dc, d).entries).max() == 0.0
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagonal_complement_keeps_the_bits_of_subtracting_the_diagonal(n):
+    """One copy with its diagonal zeroed as x - x gives mat - diagonal_part(mat)
+    bit for bit, NaN and -0.0 included, for any layout and stack, and leaves
+    the input untouched."""
+    d = 2 ** n
+    rng = np.random.default_rng([103, n])
+    x = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+    x[0, 0, 0, 0] = np.nan
+    x[0, 1, -1, -1] = complex(-0.0, -0.0)
+    x[1, 2, 0, -1] = complex(-0.0, np.nan)
+    x[1, 0, -1, 0] = np.inf
+    kept = x.copy()
+    dc = DiagonalComplement(d)
+    for mat in (x, x[1, 2], x.swapaxes(-1, -2), x[0].conj().swapaxes(-1, -2),
+                np.asfortranarray(x[1, 0]), x.real, x[0, 0].real.T):
+        as_complex = np.asarray(mat, dtype=np.complex128)
+        want = as_complex - diagonal_part(as_complex)
+        got = dc.apply_matrix(mat)
+        assert got.shape == mat.shape and got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(x), _bits(kept))
 
 
 def test_double_commutator_single_projection_frozen():
@@ -247,7 +276,7 @@ def test_semigroup_closed_form_on_offdiagonal():
     x = AlgebraElement(1, X)
     for t in (0.1, 1.0, 10.0):
         np.testing.assert_allclose(
-            semigroup_apply(dc, t, x).entries, np.exp(-t) * X, atol=1e-15
+            apply(SemigroupMap(dc, t), x).entries, np.exp(-t) * X, atol=1e-15
         )
 
 
@@ -255,7 +284,7 @@ def test_semigroup_preserves_unit():
     dc = DiagonalComplement(4)
     one = identity(2)
     for t in (0.0, 0.5, 3.0):
-        np.testing.assert_allclose(semigroup_apply(dc, t, one).entries, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(apply(SemigroupMap(dc, t), one).entries, np.eye(4), atol=1e-15)
 
 
 def _schur_generators(n):
@@ -275,7 +304,7 @@ def _schur_generators(n):
 
 
 def test_semigroup_closed_form_matches_spectral_exponential():
-    """The Schur closed form e^{-tc} (semigroup_apply and the semigroup
+    """The Schur closed form e^{-tc} (a SemigroupMap's apply_matrix and
     body) against the spectral path on a dense map of the same body."""
     for n in (1, 2, 3, 4):
         a = random_element(n, "general", 65)
@@ -283,8 +312,8 @@ def test_semigroup_closed_form_matches_spectral_exponential():
             assert gen.schur is not None
             dense = densify(gen)  # no Schur coefficients: the spectral route
             for t in (0.1, 1.0, 10.0):
-                closed = semigroup_apply(gen, t, a).entries
-                spectral = semigroup_apply(dense, t, a).entries
+                closed = apply(SemigroupMap(gen, t), a).entries
+                spectral = apply(SemigroupMap(dense, t), a).entries
                 scale = 1.0 + np.abs(a.entries).max()
                 assert np.abs(closed - spectral).max() <= 1e-13 * scale, (n, gen)
                 body = SemigroupMap(gen, t).dense_body()
@@ -307,7 +336,7 @@ def test_schur_semigroup_rejects_complex_negative_and_nan_coefficients():
     ):
         for _ in range(2):  # a failing map caches nothing: every call fails
             with pytest.raises(ValueError, match=match):
-                semigroup_apply(gen, 1.0, identity(1))
+                apply(SemigroupMap(gen, 1.0), identity(1))
             with pytest.raises(ValueError, match=match):
                 SemigroupMap(gen, 1.0).dense_body()
 
@@ -317,20 +346,20 @@ def test_semigroup_law():
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     gen = DoubleCommutatorFamily([0.5 * (m + m.conj().T)])
     a = random_element(2, "general", 67)
-    lhs = semigroup_apply(gen, 0.7 + 0.4, a)
-    rhs = semigroup_apply(gen, 0.7, semigroup_apply(gen, 0.4, a))
+    lhs = apply(SemigroupMap(gen, 0.7 + 0.4), a)
+    rhs = apply(SemigroupMap(gen, 0.7), apply(SemigroupMap(gen, 0.4), a))
     np.testing.assert_allclose(lhs.entries, rhs.entries, atol=1e-11)
 
 
 def test_semigroup_rejects_negative_time():
     with pytest.raises(ValueError, match="nonnegative"):
-        semigroup_apply(DiagonalComplement(2), -0.1, identity(1))
+        apply(SemigroupMap(DiagonalComplement(2), -0.1), identity(1))
 
 
 def test_semigroup_rejects_non_positive_generator():
     bad = ScaledMap(-1.0, densify(DiagonalComplement(2)))
     with pytest.raises(ValueError, match="min eigenvalue"):
-        semigroup_apply(bad, 1.0, identity(1))
+        apply(SemigroupMap(bad, 1.0), identity(1))
 
 
 def test_semigroup_map_object_matches_apply():
@@ -338,8 +367,73 @@ def test_semigroup_map_object_matches_apply():
     phi = SemigroupMap(dc, 0.3)
     a = random_element(1, "general", 68)
     np.testing.assert_allclose(
-        phi.apply_matrix(a.entries), semigroup_apply(dc, 0.3, a).entries, atol=0
+        phi.apply_matrix(a.entries), apply(SemigroupMap(dc, 0.3), a).entries, atol=0
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_schur_semigroup_carries_its_coefficients(n):
+    """The semigroup of a Schur generator c is the Schur multiplier
+    e^{-t Re c}, decided once at construction; its body is diag(vec) of it."""
+    d = 2 ** n
+    rng = np.random.default_rng([104, n])
+    ms = [_real_diagonal(rng, d) for _ in range(2)]
+    for gen in (
+        DiagonalComplement(d),
+        DoubleCommutatorFamily(ms, h=np.diag(rng.uniform(0.0, 1.0, d))),
+        ScaledMap(0.5, DiagonalComplement(d)),
+    ):
+        for t in SEMIGROUP_TIMES:
+            phi = SemigroupMap(gen, t)
+            assert np.array_equal(_bits(phi.schur), _bits(np.exp(-t * gen.schur.real)))
+            assert np.array_equal(phi.dense_body(), np.diag(vec(phi.schur)))
+
+
+def test_semigroup_map_keeps_no_dense_body():
+    """A non-Schur semigroup builds its body on each call and keeps none:
+    a kept d^2 x d^2 body would add to the peak memory of a certificate."""
+    n = 3
+    d = 2 ** n
+    phi = SemigroupMap(_lindblad(n, 105), 0.5)
+    assert phi.schur is None
+    choi_min_eigenvalue(phi)
+    phi.dense_body()
+    phi.apply_matrix(np.eye(d))
+    kept = [
+        name for name, value in vars(phi).items()
+        if isinstance(value, np.ndarray) and value.size >= d ** 4
+    ]
+    assert kept == []
+
+
+@pytest.mark.parametrize("check", [markov_check, symmetry_conservativity_check])
+def test_semigroup_checks_build_each_body_once(check, monkeypatch):
+    """A non-Schur generator's semigroup body is built once per time in
+    SEMIGROUP_TIMES, not once per chunk of samples."""
+    n, d = 2, 4
+    samples = 2 * SAMPLE_CHUNK_BYTES // (16 * d * d) + 1  # at least 2 chunks
+    calls = []
+    function_body = SpectralResolution.function_body
+
+    def spy(self, func):
+        calls.append(self)
+        return function_body(self, func)
+
+    monkeypatch.setattr(SpectralResolution, "function_body", spy)
+    chunks = []
+    gaussian_chunks = superop.gaussian_chunks
+
+    def counted(*args):
+        for chunk in gaussian_chunks(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(superop, "gaussian_chunks", counted)
+    gen = _lindblad(n, 106)
+    assert gen.schur is None
+    check(gen, samples=samples, seed=107, tol=1e-10)
+    assert len(chunks) >= 2
+    assert len(calls) == len(SEMIGROUP_TIMES)
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +521,7 @@ def test_markov_check_passes_for_diagonal_generator():
 def test_markov_at_time_zero_is_identity():
     dc = DiagonalComplement(4)
     x = random_element(2, "contraction", 72)
-    np.testing.assert_array_equal(semigroup_apply(dc, 0.0, x).entries, x.entries)
+    np.testing.assert_array_equal(apply(SemigroupMap(dc, 0.0), x).entries, x.entries)
 
 
 def test_markov_fixed_point_of_diagonal_contraction():
@@ -435,7 +529,7 @@ def test_markov_fixed_point_of_diagonal_contraction():
     x = random_element(2, "contraction", 73)
     x = AlgebraElement(2, diagonal_part(x.entries))
     for t in (0.2, 2.0):
-        np.testing.assert_allclose(semigroup_apply(dc, t, x).entries, x.entries, atol=1e-15)
+        np.testing.assert_allclose(apply(SemigroupMap(dc, t), x).entries, x.entries, atol=1e-15)
 
 
 def test_symmetry_conservativity_passes_for_diagonal_generator():
@@ -752,7 +846,7 @@ def test_semigroup_rejects_bad_time(t):
     with pytest.raises(ValueError, match="semigroup time"):
         SemigroupMap(DiagonalComplement(2), t)
     with pytest.raises(ValueError, match="semigroup time"):
-        semigroup_apply(DiagonalComplement(2), t, identity(1))
+        apply(SemigroupMap(DiagonalComplement(2), t), identity(1))
 
 
 def test_spectral_cache_holds_only_resolved_maps():
@@ -827,6 +921,21 @@ def test_hermitian_unit_basis_is_unitary_and_round_trips(n):
         assert np.abs(there - u.conj().T @ x @ u).max() <= 1e-14 * scale
         _from_hermitian_units(there)
         assert np.abs(there - x).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hermitian_unit_changes_keep_their_bits_in_any_layout(n):
+    """The pair mixing is elementwise, so an F-ordered array gets the bits of
+    its C-ordered original."""
+    d = 2 ** n
+    rng = np.random.default_rng([108, n])
+    x = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    for change in (_to_hermitian_units, _from_hermitian_units):
+        c_ordered, f_ordered = x.copy(), np.asfortranarray(x)
+        change(c_ordered)
+        change(f_ordered)
+        assert f_ordered.flags.f_contiguous
+        assert np.array_equal(_bits(f_ordered), _bits(c_ordered)), change.__name__
 
 
 def _lindblad(n, seed):
@@ -976,7 +1085,7 @@ def test_positive_generator_of_large_scale_is_accepted(scale):
     gen = DoubleCommutatorFamily([np.array([[1.0, 0.37], [0.37, -0.2]]) * scale])
     phi = SemigroupMap(gen, 0.5)
     assert choi_min_eigenvalue(phi) >= -1e-10
-    y = semigroup_apply(gen, 0.5, identity(1)).entries
+    y = apply(SemigroupMap(gen, 0.5), identity(1)).entries
     np.testing.assert_allclose(y, np.eye(2), rtol=0, atol=1e-10)
 
 
@@ -984,12 +1093,12 @@ def test_negative_generator_of_large_scale_stays_rejected():
     m = np.array([[1.0, 0.37], [0.37, -0.2]]) * 1e3
     gen = DoubleCommutatorFamily([m], h=-1e-3 * np.eye(2))  # eigenvalue -2e-3
     with pytest.raises(ValueError, match="min eigenvalue"):
-        semigroup_apply(gen, 0.5, identity(1))
+        apply(SemigroupMap(gen, 0.5), identity(1))
     with pytest.raises(ValueError, match="min eigenvalue"):
         choi_min_eigenvalue(SemigroupMap(gen, 0.5))
     schur = SchurMultiplier(np.array([[1e3, -1e-3], [-1e-3, 1e3]]))
     with pytest.raises(ValueError, match="min eigenvalue"):
-        semigroup_apply(schur, 0.5, identity(1))
+        apply(SemigroupMap(schur, 0.5), identity(1))
 
 
 @pytest.mark.parametrize(
@@ -1019,9 +1128,9 @@ def test_semigroup_overflow_fails_closed_without_warnings():
     product t * rate that rounds to inf is the limit e^(-inf) = 0."""
     tolerated = SchurMultiplier(np.array([[1e20, -1e7], [-1e7, 1e20]]))
     with pytest.raises(ValueError, match="overflows"):
-        semigroup_apply(tolerated, 1.0, identity(1))
+        apply(SemigroupMap(tolerated, 1.0), identity(1))
     fast = SchurMultiplier(np.array([[0.0, 1e10], [1e10, 0.0]]))
-    y = semigroup_apply(fast, 1e300, AlgebraElement(1, X + np.eye(2))).entries
+    y = apply(SemigroupMap(fast, 1e300), AlgebraElement(1, X + np.eye(2))).entries
     np.testing.assert_array_equal(y, np.eye(2))
     body = SemigroupMap(DenseMap(densify(fast).matrix), 1e300).dense_body()
     np.testing.assert_allclose(body, np.diag([1.0, 0.0, 0.0, 1.0]), rtol=0, atol=1e-15)
