@@ -37,24 +37,14 @@ __all__ = [
 ]
 
 
-def _frozen_complex(x) -> np.ndarray:
-    """x as a read-only complex128 array; a writable or non-complex input
-    is copied, a read-only complex128 one is taken as is."""
-    x = np.asarray(x)
-    if x.dtype != np.complex128 or x.flags.writeable:
-        x = np.array(x, dtype=np.complex128)
-    x.setflags(write=False)
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class BimoduleVector:
     """2^level components at a common carrier level d = 2^carrier_level,
     held as rank factors: component j is ``left[j] @ right[j]`` with
     ``left`` of shape (2^level, d, r) and ``right`` of shape (2^level, r, d).
 
-    A writable or non-complex factor is copied; a read-only complex128 one
-    is taken as is. The stored factors are read-only.
+    Each factor is copied once at construction; the stored copies are
+    read-only and share no memory with the inputs.
     """
 
     level: int
@@ -62,8 +52,8 @@ class BimoduleVector:
     right: np.ndarray
 
     def __post_init__(self):
-        left = _frozen_complex(self.left)
-        right = _frozen_complex(self.right)
+        left = np.array(self.left, dtype=np.complex128)  # copies, frozen below
+        right = np.array(self.right, dtype=np.complex128)
         k = 2 ** self.level
         d, r = left.shape[1:] if left.ndim == 3 else (0, 0)
         if (
@@ -78,8 +68,9 @@ class BimoduleVector:
                 f"and ({k}, r, d) with d a power of two and r >= 1, got "
                 f"{left.shape} and {right.shape}"
             )
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        for name, factor in (("left", left), ("right", right)):
+            factor.setflags(write=False)
+            object.__setattr__(self, name, factor)
 
     @property
     def carrier_level(self) -> int:
@@ -101,7 +92,7 @@ class BimoduleVector:
     def _concat(self, other: "BimoduleVector", other_left: np.ndarray) -> "BimoduleVector":
         """The sum of self and the vector with factors (other_left, other.right)."""
         self._check_compatible(other)
-        return _wrap(
+        return BimoduleVector(
             self.level,
             np.concatenate((self.left, other_left), axis=2),
             np.concatenate((self.right, other.right), axis=1),
@@ -113,14 +104,6 @@ class BimoduleVector:
                 f"bimodule mismatch: level {self.level}/{other.level}, "
                 f"carrier {self.carrier_level}/{other.carrier_level}"
             )
-
-
-def _wrap(level: int, left: np.ndarray, right: np.ndarray) -> BimoduleVector:
-    """A vector over freshly computed (or already frozen) factors, frozen
-    without a copy."""
-    left.setflags(write=False)
-    right.setflags(write=False)
-    return BimoduleVector(level, left, right)
 
 
 def _check_carrier(a: AlgebraElement, f: BimoduleVector) -> None:
@@ -201,19 +184,19 @@ def max_abs_factors(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def derive(a: AlgebraElement, n: int) -> BimoduleVector:
     """Component j is [p_j, E_n a] with E_n a the level-n expectation of a,
     at rank 2 (see derive_factors). Zero exactly when E_n a is diagonal."""
-    return _wrap(n, *derive_factors(cond_expect(a, n).entries))
+    return BimoduleVector(n, *derive_factors(cond_expect(a, n).entries))
 
 
 def bimodule_left(a: AlgebraElement, f: BimoduleVector) -> BimoduleVector:
     """(a . f)(j) = a f(j) (see left_action)."""
     _check_carrier(a, f)
-    return _wrap(f.level, left_action(a.entries, f.left), f.right)
+    return BimoduleVector(f.level, left_action(a.entries, f.left), f.right)
 
 
 def bimodule_right(f: BimoduleVector, a: AlgebraElement) -> BimoduleVector:
     """(f . a)(j) = f(j) a (see right_action)."""
     _check_carrier(a, f)
-    return _wrap(f.level, f.left, right_action(f.right, a.entries))
+    return BimoduleVector(f.level, f.left, right_action(f.right, a.entries))
 
 
 def bimodule_inner(f: BimoduleVector, g: BimoduleVector) -> AlgebraElement:

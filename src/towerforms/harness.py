@@ -59,6 +59,7 @@ from .superop import (
     ScaledMap,
     SemigroupMap,
     SuperOperator,
+    TowerProjection,
     TransposeMap,
     apply,
     choi_min_eigenvalue,
@@ -139,12 +140,12 @@ def _suite_seed(base: int, suite: str, level: int) -> int:
     return (base + zlib.crc32(f"{suite}:{level}".encode())) % (2 ** 31)
 
 
-def _schur_deviation(x: SuperOperator, y: SuperOperator, scale: float = 1.0) -> float:
-    """max |c_x - scale * c_y| over the Schur coefficients of two maps: inf
-    when either map is not a Schur multiplier, NaN when a coefficient is."""
-    if x.schur is None or y.schur is None:
+def _commutator_deviation(x: SuperOperator) -> float:
+    """max |c_x - 2 (1 - I)| over the Schur coefficients of x, 2 (1 - I) being
+    the commutator generator's: inf without schur, NaN when a c_x is."""
+    if x.schur is None:
         return math.inf
-    return float(np.abs(x.schur - scale * y.schur).max())
+    return float(np.abs(x.schur - 2.0 * DiagonalComplement(x.dim).schur).max())
 
 
 # --------------------------------------------------------------------------
@@ -216,10 +217,12 @@ def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return max_abs_factors(left, right)
 
 
-def _conditioned_down(b: np.ndarray, rows: slice, level: int):
-    """(n, rows, E_n b) for n = level, ..., 1 of a stack b of level-`level`
-    matrices: each step traces one more leg out of the last, which is E_n b
-    by the tower property E_n = E_n E_{n+1}. Only the last stage is kept."""
+def _conditioned_down(held: list, rows: slice, level: int):
+    """(n, rows, E_n b) for n = level, ..., 1 of b, the held stacks of
+    level-`level` matrices joined: each step traces one more leg out of the
+    last, which is E_n b by the tower property E_n = E_n E_{n+1}. Only the
+    last stage is kept."""
+    b = np.concatenate(held)
     yield level, rows, b
     for n in range(level - 1, 0, -1):
         b = partial_trace_matrix(b, n + 1, n)
@@ -242,15 +245,10 @@ def _expectation_towers(ambients, level: int):
             held.append(partial_trace_matrix(a, level, level - 1))
         del a  # freed before the next chunk is drawn
         if held and sum(b.nbytes for b in held) >= tower.SAMPLE_CHUNK_BYTES:
-            yield from _conditioned_down(_joined(held), slice(first, rows.stop), level - 1)
+            yield from _conditioned_down(held, slice(first, rows.stop), level - 1)
             held, first = [], rows.stop
     if held:
-        yield from _conditioned_down(_joined(held), slice(first, rows.stop), level - 1)
-
-
-def _joined(stacks: list) -> np.ndarray:
-    """The stacks as one, without a copy when there is only one."""
-    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        yield from _conditioned_down(held, slice(first, rows.stop), level - 1)
 
 
 def _energy_gaps(b: np.ndarray) -> np.ndarray:
@@ -322,9 +320,9 @@ def _leibniz_reports(cfg: RunConfig, parts: list) -> list[PropertyReport]:
 
 def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Commutator-form family: compatibility margin on full matrix-unit
-    bases, recovery of the top form, and rejection of a x2-perturbed
-    family as a negative control. A family that build_from_family rejects
-    is one failure, its deviation the worst margin."""
+    bases, recovery of the top form (its Schur coefficients against 2 (1 -
+    I)), and rejection of a x2-perturbed family as a negative control. A
+    rejected family is one failure, its deviation the worst margin."""
     family = CompatibleFamily(
         tuple(commutator_form(n) for n in range(1, cfg.level + 1))
     )
@@ -335,9 +333,7 @@ def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
         failures = 1
     else:
         failures = 0
-        recovery_dev = _schur_deviation(
-            recovered.generator, family.forms[-1].generator
-        )
+        recovery_dev = _commutator_deviation(recovered.generator)
         worst = worst_of(worst, recovery_dev)
         if not recovery_dev <= cfg.eig_tol:
             failures += 1
@@ -385,9 +381,7 @@ def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyRepor
             commutator_energies(b) - 2.0 * form_energies(forms_n[n - 1], b)
         )
     for n in range(1, level + 1):
-        bridges[n - 1, -1] = _schur_deviation(
-            commutator_generator(n), DiagonalComplement(2 ** n), scale=2.0
-        )
+        bridges[n - 1, -1] = _commutator_deviation(commutator_generator(n))
     return [
         fold(
             "normalization-bridge", n, seed, cfg.eig_tol, bridge[:, None],
@@ -405,11 +399,11 @@ def _sqrt_energy(e: np.ndarray) -> np.ndarray:
 def _restricted_energies(form: QuadraticForm, a: np.ndarray):
     """(n, E(P_n a), E(Q_n a), ||Q_n a||_2^2) for n = 1 .. L of a level-L
     matrix a, or of each matrix of a stack, with P_n a = embed(cond_expect(a,
-    n)) and Q_n a = a - P_n a, by the arithmetic of project_P, project_Q,
-    eval_form and gns_inner on one element."""
+    n)) (the TowerProjection) and Q_n a = a - P_n a, by the arithmetic of
+    project_P, project_Q, eval_form and gns_inner on one element."""
     level, top = form.level, form.dim
     for n in range(1, level + 1):
-        pa = np.kron(partial_trace_matrix(a, level, n), np.eye(2 ** (level - n)))
+        pa = TowerProjection(level, n).apply_matrix(a)
         e_n = form_energies(form, pa)
         qa = a - pa
         del pa
@@ -676,23 +670,21 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     """Trajectory of a under the diagonal-complement semigroup at its own
     level; min/max eigenvalues refer to the Hermitian part.
 
-    The rows run on max(1, CPUs // BLAS threads) threads, with the BLAS
-    thread count read as in _pool_workers. One worker computes them one at
-    a time in the calling thread. Several workers share chunks of at most
-    POOL_CHUNK_BYTES of Hermitian parts, and each chunk takes its spectra
-    from one stacked eigvalsh call (a stack releases the GIL). When one
-    Hermitian part exceeds that budget (level 9 on), one worker runs. There
-    is no setting. Every row comes from the same operations as in
-    sequential evaluation, so the output is byte-identical to it, in grid
-    order. An error in any chunk is raised unchanged, and no rows are
-    returned. A non-finite entry raises a ValueError (see _finite_rows)."""
+    Every worker count uses the same chunks of at most POOL_CHUNK_BYTES of
+    Hermitian parts (one row when a part exceeds it, level 9 on), each with
+    its spectra from one stacked eigvalsh call (a stack releases the GIL).
+    They run on max(1, CPUs // BLAS threads) threads (see _pool_workers),
+    one worker in the calling thread, and one from level 9 on. There is no
+    setting. Every row comes from the same operations as in sequential
+    evaluation, so the output is byte-identical to it, in grid order. An
+    error in any chunk is raised unchanged, and no rows are returned. A
+    non-finite entry raises a ValueError (see _finite_rows)."""
     gen = DiagonalComplement(a.dim)
     form = diagonal_form(a.level)
     times = [float(t) for t in t_grid]
     step = POOL_CHUNK_BYTES // (16 * a.dim * a.dim)
     workers = _pool_workers(os.environ, _available_cpus()) if step else 1
-    if workers == 1:
-        step = 1  # a stack pays only for releasing the GIL
+    step = max(step, 1)
     chunks = [times[i:i + step] for i in range(0, len(times), step)]
     # The chunks share gen, whose lazily cached Schur measure is a pure
     # function of gen: threads that fill it at once store equal values.

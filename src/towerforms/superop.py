@@ -399,8 +399,11 @@ class DoubleCommutatorFamily(SuperOperator):
         for j in range(d):
             grid[:, j, :, j] += self._left
             grid[j, :, j, :] += self._left.T
+        # body -= kron(2 m, m^T), whose [i*d + j, k*d + l] is 2 m[i, k] m^T[j, l]
+        term = np.empty_like(grid)
         for m in self.ms:
-            body -= np.kron(2.0 * m, m.T)
+            np.multiply((2.0 * m)[:, None, :, None], m.T[None, :, None, :], out=term)
+            grid -= term
         return body
 
 

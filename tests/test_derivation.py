@@ -110,8 +110,16 @@ def test_stack_is_read_only_and_writable_input_is_copied():
     assert BimoduleVector(1, frozen_real, raw_right).left.dtype == np.complex128
     g = derive(AlgebraElement(1, X), 1)
     assert not (g.left.flags.writeable or g.right.flags.writeable)
-    h = BimoduleVector(1, g.left, g.right)
-    assert h.left is g.left and h.right is g.right  # read-only input is shared
+    # a complex128 input is copied too, read-only (derive's) or not: no
+    # factor shares memory with its input
+    complex_left = np.ones((2, 4, 1), dtype=np.complex128)
+    for left, right in [(g.left, g.right), (complex_left, raw_right)]:
+        h = BimoduleVector(1, left, right)
+        assert not (h.left.flags.writeable or h.right.flags.writeable)
+        assert not np.shares_memory(h.left, left)
+        assert not np.shares_memory(h.right, right)
+        np.testing.assert_array_equal(h.left, left)
+        np.testing.assert_array_equal(h.right, right)
 
 
 def _generic_vector(n: int, rng) -> BimoduleVector:

@@ -204,3 +204,25 @@ def test_verify_flag_defaults_are_run_config_defaults():
             assert RunConfig(suites=(args.suite,)).suites == expected.suites
         else:
             assert getattr(args, field.name) == getattr(expected, field.name), field.name
+
+
+def _is_np_kron(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "kron"
+        and getattr(node.func.value, "id", None) == "np"
+    )
+
+
+def test_only_embed_lifts_by_kron():
+    """P_n a = E_n(a) kron I has one home, superop.TowerProjection, which
+    lifts by broadcasting: the one np.kron call in the package is
+    tower.embed's."""
+    trees = _source_trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if _is_np_kron(node)]
+    (embed,) = [
+        node for node in trees["tower"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "embed"
+    ]
+    assert len(calls) == 1 and calls[0] in list(ast.walk(embed))

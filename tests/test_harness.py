@@ -8,7 +8,7 @@ import pytest
 
 from towerforms import harness
 from towerforms.forms import diagonal_form, eval_form
-from towerforms.superop import ComposedMap, DiagonalComplement, SemigroupMap, apply
+from towerforms.superop import ComposedMap, DiagonalComplement, ScaledMap, SemigroupMap, apply
 from towerforms.tower import (
     AlgebraElement,
     embed,
@@ -246,9 +246,9 @@ def test_evolve_table_equals_sequential_rows(monkeypatch, blas_threads, workers,
     a = random_element(7, "general", 409)
     grid = [0.25 * k for k in range(rows)]
     assert evolve_table(a, grid) == sequential_evolve(a, grid)
-    # two workers stack 8 rows per chunk at level 7, and a single chunk runs
-    # in the calling thread; one worker takes the rows one at a time
-    assert len(threads) == (-(-rows // 8) if workers == 2 else rows)
+    # every worker count stacks 8 rows per chunk at level 7; one worker, or a
+    # single chunk, runs in the calling thread
+    assert len(threads) == -(-rows // 8)
     assert threading.main_thread() in threads
     assert len(set(threads)) == (2 if pooled else 1)
 
@@ -719,6 +719,25 @@ def test_generator_comparison_fails_closed_without_schur(monkeypatch, suite):
     monkeypatch.setattr(harness, "commutator_generator", unstructured)
     reports = run_suite(RunConfig(level=2, samples=2, suites=(suite,)))
     assert all(r.failures == 1 and r.worst_margin == np.inf for r in reports)
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_compatibility_recovery_fails_on_a_tripled_commutator_family(monkeypatch, level):
+    """Three times the commutator generator at every level is a compatible,
+    stable family, but its recovered form is not the commutator form: the
+    recovery check compares with the closed form 2 (1 - I), not with the
+    family's own top form, and is off by 6 - 2 = 4 off the diagonal."""
+    import towerforms.forms as forms
+
+    real = forms.commutator_generator
+
+    def tripled(n):
+        return ScaledMap(3.0, real(n))
+
+    monkeypatch.setattr(forms, "commutator_generator", tripled)
+    monkeypatch.setattr(harness, "commutator_generator", tripled)
+    (rep,) = run_suite(RunConfig(level=level, samples=2, suites=("compatibility",)))
+    assert (rep.failures, rep.worst_margin) == (1, 4.0)
 
 
 def test_write_table_csv_format(tmp_path):

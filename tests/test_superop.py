@@ -680,6 +680,32 @@ def test_closed_form_bodies_match_probe_reference(n):
         np.testing.assert_array_equal(densify(op).matrix, body)
 
 
+def _kron_commutator_body(op):
+    """The dense body of a full DoubleCommutatorFamily as the kron sum
+    L kron I + I kron L^T - 2 sum_i m_i kron m_i^T, one kron per m_i."""
+    d = op.dim
+    body = np.zeros((d * d, d * d), dtype=np.complex128)
+    grid = body.reshape(d, d, d, d)
+    for j in range(d):
+        grid[:, j, :, j] += op._left
+        grid[j, :, j, :] += op._left.T
+    for m in op.ms:
+        body -= np.kron(2.0 * m, m.T)
+    return body
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_commutator_body_keeps_the_bits_of_the_kron_sum(n):
+    """The body subtracts each 2 m_i kron m_i^T from one buffer: the same
+    products in the same order as the kron sum, so the same bits."""
+    d = 2 ** n
+    rng = np.random.default_rng([105, n])
+    for h in (None, _hermitian(rng, d)):
+        op = DoubleCommutatorFamily([_hermitian(rng, d) for _ in range(3)], h=h)
+        assert op.schur is None
+        assert np.array_equal(_bits(op.dense_body()), _bits(_kron_commutator_body(op)))
+
+
 # One map of each class at level n, each built from (n, d, rng); the
 # dense-body maps are compared with a tolerance, every other bit for bit.
 _STACK_MAPS = {
