@@ -4,7 +4,6 @@ derivations on the tower of 2^n x 2^n matrix algebras."""
 from .tower import (
     AlgebraElement,
     identity,
-    zero,
     matrix_unit,
     diagonal_projection,
     normalized_trace,
@@ -42,11 +41,8 @@ from .superop import (
     symmetry_conservativity_check,
 )
 from .forms import (
-    QuadraticForm,
     CompatibleFamily,
     FamilyCompatibilityError,
-    diagonal_form,
-    commutator_form,
     commutator_generator,
     eval_form,
     commutator_form_eval,

@@ -99,9 +99,9 @@ def _load_lindblad(path: str) -> DoubleCommutatorFamily:
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict) or not isinstance(obj.get("ms"), list):
         raise ValueError(f"{path}: expected an object with an 'ms' list")
-    ms = [element_from_json(m) for m in obj["ms"]]
+    ms = [element_from_json(m).entries for m in obj["ms"]]
     h = obj.get("h")
-    return DoubleCommutatorFamily(ms, None if h is None else element_from_json(h))
+    return DoubleCommutatorFamily(ms, None if h is None else element_from_json(h).entries)
 
 
 def _make_generator(spec: str, level: int):

@@ -1,9 +1,13 @@
-"""Generator-backed quadratic forms and their Dirichlet-property machinery.
+"""Quadratic forms, each given by its generator, and their Dirichlet-property
+machinery.
 
-The central example is the diagonal form <(I - B)a, a>_2 over the
-complement of the diagonal expectation, together with its commutator
-presentation, block-matrix amplifications and the construction of a
-top-level form from a compatible family of per-level forms.
+On a finite level a form is E(a) = <L a, a>_2 for its GNS-self-adjoint,
+positive generator L, and E and L determine each other; so every function
+here takes the form as its generator, a SuperOperator. The central example
+is the diagonal complement I - B of the diagonal expectation, together with
+the commutator presentation, block-matrix amplifications and the
+construction of a top-level form from a compatible family of per-level
+forms.
 
 A family is compared in Schur coefficients: the compression of a Schur
 generator c_{n+1} to the embedded level n multiplies entrywise by the
@@ -34,19 +38,15 @@ from .superop import (
     DENSIFY_DIM_CAP,
     SYM_TOL,
     BlockwiseMap,
-    DiagonalComplement,
     DoubleCommutatorFamily,
     ScaledMap,
     SuperOperator,
 )
 
 __all__ = [
-    "QuadraticForm",
     "CompatibleFamily",
     "FamilyCompatibilityError",
-    "diagonal_form",
     "commutator_generator",
-    "commutator_form",
     "eval_form",
     "form_energies",
     "eval_form_matrix",
@@ -64,31 +64,6 @@ __all__ = [
 STABILIZATION_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticForm:
-    """A quadratic form a -> <generator(a), a>_2 with a self-adjoint,
-    positive generator."""
-
-    generator: SuperOperator
-    label: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.generator.dim
-
-    @property
-    def level(self) -> int:
-        return self.generator.level
-
-    def __repr__(self) -> str:
-        return f"QuadraticForm(dim={self.dim}, label={self.label!r})"
-
-
-def diagonal_form(level: int) -> QuadraticForm:
-    """The form of the diagonal-complement generator at the given level."""
-    return QuadraticForm(DiagonalComplement(2 ** level), label="diagonal")
-
-
 def commutator_generator(level: int) -> DoubleCommutatorFamily:
     """sum_j [p_j, [p_j, .]] over the rank-one diagonal projections, each
     given as its diagonal (a row of the identity); equals twice the
@@ -96,35 +71,31 @@ def commutator_generator(level: int) -> DoubleCommutatorFamily:
     return DoubleCommutatorFamily(list(np.eye(2 ** level)), h=None)
 
 
-def commutator_form(level: int) -> QuadraticForm:
-    return QuadraticForm(commutator_generator(level), label="commutator")
-
-
-def form_energies(form: QuadraticForm, mats: np.ndarray) -> np.ndarray:
-    """<generator(x), x>_2 for a matrix x, or for each matrix of a stack,
-    with one call of the generator on the whole stack. Each energy is
-    computed as for one matrix.
+def form_energies(gen: SuperOperator, mats: np.ndarray) -> np.ndarray:
+    """<gen(x), x>_2 for a matrix x, or for each matrix of a stack, with one
+    call of the generator on the whole stack. Each energy is computed as for
+    one matrix.
     """
     mats = np.asarray(mats, dtype=np.complex128)
-    return matrix_vdot(form.generator.apply_matrix(mats), mats).real / form.dim
+    return matrix_vdot(gen.apply_matrix(mats), mats).real / gen.dim
 
 
-def eval_form_matrix(form: QuadraticForm, mat: np.ndarray) -> float:
+def eval_form_matrix(gen: SuperOperator, mat: np.ndarray) -> float:
     mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (form.dim, form.dim):
+    if mat.shape != (gen.dim, gen.dim):
         raise ValueError(
-            f"form acts on {form.dim} x {form.dim} matrices, got {mat.shape}"
+            f"form acts on {gen.dim} x {gen.dim} matrices, got {mat.shape}"
         )
-    return float(form_energies(form, mat))
+    return float(form_energies(gen, mat))
 
 
-def eval_form(form: QuadraticForm, a: AlgebraElement) -> float:
-    """<generator(a), a>_2; real and nonnegative for the forms built here."""
-    if a.dim != form.dim:
+def eval_form(gen: SuperOperator, a: AlgebraElement) -> float:
+    """<gen(a), a>_2; real and nonnegative for the forms built here."""
+    if a.dim != gen.dim:
         raise ValueError(
-            f"level mismatch: form acts on dimension {form.dim}, element has {a.dim}"
+            f"level mismatch: form acts on dimension {gen.dim}, element has {a.dim}"
         )
-    return eval_form_matrix(form, a.entries)
+    return eval_form_matrix(gen, a.entries)
 
 
 def commutator_energies(b: np.ndarray) -> np.ndarray:
@@ -161,13 +132,13 @@ def wedge_one(a: AlgebraElement) -> AlgebraElement:
 
 
 def dirichlet_check(
-    form: QuadraticForm,
+    gen: SuperOperator,
     samples: int,
     seed: int,
     tol: float,
     level: int | None = None,
 ) -> PropertyReport:
-    """Randomized Dirichlet-property suite.
+    """Randomized Dirichlet-property suite for the form of gen.
 
     For Hermitian samples checks the contraction E(a ^ 1) <= E(a); for
     general samples checks the reality E(a*) = E(a).
@@ -180,40 +151,36 @@ def dirichlet_check(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    level = form.level if level is None else level
+    level = gen.level if level is None else level
     rng = np.random.default_rng(seed)
     margins = np.full((samples, 2), np.nan)  # row i: sample i
-    for rows, (a, g) in gaussian_chunks(rng, samples, form.dim, 2):
+    for rows, (a, g) in gaussian_chunks(rng, samples, gen.dim, 2):
         a = hermitian_part(a)
         wedged = clamp_spectrum(a, 0.0, 1.0)
-        margins[rows, 0] = form_energies(form, wedged) - form_energies(form, a)
+        margins[rows, 0] = form_energies(gen, wedged) - form_energies(gen, a)
         del a, wedged
         margins[rows, 1] = np.abs(
-            form_energies(form, g.conj().swapaxes(-1, -2)) - form_energies(form, g)
+            form_energies(gen, g.conj().swapaxes(-1, -2)) - form_energies(gen, g)
         )
     return fold("dirichlet", level, seed, tol, margins)
 
 
-def amplified_form(form: QuadraticForm, k: int) -> QuadraticForm:
-    """Extension to k x k block matrices whose energy is the sum of the
-    base-form energies of the blocks.
-
-    The generator acts blockwise; the factor k compensates the normalized
-    trace of the larger space so the value equals the blockwise sum.
+def amplified_form(gen: SuperOperator, k: int) -> SuperOperator:
+    """The generator of the extension to k x k block matrices whose energy
+    is the sum of the base-form energies of the blocks: k times gen acting
+    blockwise, the factor k compensating the normalized trace of the larger
+    space. k = 1 returns gen itself.
     """
     if k < 1:
         raise ValueError(f"amplification order must be >= 1, got {k}")
     if k == 1:
-        return form
-    if k * form.dim > DENSIFY_DIM_CAP:
+        return gen
+    if k * gen.dim > DENSIFY_DIM_CAP:
         raise ValueError(
-            f"amplified dimension {k * form.dim} exceeds cap "
+            f"amplified dimension {k * gen.dim} exceeds cap "
             f"DENSIFY_DIM_CAP={DENSIFY_DIM_CAP}"
         )
-    return QuadraticForm(
-        ScaledMap(float(k), BlockwiseMap(form.generator, k)),
-        label=f"{form.label} amplified k={k}",
-    )
+    return ScaledMap(float(k), BlockwiseMap(gen, k))
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +210,10 @@ class FamilyCompatibilityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CompatibleFamily:
-    """Quadratic forms at levels 1..N meant to agree along the embeddings."""
+    """The generators of quadratic forms at levels 1..N meant to agree along
+    the embeddings."""
 
-    forms: tuple[QuadraticForm, ...]
+    forms: tuple[SuperOperator, ...]
 
     def __post_init__(self):
         forms = tuple(self.forms)
@@ -291,8 +259,8 @@ def family_compatibility_margin(family: CompatibleFamily):
     worst = 0.0
     witness = None
     for n in range(1, family.top_level):
-        low = family.forms[n - 1].generator.schur
-        high = family.forms[n].generator.schur
+        low = family.forms[n - 1].schur
+        high = family.forms[n].schur
         if low is None or high is None:
             local, candidate = math.inf, (n, None, None, None, None)
         else:
@@ -315,12 +283,13 @@ def _stabilization_values(family: CompatibleFamily, m: int) -> np.ndarray:
     """Re pt(c_n, n, m) / 2^m stacked over n = m..N (see build_from_family)."""
     forms = family.forms[m - 1:]
     return np.stack(
-        [partial_trace_matrix(f.generator.schur, f.level, m).real for f in forms]
+        [partial_trace_matrix(f.schur, f.level, m).real for f in forms]
     ) / 2 ** m
 
 
-def build_from_family(family: CompatibleFamily, tol: float = 1e-12) -> QuadraticForm:
-    """Recover the top-level form from a compatible family.
+def build_from_family(family: CompatibleFamily, tol: float = 1e-12) -> SuperOperator:
+    """Recover the top-level form from a compatible family: its generator,
+    the family's top member itself.
 
     Verifies the compatibility invariant (family_compatibility_margin
     within the finite tol; a member without Schur coefficients deviates by

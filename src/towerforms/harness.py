@@ -33,12 +33,9 @@ from .expectations import partial_trace_matrix
 from .forms import (
     CompatibleFamily,
     FamilyCompatibilityError,
-    QuadraticForm,
     build_from_family,
     commutator_energies,
-    commutator_form,
     commutator_generator,
-    diagonal_form,
     dirichlet_check,
     eval_form,
     family_compatibility_margin,
@@ -170,18 +167,18 @@ def _levels(top: int, nbytes_per_entry: int) -> list[_Unit]:
     return [_Unit(n, nbytes_per_entry * 4 ** n) for n in range(1, top + 1)]
 
 
-# The per-level checks: suite -> (check, what it checks at level n).
+# The per-level checks of the diagonal generator: suite -> check.
 _LEVEL_CHECKS = {
-    "dirichlet": (dirichlet_check, diagonal_form),
-    "markov": (markov_check, lambda n: DiagonalComplement(2 ** n)),
-    "symmetry": (symmetry_conservativity_check, lambda n: DiagonalComplement(2 ** n)),
+    "dirichlet": dirichlet_check,
+    "markov": markov_check,
+    "symmetry": symmetry_conservativity_check,
 }
 
 
 def _run_level_check(suite: str, cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
-    check, subject = _LEVEL_CHECKS[suite]
     n = unit.level
-    return [check(subject(n), cfg.samples, _suite_seed(cfg.seed, suite, n), cfg.tol)]
+    seed = _suite_seed(cfg.seed, suite, n)
+    return [_LEVEL_CHECKS[suite](DiagonalComplement(2 ** n), cfg.samples, seed, cfg.tol)]
 
 
 def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
@@ -324,7 +321,7 @@ def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     I)), and rejection of a x2-perturbed family as a negative control. A
     rejected family is one failure, its deviation the worst margin."""
     family = CompatibleFamily(
-        tuple(commutator_form(n) for n in range(1, cfg.level + 1))
+        tuple(commutator_generator(n) for n in range(1, cfg.level + 1))
     )
     worst, _ = family_compatibility_margin(family)
     try:
@@ -333,16 +330,14 @@ def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
         failures = 1
     else:
         failures = 0
-        recovery_dev = _commutator_deviation(recovered.generator)
+        recovery_dev = _commutator_deviation(recovered)
         worst = worst_of(worst, recovery_dev)
         if not recovery_dev <= cfg.eig_tol:
             failures += 1
 
     if cfg.level >= 2:
         perturbed_forms = list(family.forms)
-        perturbed_forms[1] = QuadraticForm(
-            ScaledMap(2.0, perturbed_forms[1].generator), label="perturbed"
-        )
+        perturbed_forms[1] = ScaledMap(2.0, perturbed_forms[1])
         try:
             build_from_family(CompatibleFamily(tuple(perturbed_forms)))
         except FamilyCompatibilityError:
@@ -372,13 +367,13 @@ def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyRepor
     level = cfg.level
     seed = _suite_seed(cfg.seed, "normalization-bridge", level)
     rng = np.random.default_rng(seed)
-    forms_n = [diagonal_form(n) for n in range(1, level + 1)]
+    gens = [DiagonalComplement(2 ** n) for n in range(1, level + 1)]
     # level n's row: column i is sample i, the generator's deviation last
     bridges = np.full((level, cfg.samples + 1), np.nan)
     ambients = gaussian_chunks(rng, cfg.samples, 2 ** level, 1)
     for n, rows, b in _expectation_towers(((r, a) for r, (a,) in ambients), level):
         bridges[n - 1, rows] = np.abs(
-            commutator_energies(b) - 2.0 * form_energies(forms_n[n - 1], b)
+            commutator_energies(b) - 2.0 * form_energies(gens[n - 1], b)
         )
     for n in range(1, level + 1):
         bridges[n - 1, -1] = _commutator_deviation(commutator_generator(n))
@@ -396,18 +391,19 @@ def _sqrt_energy(e: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(0.0 > e, 0.0, e))
 
 
-def _restricted_energies(form: QuadraticForm, a: np.ndarray):
+def _restricted_energies(gen: SuperOperator, a: np.ndarray):
     """(n, E(P_n a), E(Q_n a), ||Q_n a||_2^2) for n = 1 .. L of a level-L
-    matrix a, or of each matrix of a stack, with P_n a = embed(cond_expect(a,
-    n)) (the TowerProjection) and Q_n a = a - P_n a, by the arithmetic of
-    project_P, project_Q, eval_form and gns_inner on one element."""
-    level, top = form.level, form.dim
+    matrix a, or of each matrix of a stack, E the form of gen, with P_n a =
+    embed(cond_expect(a, n)) (the TowerProjection) and Q_n a = a - P_n a, by
+    the arithmetic of project_P, project_Q, eval_form and gns_inner on one
+    element."""
+    level, top = gen.level, gen.dim
     for n in range(1, level + 1):
         pa = TowerProjection(level, n).apply_matrix(a)
-        e_n = form_energies(form, pa)
+        e_n = form_energies(gen, pa)
         qa = a - pa
         del pa
-        e_q, q_sq = form_energies(form, qa), (matrix_vdot(qa, qa) / top).real
+        e_q, q_sq = form_energies(gen, qa), (matrix_vdot(qa, qa) / top).real
         del qa
         yield n, e_n, e_q, q_sq
 
@@ -419,11 +415,11 @@ def _run_convergence(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     within eig_tol. Samples go a chunk at a time (see _restricted_energies)."""
     seed = _suite_seed(cfg.seed, "convergence", cfg.level)
     rng = np.random.default_rng(seed)
-    form = diagonal_form(cfg.level)
+    gen = DiagonalComplement(2 ** cfg.level)
     margins = np.full((cfg.samples, 2 * cfg.level + 1), np.nan)  # row i: sample i
-    for rows, (a,) in gaussian_chunks(rng, cfg.samples, form.dim, 1):
-        root = _sqrt_energy(form_energies(form, a))
-        for n, e_n, e_q, q_sq in _restricted_energies(form, a):
+    for rows, (a,) in gaussian_chunks(rng, cfg.samples, gen.dim, 1):
+        root = _sqrt_energy(form_energies(gen, a))
+        for n, e_n, e_q, q_sq in _restricted_energies(gen, a):
             margins[rows, 2 * n - 2] = np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q)
             margins[rows, 2 * n - 1] = e_q - q_sq
         margins[rows, -1] = e_q  # E(Q_L a)
@@ -541,8 +537,8 @@ def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
             f"input element has level {a.level}, configured working level is "
             f"{cfg.level}"
         )
-    form = diagonal_form(cfg.level)
-    root = _sqrt_energy(form_energies(form, a.entries))
+    gen = DiagonalComplement(2 ** cfg.level)
+    root = _sqrt_energy(form_energies(gen, a.entries))
     rows = [
         {
             "n": n,
@@ -551,7 +547,7 @@ def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
             "Q_n_norm_sq": float(q_sq),
             "sqrt_gap": float(abs(_sqrt_energy(e_n) - root)),
         }
-        for n, e_n, e_q, q_sq in _restricted_energies(form, a.entries)
+        for n, e_n, e_q, q_sq in _restricted_energies(gen, a.entries)
     ]
     return _finite_rows("converge", CONVERGE_COLUMNS, rows)
 
@@ -608,8 +604,6 @@ def _pool_map(fn, items: list, workers: int) -> list:
     own allocator arena). After an error no item starts; the first error in
     item order is raised unchanged once the running calls have ended."""
     workers = min(workers, len(items))
-    if workers <= 1:
-        return list(map(fn, items))
     results = [None] * len(items)
     errors = {}
     lock = threading.Lock()
@@ -641,9 +635,10 @@ def _pool_map(fn, items: list, workers: int) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # evolve_table fails closed
-def _evolve_chunk(gen, form, a, times) -> list[dict]:
+def _evolve_chunk(gen, a, times) -> list[dict]:
     """Rows of evolve_table for one chunk of the time grid, with all spectra
-    from one eigvalsh call on the stacked Hermitian parts."""
+    from one eigvalsh call on the stacked Hermitian parts; the energy is that
+    of the form of gen, the semigroup's generator."""
     herms = np.empty((len(times), a.dim, a.dim), dtype=complex)
     rows = []
     for herm, t in zip(herms, times):
@@ -657,7 +652,7 @@ def _evolve_chunk(gen, form, a, times) -> list[dict]:
                 "trace_re": tr.real,
                 "trace_im": tr.imag,
                 "gns_norm": math.sqrt(max(gns_inner(y, y).real, 0.0)),
-                "energy": eval_form(form, y),
+                "energy": eval_form(gen, y),
             }
         )
     for row, ev in zip(rows, np.linalg.eigvalsh(herms)):
@@ -680,7 +675,6 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     error in any chunk is raised unchanged, and no rows are returned. A
     non-finite entry raises a ValueError (see _finite_rows)."""
     gen = DiagonalComplement(a.dim)
-    form = diagonal_form(a.level)
     times = [float(t) for t in t_grid]
     step = POOL_CHUNK_BYTES // (16 * a.dim * a.dim)
     workers = _pool_workers(os.environ, _available_cpus()) if step else 1
@@ -688,7 +682,7 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     chunks = [times[i:i + step] for i in range(0, len(times), step)]
     # The chunks share gen, whose lazily cached Schur measure is a pure
     # function of gen: threads that fill it at once store equal values.
-    run = functools.partial(_evolve_chunk, gen, form, a)
+    run = functools.partial(_evolve_chunk, gen, a)
     rows = [row for part in _pool_map(run, chunks, workers) for row in part]
     return _finite_rows("evolve", EVOLVE_COLUMNS, rows)
 

@@ -299,7 +299,8 @@ class TransposeMap(SuperOperator):
 
 
 class DoubleCommutatorFamily(SuperOperator):
-    """a -> sum_i [m_i, [m_i, a]] + h a + a h with Hermitian m_i and h.
+    """a -> sum_i [m_i, [m_i, a]] + h a + a h with Hermitian m_i and h,
+    each given as an array.
 
     With all m_i the rank-one diagonal projections and h = 0 this equals
     twice the diagonal complement.
@@ -320,13 +321,12 @@ class DoubleCommutatorFamily(SuperOperator):
     """
 
     def __init__(self, ms, h=None):
-        mats = [m.entries if isinstance(m, AlgebraElement) else m for m in ms]
-        if not mats:
-            raise ValueError("need at least one commutator generator m_i")
         mats = [
             check_hermitian(f"commutator family m_{i}", m, _DATA_HERM_TOL)
-            for i, m in enumerate(mats)
+            for i, m in enumerate(ms)
         ]
+        if not mats:
+            raise ValueError("need at least one commutator generator m_i")
         dim = mats[0].shape[-1]
         if any(m.shape not in ((dim,), (dim, dim)) for m in mats):
             raise ValueError(
@@ -336,7 +336,6 @@ class DoubleCommutatorFamily(SuperOperator):
         if h is None:
             self.h = None
         else:
-            h = h.entries if isinstance(h, AlgebraElement) else h
             h = check_hermitian("commutator family h", h, _DATA_HERM_TOL)
             if h.shape != (dim, dim):
                 raise ValueError("h must match the dimension of the m_i")
@@ -640,23 +639,20 @@ def _check_positive(lowest: float, norm: float) -> None:
         )
 
 
-_MAX_FLOAT = float(np.finfo(np.float64).max)
-_MAX_EXPONENT = math.log(_MAX_FLOAT)  # e^x overflows a double above it
+_MAX_EXPONENT = math.log(np.finfo(np.float64).max)  # e^x overflows a double above it
 
 
-def _decay(rates: np.ndarray, lowest: float, norm: float, t: float) -> np.ndarray:
-    """e^{-t rates} for rates with least entry lowest and largest modulus
-    norm. A rate within the positivity tolerance below zero can make the
-    largest factor e^{-t lowest} overflow at large scale, which fails
-    closed; a product t * rate that rounds to inf gives e^(-inf) = 0."""
+def _decay(rates: np.ndarray, lowest: float, t: float) -> np.ndarray:
+    """e^{-t rates} for rates with least entry lowest. A rate within the
+    positivity tolerance below zero can make the largest factor e^{-t
+    lowest} overflow at large scale, which fails closed; a product t * rate
+    that rounds to inf gives e^(-inf) = 0."""
     if -t * lowest > _MAX_EXPONENT:
         raise ValueError(
             f"semigroup overflows at t={t}: e^(-t * {lowest:.3e}) is not finite"
         )
-    if t * norm >= _MAX_FLOAT:  # only then can t * rate overflow
-        with np.errstate(over="ignore"):
-            return np.exp(-t * rates)
-    return np.exp(-t * rates)
+    with np.errstate(over="ignore"):
+        return np.exp(-t * rates)
 
 
 class SemigroupMap(SuperOperator):
@@ -677,7 +673,7 @@ class SemigroupMap(SuperOperator):
         if generator.schur is not None:
             rates, lowest, norm = _measure_schur(generator)
             _check_positive(lowest, norm)
-            self.schur = _decay(rates, lowest, norm, self.t)
+            self.schur = _decay(rates, lowest, self.t)
 
     def apply_matrix(self, mat):
         mat = np.asarray(mat, dtype=np.complex128)
@@ -692,7 +688,7 @@ class SemigroupMap(SuperOperator):
         lowest = res.min_eigenvalue
         norm = max(-lowest, res.max_eigenvalue)
         _check_positive(lowest, norm)
-        return res.function_body(lambda lam: _decay(lam, lowest, norm, self.t))
+        return res.function_body(lambda lam: _decay(lam, lowest, self.t))
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,6 @@ __all__ = [
     "check_hermitian",
     "RANDOM_KINDS",
     "identity",
-    "zero",
     "matrix_unit",
     "diagonal_projection",
     "normalized_trace",
@@ -129,10 +128,6 @@ class AlgebraElement:
 def identity(level: int) -> AlgebraElement:
     """The unit of the level-n algebra."""
     return AlgebraElement(level, np.eye(2 ** level))
-
-
-def zero(level: int) -> AlgebraElement:
-    return AlgebraElement(level, np.zeros((2 ** level, 2 ** level)))
 
 
 def matrix_unit(level: int, i: int, j: int) -> AlgebraElement:

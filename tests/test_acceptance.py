@@ -26,12 +26,10 @@ from towerforms.superop import (
 from towerforms.forms import (
     CompatibleFamily,
     FamilyCompatibilityError,
-    QuadraticForm,
     amplified_form,
     build_from_family,
-    commutator_form,
     commutator_form_eval,
-    diagonal_form,
+    commutator_generator,
     dirichlet_check,
     eval_form,
 )
@@ -51,7 +49,9 @@ def test_criterion_1_dirichlet_contraction():
     failures = 0
     worst = -np.inf
     for n in (1, 2, 3, 4):
-        rep = dirichlet_check(diagonal_form(n), samples=1000, seed=1000 + n, tol=1e-10)
+        rep = dirichlet_check(
+            DiagonalComplement(2 ** n), samples=1000, seed=1000 + n, tol=1e-10
+        )
         failures += rep.failures
         worst = max(worst, rep.worst_margin)
     elapsed = time.perf_counter() - start
@@ -113,7 +113,7 @@ def test_criterion_4_normalization_bridge():
     worst_bridge = -np.inf
     for n in (1, 2, 3, 4):
         rng = np.random.default_rng(4000 + n)
-        form_n = diagonal_form(n)
+        form_n = DiagonalComplement(2 ** n)
         for _ in range(1000):
             a = AlgebraElement(4, gaussian_general(16, rng))
             lhs = commutator_form_eval(a, n)
@@ -139,7 +139,7 @@ def test_criterion_5_convergence_chain():
     """200 random level-4 elements: |sqrt(E_n) - sqrt(E)| <= sqrt(E(Q_n a))
     + 1e-10 and E(Q_n a) <= ||Q_n a||_2^2 + 1e-10 for every n <= 4, with
     E(Q_4 a) <= 1e-12."""
-    form = diagonal_form(4)
+    form = DiagonalComplement(16)
     rng = np.random.default_rng(5000)
     worst_chain = -np.inf
     worst_tail = -np.inf
@@ -233,17 +233,13 @@ def test_criterion_8_compatible_family_recovery():
     """The commutator family is compatible to 1e-12 on full matrix-unit
     bases, recovery reproduces the top form exactly, and a x2-perturbed
     family is rejected with a witness."""
-    family = CompatibleFamily(tuple(commutator_form(n) for n in (1, 2, 3, 4)))
+    family = CompatibleFamily(tuple(commutator_generator(n) for n in (1, 2, 3, 4)))
     recovered = build_from_family(family, tol=1e-12)
-    direct = commutator_form(4)
-    recovery_gap = float(
-        np.abs(
-            densify(recovered.generator).matrix - densify(direct.generator).matrix
-        ).max()
-    )
+    direct = commutator_generator(4)
+    recovery_gap = float(np.abs(densify(recovered).matrix - densify(direct).matrix).max())
 
     perturbed = list(family.forms)
-    perturbed[1] = QuadraticForm(ScaledMap(2.0, perturbed[1].generator), label="x2")
+    perturbed[1] = ScaledMap(2.0, perturbed[1])
     rejected = False
     witness = ""
     try:
@@ -268,7 +264,7 @@ def test_criterion_9_completely_dirichlet_amplification():
     for n in (1, 2, 3):
         for k in (2, 3):
             rep = dirichlet_check(
-                amplified_form(diagonal_form(n), k),
+                amplified_form(DiagonalComplement(2 ** n), k),
                 samples=500,
                 seed=9000 + 10 * n + k,
                 tol=1e-10,

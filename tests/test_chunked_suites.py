@@ -20,7 +20,6 @@ from towerforms.expectations import (
 from towerforms.forms import (
     commutator_form_eval,
     commutator_generator,
-    diagonal_form,
     eval_form,
     eval_form_matrix,
 )
@@ -53,7 +52,7 @@ def ref_dirichlet(cfg):
     for n in range(1, cfg.level + 1):
         seed = harness._suite_seed(cfg.seed, "dirichlet", n)
         rng = np.random.default_rng(seed)
-        form = diagonal_form(n)
+        form = DiagonalComplement(2 ** n)
         worst, failures = -np.inf, 0
         for _ in range(cfg.samples):
             a = gaussian_hermitian(2 ** n, rng)
@@ -162,7 +161,8 @@ def ref_normalization_bridge(cfg):
     for _ in range(cfg.samples):
         a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
         for n, e_n in zip(levels, ref_tower(a)):
-            bridge = abs(commutator_form_eval(e_n, n) - 2.0 * eval_form(diagonal_form(n), e_n))
+            energy = eval_form(DiagonalComplement(2 ** n), e_n)
+            bridge = abs(commutator_form_eval(e_n, n) - 2.0 * energy)
             worst[n - 1] = worst_of(worst[n - 1], bridge)
             failures[n - 1] += not bridge <= cfg.eig_tol
     reports = []
@@ -201,9 +201,8 @@ def ref_per_level_ambient_top(cfg, suite):
             margin = worst_of(margin, abs(energy - commutator_form_eval(amb, n)))
         else:
             a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
-            margin = abs(
-                commutator_form_eval(a, n) - 2.0 * eval_form(diagonal_form(n), cond_expect(a, n))
-            )
+            energy = eval_form(DiagonalComplement(2 ** n), cond_expect(a, n))
+            margin = abs(commutator_form_eval(a, n) - 2.0 * energy)
         worst = worst_of(worst, margin)
         failures += not margin <= tol
     if suite == "normalization-bridge":
@@ -217,7 +216,7 @@ def ref_per_level_ambient_top(cfg, suite):
 def ref_convergence(cfg):
     seed = harness._suite_seed(cfg.seed, "convergence", cfg.level)
     rng = np.random.default_rng(seed)
-    form = diagonal_form(cfg.level)
+    form = DiagonalComplement(2 ** cfg.level)
     worst, failures = -np.inf, 0
     for _ in range(cfg.samples):
         a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
@@ -241,7 +240,7 @@ def ref_convergence(cfg):
 def ref_converge_table(cfg, a):
     """converge_table's rows through the element API, one projection at a
     time."""
-    form = diagonal_form(cfg.level)
+    form = DiagonalComplement(2 ** cfg.level)
     energy = eval_form(form, a)
     rows = []
     for n in range(1, cfg.level + 1):
@@ -436,13 +435,11 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
     y = np.stack([gaussian_general(2 * d, rng) for _ in range(5)])
     h = tower.hermitian_part(x)
     level = (2 * d).bit_length() - 1
-    amplified = forms.amplified_form(diagonal_form(level - 1), 2)
-    full = forms.QuadraticForm(
-        superop.DoubleCommutatorFamily(
-            [tower.hermitian_part(gaussian_general(2 * d, rng)) / d for _ in range(2)]
-        )
+    amplified = forms.amplified_form(DiagonalComplement(d), 2)
+    full = superop.DoubleCommutatorFamily(
+        [tower.hermitian_part(gaussian_general(2 * d, rng)) / d for _ in range(2)]
     )
-    assert full.generator.schur is None
+    assert full.schur is None
     for xs, ys in [(x, y), (x.swapaxes(-1, -2), y), (h, h)]:
         got = tower.matrix_vdot(xs, ys)
         assert all(got[s] == np.vdot(xs[s], ys[s]) for s in range(5))
@@ -450,7 +447,7 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
         "clamp": clamp_spectrum(h, 0.0, 1.0),
         "ptrace": partial_trace_matrix(x, level, level - 1),
         "diag": diagonal_part(x),
-        "energy": forms.form_energies(diagonal_form(level), x),
+        "energy": forms.form_energies(DiagonalComplement(2 * d), x),
         "amplified": forms.form_energies(amplified, x),
         "full": forms.form_energies(full, x),
         "commutator": forms.commutator_energies(x),
@@ -461,7 +458,7 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
             stacked["ptrace"][s], partial_trace_matrix(x[s], level, level - 1)
         )
         assert np.array_equal(stacked["diag"][s], np.diag(np.diag(x[s])))
-        assert stacked["energy"][s] == eval_form_matrix(diagonal_form(level), x[s])
+        assert stacked["energy"][s] == eval_form_matrix(DiagonalComplement(2 * d), x[s])
         assert stacked["amplified"][s] == eval_form_matrix(amplified, x[s])
         assert stacked["full"][s] == eval_form_matrix(full, x[s])
         assert stacked["commutator"][s] == forms.commutator_energies(x[s])
@@ -470,7 +467,7 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
 @pytest.mark.parametrize(
     "check, subject",
     [
-        (forms.dirichlet_check, lambda: forms.amplified_form(diagonal_form(1), 3)),
+        (forms.dirichlet_check, lambda: forms.amplified_form(DiagonalComplement(2), 3)),
         (superop.markov_check, lambda: superop.BlockwiseMap(DiagonalComplement(2), 3)),
         (
             superop.symmetry_conservativity_check,

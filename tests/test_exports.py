@@ -123,9 +123,9 @@ def test_semigroup_times_and_cap_have_one_home():
     assert harness.SEMIGROUP_LEVEL_CAP is superop.SEMIGROUP_LEVEL_CAP
 
 
-def _module_level_private_names(tree) -> dict:
-    """Each private (not dunder) name a module defines at its top level,
-    with the statement that defines it."""
+def _top_level_definitions(tree) -> dict:
+    """Each name a module defines at its top level, with the statement that
+    defines it."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -136,7 +136,7 @@ def _module_level_private_names(tree) -> dict:
         else:
             continue
         for name in names:
-            if name and name.startswith("_") and not name.startswith("__"):
+            if name:
                 defined[name] = node
     return defined
 
@@ -159,10 +159,39 @@ def test_no_private_helper_is_orphaned():
     orphans = []
     for module, tree in trees.items():
         elsewhere = set().union(*(_reads(t) for m, t in trees.items() if m != module))
-        for name, node in _module_level_private_names(tree).items():
-            if name not in elsewhere and name not in _reads(tree, skip=node):
+        for name, node in _top_level_definitions(tree).items():
+            private = name.startswith("_") and not name.startswith("__")
+            if private and name not in elsewhere and name not in _reads(tree, skip=node):
                 orphans.append(f"{module}.{name}")
     assert orphans == []
+
+
+def test_every_public_name_is_read_outside_its_definition():
+    """A name in a module's __all__ that nothing reads in src/, tests/ or
+    benches/, besides its own definition and the package __init__ that only
+    re-exports it, is dead public code."""
+    trees = _source_trees()
+    root = Path(__file__).resolve().parents[1]
+    outside = set().union(
+        *(
+            _reads(ast.parse(path.read_text()))
+            for folder in ("tests", "benches")
+            for path in sorted((root / folder).glob("*.py"))
+        )
+    )
+    unread = []
+    for module in MODULES:
+        tree = trees[module]
+        elsewhere = outside.union(
+            *(_reads(t) for m, t in trees.items() if m not in (module, "__init__"))
+        )
+        defined = _top_level_definitions(tree)
+        exported = getattr(importlib.import_module(f"towerforms.{module}"), "__all__", ())
+        for name in exported:
+            own = _reads(tree, skip=defined.get(name))
+            if name not in elsewhere and name not in own:
+                unread.append(f"{module}.{name}")
+    assert unread == []
 
 
 def _is_number(node) -> bool:

@@ -23,13 +23,10 @@ from towerforms.forms import (
     STABILIZATION_TOL,
     CompatibleFamily,
     FamilyCompatibilityError,
-    QuadraticForm,
     amplified_form,
     build_from_family,
-    commutator_form,
     commutator_form_eval,
     commutator_generator,
-    diagonal_form,
     dirichlet_check,
     eval_form,
     eval_form_matrix,
@@ -80,44 +77,44 @@ def dykstra_interval_projection(mat: np.ndarray, iters: int = 200) -> np.ndarray
 
 
 def test_diagonal_form_on_offdiagonal():
-    assert abs(eval_form(diagonal_form(1), AlgebraElement(1, X)) - 1.0) < 1e-15
+    assert abs(eval_form(DiagonalComplement(2), AlgebraElement(1, X)) - 1.0) < 1e-15
 
 
 def test_diagonal_form_kernel():
-    F = diagonal_form(1)
+    F = DiagonalComplement(2)
     assert eval_form(F, identity(1)) == 0.0
     assert eval_form(F, AlgebraElement(1, np.diag([2.0, -3.0]))) == 0.0
 
 
 def test_zero_matrix_accepted_everywhere_with_exact_zero():
     z = AlgebraElement(2, np.zeros((4, 4)))
-    assert eval_form(diagonal_form(2), z) == 0.0
+    assert eval_form(DiagonalComplement(4), z) == 0.0
     assert commutator_form_eval(z, 1) == 0.0
-    assert _energy_inner(diagonal_form(2), z, z) == 0.0
+    assert _energy_inner(DiagonalComplement(4), z, z) == 0.0
     assert np.abs(wedge_one(z).entries).max() == 0.0
 
 
 def test_form_is_quadratic():
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     a = random_element(2, "general", 80)
     lam = 0.3 - 1.7j
     assert abs(eval_form(F, lam * a) - abs(lam) ** 2 * eval_form(F, a)) < 1e-10
 
 
 def test_form_nonnegative_on_samples():
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     for seed in range(20):
         assert eval_form(F, random_element(2, "general", 100 + seed)) >= -1e-12
 
 
 def test_eval_form_rejects_level_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        eval_form(diagonal_form(1), identity(2))
+        eval_form(DiagonalComplement(2), identity(2))
 
 
 def test_spectral_identity_for_form_values():
-    F = diagonal_form(2)
-    res = spectral_resolve(F.generator)
+    F = DiagonalComplement(4)
+    res = spectral_resolve(F)
     for seed in range(5):
         a = random_element(2, "general", 110 + seed)
         coeffs = np.einsum("kij,ij->k", res.eigenvectors.conj(), a.entries) / 4
@@ -153,7 +150,7 @@ def test_commutator_eval_matches_dense_projection_sum(n):
 
 
 def test_commutator_form_generator_matches_literal_sum():
-    F = commutator_form(2)
+    F = commutator_generator(2)
     for seed in range(10):
         a = random_element(2, "general", 120 + seed)
         assert abs(eval_form(F, a) - commutator_form_eval(a, 2)) < 1e-12
@@ -163,7 +160,7 @@ def test_normalization_bridge():
     """The literal commutator sum is exactly twice the diagonal-form energy
     of the conditioned element."""
     for n in (1, 2, 3):
-        F = diagonal_form(n)
+        F = DiagonalComplement(2 ** n)
         for seed in range(30):
             a = random_element(3, "general", 200 + seed)
             lhs = commutator_form_eval(a, n)
@@ -230,21 +227,23 @@ def test_wedge_rejects_non_finite_elements(value):
 
 
 def test_dirichlet_frozen_example_values():
-    F = diagonal_form(1)
+    F = DiagonalComplement(2)
     a = AlgebraElement(1, [[0.0, 2.0], [2.0, 0.0]])
     assert abs(eval_form(F, a) - 4.0) < 1e-14
     assert abs(eval_form(F, wedge_one(a)) - 0.25) < 1e-14
 
 
 def test_dirichlet_equality_when_already_in_interval():
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     a = random_element(2, "contraction", 150)
     assert abs(eval_form(F, wedge_one(a)) - eval_form(F, a)) < 1e-12
 
 
 def test_dirichlet_check_passes_for_diagonal_form():
     for n in (1, 2, 3):
-        rep = dirichlet_check(diagonal_form(n), samples=200, seed=151, tol=1e-10)
+        rep = dirichlet_check(
+            DiagonalComplement(2 ** n), samples=200, seed=151, tol=1e-10
+        )
         assert rep.failures == 0
         assert rep.suite == "dirichlet" and rep.level == n
 
@@ -252,16 +251,14 @@ def test_dirichlet_check_passes_for_diagonal_form():
 def test_dirichlet_check_flags_a_non_dirichlet_form():
     """Negative control: flipping the generator sign breaks the contraction
     property and the suite must report it."""
-    bad = QuadraticForm(ScaledMap(-1.0, diagonal_form(1).generator), label="minus")
+    bad = ScaledMap(-1.0, DiagonalComplement(2))
     rep = dirichlet_check(bad, samples=100, seed=152, tol=1e-10)
     assert rep.failures > 0
     assert rep.worst_margin > 0.1
 
 
 def test_dirichlet_check_fails_closed_on_nan_generator():
-    nan_form = QuadraticForm(
-        ScaledMap(float("nan"), DiagonalComplement(4)), label="nan"
-    )
+    nan_form = ScaledMap(float("nan"), DiagonalComplement(4))
     rep = dirichlet_check(nan_form, samples=5, seed=153, tol=1e-10)
     assert rep.failures == 5
     assert np.isnan(rep.worst_margin)
@@ -272,7 +269,7 @@ def test_dirichlet_check_fails_closed_on_nan_generator():
 def test_dirichlet_check_rejects_fewer_than_one_sample(samples):
     """No sample is no check: it raises instead of passing vacuously."""
     with pytest.raises(ValueError, match=r"samples must be >= 1"):
-        dirichlet_check(diagonal_form(2), samples=samples, seed=1, tol=1e-10)
+        dirichlet_check(DiagonalComplement(4), samples=samples, seed=1, tol=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -281,12 +278,12 @@ def test_dirichlet_check_rejects_fewer_than_one_sample(samples):
 
 
 def test_amplified_k1_is_same_form():
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     assert amplified_form(F, 1) is F
 
 
 def test_amplified_single_block_energy():
-    F = diagonal_form(1)
+    F = DiagonalComplement(2)
     amp = amplified_form(F, 2)
     big = np.zeros((4, 4), dtype=complex)
     big[0:2, 0:2] = X
@@ -294,7 +291,7 @@ def test_amplified_single_block_energy():
 
 
 def test_amplified_energy_is_blockwise_sum():
-    F = diagonal_form(1)
+    F = DiagonalComplement(2)
     amp = amplified_form(F, 3)
     rng = np.random.default_rng(153)
     big = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -308,7 +305,7 @@ def test_amplified_energy_is_blockwise_sum():
 
 def test_amplified_dirichlet_contraction_k2_k3():
     for n in (1, 2):
-        F = diagonal_form(n)
+        F = DiagonalComplement(2 ** n)
         for k in (2, 3):
             rep = dirichlet_check(
                 amplified_form(F, k), samples=100, seed=154, tol=1e-10, level=n
@@ -318,12 +315,12 @@ def test_amplified_dirichlet_contraction_k2_k3():
 
 def test_amplified_budget_rejected():
     with pytest.raises(ValueError, match="cap"):
-        amplified_form(diagonal_form(4), 5)
+        amplified_form(DiagonalComplement(16), 5)
 
 
 def test_amplified_invalid_k_rejected():
     with pytest.raises(ValueError, match=">= 1"):
-        amplified_form(diagonal_form(1), 0)
+        amplified_form(DiagonalComplement(2), 0)
 
 
 # --------------------------------------------------------------------------
@@ -333,40 +330,40 @@ def test_amplified_invalid_k_rejected():
 
 def test_restricted_to_own_level_is_same_form():
     """The restricted form a -> E(P_n a) is the form itself at n = level."""
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     a = random_element(2, "general", 330)
     assert np.array_equal(project_P(a, 2).entries, a.entries)
     assert eval_form(F, project_P(a, 2)) == eval_form(F, a)
 
 
 def test_restricted_fixes_embedded_low_level_elements():
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     a = embed(AlgebraElement(1, X), 2)
     assert abs(eval_form(F, project_P(a, 1)) - 1.0) < 1e-14
     assert abs(eval_form(F, project_P(a, 1)) - eval_form(F, a)) < 1e-14
 
 
 def test_restricted_kills_higher_level_detail():
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     a = AlgebraElement(2, np.kron(X, X))  # vanishing level-1 expectation
     assert abs(eval_form(F, project_P(a, 1))) < 1e-14
 
 
-def _operator_norm(form: QuadraticForm) -> float:
+def _operator_norm(gen) -> float:
     """Largest generator eigenvalue magnitude: max|c| for a Schur generator
     with real coefficients c, whose body diag(vec(c)) has spectrum c."""
-    return float(np.abs(form.generator.schur).max())
+    return float(np.abs(gen.schur).max())
 
 
 def test_restricted_form_is_bounded_and_dirichlet():
     """a -> E(P_1 a) at level 3: its generator P_1 L P_1 has spectrum in
     [0, ||L||] = [0, 1], and it is a Dirichlet form, E(P_1 (a ^ 1)) <=
     E(P_1 a) for Hermitian a and E(P_1 a*) = E(P_1 a)."""
-    F, d = diagonal_form(3), 8
+    F, d = DiagonalComplement(8), 8
     units = [AlgebraElement(3, np.sqrt(d) * e) for e in np.eye(d * d).reshape(-1, d, d)]
     projected = [project_P(u, 1) for u in units]  # u orthonormal for <., .>_2
     gram = np.array(
-        [[gns_inner(p, apply(F.generator, q)) for q in projected] for p in projected]
+        [[gns_inner(p, apply(F, q)) for q in projected] for p in projected]
     )
     eigenvalues = np.linalg.eigvalsh(gram)
     assert eigenvalues[0] >= -1e-12
@@ -387,7 +384,7 @@ def test_restricted_rejects_higher_level():
 
 
 def test_restricted_values_nonnegative_and_exact_at_top():
-    F = diagonal_form(3)
+    F = DiagonalComplement(8)
     for seed in range(10):
         a = random_element(3, "general", 310 + seed)
         e = eval_form(F, a)
@@ -402,13 +399,13 @@ def test_restricted_values_nonnegative_and_exact_at_top():
 # --------------------------------------------------------------------------
 
 
-def _energy_inner(form: QuadraticForm, a, b) -> complex:
-    """<a, b>_1 = <generator(a), b>_2 + <a, b>_2."""
-    return gns_inner(apply(form.generator, a), b) + gns_inner(a, b)
+def _energy_inner(gen, a, b) -> complex:
+    """<a, b>_1 = <gen(a), b>_2 + <a, b>_2."""
+    return gns_inner(apply(gen, a), b) + gns_inner(a, b)
 
 
 def test_energy_inner_frozen_examples():
-    F = diagonal_form(1)
+    F = DiagonalComplement(2)
     x = AlgebraElement(1, X)
     assert abs(_energy_inner(F, x, x) - 2.0) < 1e-14
     one = identity(1)
@@ -416,7 +413,7 @@ def test_energy_inner_frozen_examples():
 
 
 def test_energy_inner_conjugate_symmetry_and_domination():
-    F = diagonal_form(2)
+    F = DiagonalComplement(4)
     for seed in range(10):
         a = random_element(2, "general", 160 + seed)
         b = random_element(2, "general", 170 + seed)
@@ -426,9 +423,9 @@ def test_energy_inner_conjugate_symmetry_and_domination():
 
 def test_energy_inner_rejects_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        _energy_inner(diagonal_form(1), identity(1), identity(2))
+        _energy_inner(DiagonalComplement(2), identity(1), identity(2))
     with pytest.raises(ValueError, match="mismatch"):
-        _energy_inner(diagonal_form(1), identity(2), identity(2))
+        _energy_inner(DiagonalComplement(2), identity(2), identity(2))
 
 
 # --------------------------------------------------------------------------
@@ -437,7 +434,7 @@ def test_energy_inner_rejects_mismatch():
 
 
 def _commutator_family(top: int) -> CompatibleFamily:
-    return CompatibleFamily(tuple(commutator_form(n) for n in range(1, top + 1)))
+    return CompatibleFamily(tuple(commutator_generator(n) for n in range(1, top + 1)))
 
 
 def test_commutator_family_is_compatible():
@@ -458,21 +455,23 @@ def test_compatibility_by_direct_evaluation():
 def test_build_from_family_recovers_top_form():
     fam = _commutator_family(3)
     recovered = build_from_family(fam)
-    direct = commutator_form(3)
-    dev = np.abs(
-        densify(recovered.generator).matrix - densify(direct.generator).matrix
-    ).max()
+    direct = commutator_generator(3)
+    dev = np.abs(densify(recovered).matrix - densify(direct).matrix).max()
     assert dev <= 1e-12
     a = random_element(3, "general", 190)
     assert abs(eval_form(recovered, a) - commutator_form_eval(a, 3)) < 1e-12
 
 
+def test_build_from_family_returns_the_top_generator_itself():
+    """A form is its generator: the recovered form is the family's top
+    member, not a copy or a wrapper of it."""
+    fam = _commutator_family(3)
+    assert build_from_family(fam) is fam.forms[-1]
+
+
 def test_build_from_zero_family():
     fam = CompatibleFamily(
-        tuple(
-            QuadraticForm(SchurMultiplier(np.zeros((2 ** n, 2 ** n))), label="zero")
-            for n in (1, 2)
-        )
+        tuple(SchurMultiplier(np.zeros((2 ** n, 2 ** n))) for n in (1, 2))
     )
     recovered = build_from_family(fam)
     assert eval_form(recovered, random_element(2, "general", 191)) == 0.0
@@ -480,7 +479,7 @@ def test_build_from_zero_family():
 
 def test_perturbed_family_rejected_with_witness():
     forms = list(_commutator_family(3).forms)
-    forms[1] = QuadraticForm(ScaledMap(2.0, forms[1].generator), label="x2")
+    forms[1] = ScaledMap(2.0, forms[1])
     fam = CompatibleFamily(tuple(forms))
     with pytest.raises(FamilyCompatibilityError) as err:
         build_from_family(fam)
@@ -491,7 +490,7 @@ def test_perturbed_family_rejected_with_witness():
 
 def test_nan_family_member_is_kept_as_worst_and_rejected():
     forms = list(_commutator_family(3).forms)
-    forms[1] = QuadraticForm(ScaledMap(float("nan"), forms[1].generator), label="nan")
+    forms[1] = ScaledMap(float("nan"), forms[1])
     fam = CompatibleFamily(tuple(forms))
     worst, witness = family_compatibility_margin(fam)
     assert np.isnan(worst)
@@ -502,18 +501,18 @@ def test_nan_family_member_is_kept_as_worst_and_rejected():
 
 def test_family_levels_validated():
     with pytest.raises(ValueError, match="level"):
-        CompatibleFamily((commutator_form(2),))
+        CompatibleFamily((commutator_generator(2),))
 
 
 def test_non_schur_member_deviates_by_inf_and_is_rejected():
     forms = list(_commutator_family(3).forms)
-    forms[2] = QuadraticForm(ComposedMap([forms[2].generator]), label="opaque")
+    forms[2] = ComposedMap([forms[2]])
     fam = CompatibleFamily(tuple(forms))
     assert family_compatibility_margin(fam) == (np.inf, (2, None, None, None, None))
     with pytest.raises(FamilyCompatibilityError, match="no Schur coefficients") as err:
         build_from_family(fam)
     assert err.value.level == 2 and err.value.unit is None
-    forms[1] = QuadraticForm(ScaledMap(float("nan"), forms[1].generator), label="nan")
+    forms[1] = ScaledMap(float("nan"), forms[1])
     worst, witness = family_compatibility_margin(CompatibleFamily(tuple(forms)))
     assert np.isnan(worst) and witness[:3] == (1, (0, 0), (0, 0))  # NaN beats inf
 
@@ -552,8 +551,8 @@ def _probe_margin(family):
     worst = 0.0
     witness = None
     for n in range(1, family.top_level):
-        low = family.forms[n - 1].generator
-        high = family.forms[n].generator
+        low = family.forms[n - 1]
+        high = family.forms[n]
         d = 2 ** n
         probe = np.zeros((d, d), dtype=np.complex128)
         for i in range(d):
@@ -631,9 +630,9 @@ def _family_case(name: str, top: int) -> CompatibleFamily:
         forms = list(_commutator_family(top).forms)
         factor = {"commutator": None, "x2": 2.0, "nan": float("nan")}[kind]
         if factor is not None:
-            forms[1] = QuadraticForm(ScaledMap(factor, forms[1].generator), label=kind)
+            forms[1] = ScaledMap(factor, forms[1])
         return CompatibleFamily(tuple(forms))
-    return CompatibleFamily(tuple(QuadraticForm(SchurMultiplier(c)) for c in coeffs))
+    return CompatibleFamily(tuple(SchurMultiplier(c) for c in coeffs))
 
 
 _MARGIN_CASES = ["commutator", "zero"] + [f"random-{k}" for k in range(5)]
@@ -700,7 +699,7 @@ def test_convergence_chain_and_tail_bound():
     for the diagonal form (generator norm one), rowwise for n <= N."""
     from towerforms.expectations import project_Q
 
-    F = diagonal_form(3)
+    F = DiagonalComplement(8)
     for seed in range(20):
         a = random_element(3, "general", 300 + seed)
         e = eval_form(F, a)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from towerforms import harness
-from towerforms.forms import diagonal_form, eval_form
+from towerforms.forms import eval_form
 from towerforms.superop import ComposedMap, DiagonalComplement, ScaledMap, SemigroupMap, apply
 from towerforms.tower import (
     AlgebraElement,
@@ -198,7 +198,6 @@ def test_evolve_table_unit_is_stationary():
 def sequential_evolve(a, t_grid):
     """Reference trajectory: one row at a time, one eigvalsh per row."""
     gen = DiagonalComplement(a.dim)
-    form = diagonal_form(a.level)
     rows = []
     for t in t_grid:
         y = apply(SemigroupMap(gen, float(t)), a)
@@ -210,7 +209,7 @@ def sequential_evolve(a, t_grid):
                 "trace_re": tr.real,
                 "trace_im": tr.imag,
                 "gns_norm": math.sqrt(max(gns_inner(y, y).real, 0.0)),
-                "energy": eval_form(form, y),
+                "energy": eval_form(gen, y),
                 "min_eig": float(ev[0]),
                 "max_eig": float(ev[-1]),
             }
@@ -381,6 +380,28 @@ def test_pool_map_starts_no_item_after_an_error(monkeypatch):
     assert recorded.is_set()
     assert sorted(started) == [0, 1]
     assert harness._pool_map(lambda x: x * x, list(range(9)), 3) == [x * x for x in range(9)]
+
+
+def test_pool_map_one_worker_runs_in_the_calling_thread():
+    """One worker runs the pool's own loop in the calling thread: every item
+    in order, no thread started, and no item started after an error."""
+    before = threading.active_count()
+    seen = []
+
+    def fn(x):
+        seen.append((x, threading.current_thread()))
+        assert threading.active_count() == before
+        if x == 3:
+            raise KeyError(x)
+        return x * x
+
+    assert harness._pool_map(fn, list(range(3)), 1) == [0, 1, 4]
+    assert seen == [(x, threading.current_thread()) for x in range(3)]
+    seen.clear()
+    with pytest.raises(KeyError):
+        harness._pool_map(fn, list(range(8)), 1)
+    assert [x for x, _ in seen] == [0, 1, 2, 3]
+    assert threading.active_count() == before
 
 
 # --------------------------------------------------------------------------
