@@ -14,13 +14,14 @@ import math
 import os
 import threading
 import zlib
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tower
-from .report import PropertyReport, fold, worst_of
+from .report import PropertyReport, fold
 from .tower import (
     AlgebraElement,
     check_nonnegative,
@@ -76,62 +77,6 @@ __all__ = [
     "EVOLVE_COLUMNS",
 ]
 
-SUITE_NAMES = (
-    "dirichlet",
-    "markov",
-    "symmetry",
-    "choi",
-    "leibniz",
-    "compatibility",
-    "normalization-bridge",
-    "convergence",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Configuration of one harness run; see SUITE_NAMES for valid suites."""
-
-    level: int = 4
-    suites: tuple = SUITE_NAMES
-    samples: int = 200
-    seed: int = 7
-    tol: float = 1e-10
-    eig_tol: float = 1e-12
-    out_dir: str | None = None
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"working level must be >= 1, got {self.level}")
-        # 2^level > DENSIFY_DIM_CAP^2, compared without computing 2^level
-        if self.level >= (DENSIFY_DIM_CAP ** 2).bit_length():
-            top = (DENSIFY_DIM_CAP ** 2).bit_length() - 1
-            raise ValueError(
-                f"working level must be <= {top}, got {self.level}: one "
-                f"level-{top + 1} element has more entries than the dense body "
-                f"at the cap DENSIFY_DIM_CAP={DENSIFY_DIM_CAP} (256 MiB)"
-            )
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        check_nonnegative("tol", self.tol)
-        check_nonnegative("eig_tol", self.eig_tol)
-        suites = tuple(self.suites)
-        if suites == ("all",):
-            suites = SUITE_NAMES
-        unknown = [s for s in suites if s not in SUITE_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown suite name(s) {unknown}; valid names: "
-                f"{', '.join(SUITE_NAMES)} (or 'all')"
-            )
-        if not suites:
-            raise ValueError(
-                f"no suite selected; name at least one of {', '.join(SUITE_NAMES)} "
-                f"(or 'all')"
-            )
-        object.__setattr__(self, "suites", suites)
-
-
 def _suite_seed(base: int, suite: str, level: int) -> int:
     """Stable per-suite, per-level child seed."""
     return (base + zlib.crc32(f"{suite}:{level}".encode())) % (2 ** 31)
@@ -167,18 +112,10 @@ def _levels(top: int, nbytes_per_entry: int) -> list[_Unit]:
     return [_Unit(n, nbytes_per_entry * 4 ** n) for n in range(1, top + 1)]
 
 
-# The per-level checks of the diagonal generator: suite -> check.
-_LEVEL_CHECKS = {
-    "dirichlet": dirichlet_check,
-    "markov": markov_check,
-    "symmetry": symmetry_conservativity_check,
-}
-
-
-def _run_level_check(suite: str, cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
-    n = unit.level
-    seed = _suite_seed(cfg.seed, suite, n)
-    return [_LEVEL_CHECKS[suite](DiagonalComplement(2 ** n), cfg.samples, seed, cfg.tol)]
+def _level_check(check, suite: str, cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
+    """The report of check on the diagonal generator at the unit's level."""
+    seed = _suite_seed(cfg.seed, suite, unit.level)
+    return [check(DiagonalComplement(2 ** unit.level), cfg.samples, seed, cfg.tol)]
 
 
 def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
@@ -260,15 +197,6 @@ def _energy_gaps(b: np.ndarray) -> np.ndarray:
     return np.abs(energy - commutator_energies(b))
 
 
-def _leibniz_units(cfg: RunConfig) -> list[_Unit]:
-    """One unit per level's stream: two matrices a sample (pair a, pair b)
-    below the working level, three at it (pair a, pair b, ambient)."""
-    return [
-        _Unit(n, (48 if n == cfg.level else 32) * 4 ** n)
-        for n in range(1, cfg.level + 1)
-    ]
-
-
 def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
     """Product rule for the derivation on pairs at its own level, plus, at
     the working level, the energy identity tau(<da, da>) = commutator
@@ -318,23 +246,22 @@ def _leibniz_reports(cfg: RunConfig, parts: list) -> list[PropertyReport]:
 def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Commutator-form family: compatibility margin on full matrix-unit
     bases, recovery of the top form (its Schur coefficients against 2 (1 -
-    I)), and rejection of a x2-perturbed family as a negative control. A
-    rejected family is one failure, its deviation the worst margin."""
+    I)), and rejection of a x2-perturbed family as a negative control.
+    Three rows, each failing above eig_tol: the family's deviation (inf
+    when it is rejected on stabilization alone), the recovery's (-inf when
+    no form is recovered) and the control's (-inf when it is rejected or,
+    at level 1, absent; inf when it is accepted)."""
     family = CompatibleFamily(
         tuple(commutator_generator(n) for n in range(1, cfg.level + 1))
     )
-    worst, _ = family_compatibility_margin(family)
+    deviation, _ = family_compatibility_margin(family)
     try:
-        recovered = build_from_family(family, tol=cfg.eig_tol)
+        recovery = _commutator_deviation(build_from_family(family, tol=cfg.eig_tol))
     except FamilyCompatibilityError:
-        failures = 1
-    else:
-        failures = 0
-        recovery_dev = _commutator_deviation(recovered)
-        worst = worst_of(worst, recovery_dev)
-        if not recovery_dev <= cfg.eig_tol:
-            failures += 1
-
+        recovery = -math.inf
+        if deviation <= cfg.eig_tol:  # rejected on stabilization alone
+            deviation = math.inf
+    control = -math.inf
     if cfg.level >= 2:
         perturbed_forms = list(family.forms)
         perturbed_forms[1] = ScaledMap(2.0, perturbed_forms[1])
@@ -343,16 +270,12 @@ def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
         except FamilyCompatibilityError:
             pass
         else:
-            failures += 1
+            control = math.inf
     return [
-        PropertyReport(
-            suite="compatibility",
-            level=cfg.level,
+        fold(
+            "compatibility", cfg.level, cfg.seed, cfg.eig_tol,
+            [[deviation], [recovery], [control]],
             samples=sum(4 ** n for n in range(1, cfg.level)),
-            failures=failures,
-            worst_margin=float(worst),
-            seed=cfg.seed,
-            tol=cfg.eig_tol,
         )
     ]
 
@@ -432,24 +355,48 @@ def _top_unit(cfg: RunConfig) -> list[_Unit]:
     return [_Unit(cfg.level, 16 * 4 ** cfg.level)]
 
 
-# Each suite's units, in the order its results fold; a runner runs one unit,
-# and _SUITE_FOLDS turns a suite's unit results into its reports (by
-# default, each unit's reports in unit order).
-_SUITE_UNITS = {
-    "dirichlet": lambda cfg: _levels(cfg.level, 32),
-    "markov": lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 16),
-    "symmetry": lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 32),
-    "choi": lambda cfg: [  # the largest matrix: the d^2 x d^2 Choi matrix
-        _Unit(n, 16 * 16 ** n) for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1)
-    ],
-    "leibniz": _leibniz_units,
-    "compatibility": _top_unit,
-    "normalization-bridge": _top_unit,
-    "convergence": _top_unit,
-}
+def _concatenated(cfg: RunConfig, parts: list) -> list[PropertyReport]:
+    return [rep for part in parts for rep in part]
 
+
+@dataclass(frozen=True)
+class _Suite:
+    """One suite of the registry: units(cfg) lists its units in the order
+    their results fold, and fold(cfg, results) makes its reports from them
+    (by default, each unit's reports in unit order). Its runner, which runs
+    one unit, is its _SUITE_RUNNERS entry."""
+
+    name: str
+    units: Callable
+    fold: Callable = _concatenated
+
+
+# The registry, in suite order.
+_SUITES = (
+    _Suite("dirichlet", lambda cfg: _levels(cfg.level, 32)),
+    _Suite("markov", lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 16)),
+    _Suite("symmetry", lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 32)),
+    _Suite("choi", lambda cfg: [  # the largest matrix: the d^2 x d^2 Choi matrix
+        _Unit(n, 16 * 16 ** n) for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1)
+    ]),
+    _Suite("leibniz", lambda cfg: [  # a sample: pair a, pair b, at level L the ambient
+        _Unit(n, (48 if n == cfg.level else 32) * 4 ** n) for n in range(1, cfg.level + 1)
+    ], _leibniz_reports),
+    _Suite("compatibility", _top_unit),
+    _Suite("normalization-bridge", _top_unit),
+    _Suite("convergence", _top_unit),
+)
+SUITE_NAMES = tuple(suite.name for suite in _SUITES)
+
+# Each suite's runner(cfg, unit), in registry order. run_suite looks a
+# runner up here for every unit, and a level check is looked up by name
+# when its runner is called, so a wrapper put in place of either runs.
 _SUITE_RUNNERS = {
-    **{suite: functools.partial(_run_level_check, suite) for suite in _LEVEL_CHECKS},
+    "dirichlet": lambda cfg, unit: _level_check(dirichlet_check, "dirichlet", cfg, unit),
+    "markov": lambda cfg, unit: _level_check(markov_check, "markov", cfg, unit),
+    "symmetry": lambda cfg, unit: _level_check(
+        symmetry_conservativity_check, "symmetry", cfg, unit
+    ),
     "choi": _run_choi,
     "leibniz": _run_leibniz,
     "compatibility": _run_compatibility,
@@ -457,28 +404,75 @@ _SUITE_RUNNERS = {
     "convergence": _run_convergence,
 }
 
-_SUITE_FOLDS = {"leibniz": _leibniz_reports}
 
+@dataclass(frozen=True)
+class RunConfig:
+    """Configuration of one harness run; see SUITE_NAMES for valid suites."""
 
-def _concatenated(cfg: RunConfig, parts: list) -> list[PropertyReport]:
-    return [rep for part in parts for rep in part]
+    level: int = 4
+    suites: tuple = SUITE_NAMES
+    samples: int = 200
+    seed: int = 7
+    tol: float = 1e-10
+    eig_tol: float = 1e-12
+    out_dir: str | None = None
+
+    def __post_init__(self):
+        for name in ("level", "samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.level < 1:
+            raise ValueError(f"working level must be >= 1, got {self.level}")
+        # 2^level > DENSIFY_DIM_CAP^2, compared without computing 2^level
+        if self.level >= (DENSIFY_DIM_CAP ** 2).bit_length():
+            top = (DENSIFY_DIM_CAP ** 2).bit_length() - 1
+            raise ValueError(
+                f"working level must be <= {top}, got {self.level}: one "
+                f"level-{top + 1} element has more entries than the dense body "
+                f"at the cap DENSIFY_DIM_CAP={DENSIFY_DIM_CAP} (256 MiB)"
+            )
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        check_nonnegative("tol", self.tol)
+        check_nonnegative("eig_tol", self.eig_tol)
+        if isinstance(self.suites, str):
+            raise ValueError(f"suites must be a tuple of names, got {self.suites!r}")
+        names = [suite.name for suite in _SUITES]
+        suites = tuple(self.suites)
+        if suites == ("all",):
+            suites = tuple(names)
+        unknown = [s for s in suites if s not in names]
+        if unknown:
+            raise ValueError(
+                f"unknown suite name(s) {unknown}; valid names: "
+                f"{', '.join(names)} (or 'all')"
+            )
+        if not suites:
+            raise ValueError(
+                f"no suite selected; name at least one of {', '.join(names)} "
+                f"(or 'all')"
+            )
+        object.__setattr__(self, "suites", suites)
 
 
 def run_suite(cfg: RunConfig) -> list[PropertyReport]:
     """Run the selected suites; write reports when cfg.out_dir is set. The
     caller decides the process exit status from the failure counts.
 
-    Every suite is split into independent units (see _SUITE_UNITS), each
-    run by one call of its suite's _SUITE_RUNNERS entry. The units of all
-    selected suites share max(1, CPUs // BLAS threads) threads, as in
-    evolve_table (one worker runs them in the calling thread). Every unit
-    whose sample exceeds POOL_CHUNK_BYTES (levels 8 and above) runs first,
-    one at a time; the others then share the workers. Both go highest level
-    first, ties in registry order. Each suite's results are folded in
-    registry order, so the reports are byte-identical to one thread. An
-    error in any unit is raised unchanged, and no report is written."""
-    selected = [name for name in SUITE_NAMES if name in cfg.suites]
-    units = [(name, unit) for name in selected for unit in _SUITE_UNITS[name](cfg)]
+    Every suite is split into the independent units its registry record
+    lists, each run by one call of its suite's _SUITE_RUNNERS entry. The
+    units of all selected suites share max(1, CPUs // BLAS threads)
+    threads, as in evolve_table (one worker runs them in the calling
+    thread). Every unit whose sample exceeds POOL_CHUNK_BYTES (levels 8
+    and above) runs first, one at a time; the others then share the
+    workers. Both go highest level first, ties in registry order. Each
+    suite's results are folded in registry order, so the reports are
+    byte-identical to one thread. An error in any unit is raised
+    unchanged, and no report is written."""
+    selected = [suite for suite in _SUITES if suite.name in cfg.suites]
+    units = [(suite.name, unit) for suite in selected for unit in suite.units(cfg)]
 
     def run(item):
         name, unit = item
@@ -492,9 +486,9 @@ def run_suite(cfg: RunConfig) -> list[PropertyReport]:
     for order, n in [(alone, 1), (shared, workers)]:
         results.update(zip(order, _pool_map(run, [units[i] for i in order], n)))
     reports: list[PropertyReport] = []
-    for name in selected:
-        parts = [results[i] for i, (owner, _) in enumerate(units) if owner == name]
-        reports.extend(_SUITE_FOLDS.get(name, _concatenated)(cfg, parts))
+    for suite in selected:
+        parts = [results[i] for i, (owner, _) in enumerate(units) if owner == suite.name]
+        reports.extend(suite.fold(cfg, parts))
     if cfg.out_dir is not None:
         write_reports(cfg.out_dir, reports)
     return reports

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -50,6 +51,39 @@ def test_config_rejects_bad_values():
         RunConfig(level=0)
     with pytest.raises(ValueError, match="samples"):
         RunConfig(samples=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("level", 2.5),
+        ("level", True),
+        ("level", "2"),
+        ("samples", 2.5),
+        ("samples", False),
+        ("seed", 7.0),
+        ("seed", None),
+        ("suites", "dirichlet"),
+    ],
+)
+def test_config_rejects_bad_field_types_naming_the_field(field, value):
+    """A float, bool or string where verify passes an int, or a bare
+    string of suites, fails when the config is built, not inside a unit or
+    when the reports are written."""
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_python_ints(tmp_path):
+    cfg = RunConfig(
+        level=np.int64(2), samples=np.int32(3), seed=np.uint8(5),
+        suites=("dirichlet",), out_dir=str(tmp_path),
+    )
+    assert [type(v) for v in (cfg.level, cfg.samples, cfg.seed)] == [int, int, int]
+    assert cfg == RunConfig(level=2, samples=3, seed=5, suites=("dirichlet",),
+                            out_dir=str(tmp_path))
+    assert len(run_suite(cfg)) == 2
+    assert (tmp_path / "dirichlet-level2.json").exists()
 
 
 def test_semigroup_times_are_a_constant_not_a_setting():
@@ -460,6 +494,12 @@ def unit_threads(monkeypatch, meet=0) -> list:
     return runs
 
 
+def registry_units(cfg) -> list:
+    """(suite, unit) for every unit of every registered suite, in registry
+    order."""
+    return [(suite.name, unit) for suite in harness._SUITES for unit in suite.units(cfg)]
+
+
 POOLED_CASES = [
     (level, samples)
     for level in range(1, 7)
@@ -474,7 +514,7 @@ def test_pooled_suites_equal_one_worker(monkeypatch, level, samples):
     one = suite_jsons(monkeypatch, cfg, 1)
     runs = unit_threads(monkeypatch)
     assert suite_jsons(monkeypatch, cfg, 2) == one
-    units = [(name, unit) for name in SUITE_NAMES for unit in harness._SUITE_UNITS[name](cfg)]
+    units = registry_units(cfg)
     assert sorted(map(repr, units)) == sorted(repr((name, unit)) for name, unit, _ in runs)
 
 
@@ -542,7 +582,7 @@ def test_units_larger_than_the_budget_run_alone(monkeypatch):
 
     monkeypatch.setattr(harness, "_pool_map", spy)
     assert suite_jsons(monkeypatch, cfg, 2) == want
-    units = [(name, unit) for name in SUITE_NAMES for unit in harness._SUITE_UNITS[name](cfg)]
+    units = registry_units(cfg)
     by_level = sorted(units, key=lambda item: -item[1].level)
     alone = [item for item in by_level if item[1].nbytes > budget]
     shared = [item for item in by_level if item[1].nbytes <= budget]
@@ -558,14 +598,43 @@ def test_largest_units_run_alone_from_level_8():
         cfg = RunConfig(level=level, samples=1)
         return {
             (name, unit.level)
-            for name in SUITE_NAMES
-            for unit in harness._SUITE_UNITS[name](cfg)
+            for name, unit in registry_units(cfg)
             if unit.nbytes > harness.POOL_CHUNK_BYTES
         }
 
     assert alone(7) == set()
     assert alone(8) == {("leibniz", 8)}
     assert ("dirichlet", 9) in alone(10) and ("leibniz", 9) in alone(10)
+
+
+def test_registry_and_runners_name_the_same_suites_in_order():
+    names = [suite.name for suite in harness._SUITES]
+    assert names == list(harness._SUITE_RUNNERS) == list(SUITE_NAMES)
+
+
+def test_a_planted_suite_needs_only_its_record_and_runner(monkeypatch, tmp_path, capsys):
+    """A ninth suite registered by its record and runner alone is run by
+    --suite planted and --suite all, writes its JSON report and summary
+    row, and its NaN margin is one failure with a NaN worst margin."""
+    from towerforms.cli import main
+    from towerforms.report import fold
+
+    planted = harness._Suite("planted", lambda cfg: [harness._Unit(cfg.level, 16)])
+    monkeypatch.setattr(harness, "_SUITES", (*harness._SUITES, planted))
+    monkeypatch.setitem(
+        harness._SUITE_RUNNERS, "planted",
+        lambda cfg, unit: [fold("planted", unit.level, cfg.seed, cfg.tol, [[0.0], [np.nan]])],
+    )
+    for suite, reports in (("planted", 1), ("all", 16)):
+        out = tmp_path / suite
+        args = ["--suite", suite, "--level", "2", "--samples", "2", "--out-dir", str(out)]
+        assert main(["verify", *args]) == 1
+        assert f"{reports} reports, 1 failures" in capsys.readouterr().out
+        rep = json.loads((out / "planted-level2.json").read_text())
+        assert rep["failures"] == 1 and math.isnan(rep["worst_margin"])
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) == reports + 1
+        assert summary[-1].startswith("planted,2,2,1,nan,")
 
 
 def test_pooled_unit_error_reaches_caller_and_writes_nothing(monkeypatch, tmp_path):
@@ -759,6 +828,41 @@ def test_compatibility_recovery_fails_on_a_tripled_commutator_family(monkeypatch
     monkeypatch.setattr(harness, "commutator_generator", tripled)
     (rep,) = run_suite(RunConfig(level=level, samples=2, suites=("compatibility",)))
     assert (rep.failures, rep.worst_margin) == (1, 4.0)
+
+
+def test_compatibility_nan_schur_coefficient_fails_with_nan_margin(monkeypatch):
+    real = harness.commutator_generator
+
+    def nan_at_level_2(n):
+        gen = real(n)
+        if n == 2:
+            gen = ScaledMap(1.0, gen)
+            gen.schur[0, 1] = np.nan
+        return gen
+
+    monkeypatch.setattr(harness, "commutator_generator", nan_at_level_2)
+    (rep,) = run_suite(RunConfig(level=3, samples=2, suites=("compatibility",)))
+    assert rep.failures == 1 and np.isnan(rep.worst_margin)
+
+
+def test_compatibility_accepted_x2_control_is_one_failure(monkeypatch):
+    """A build_from_family that accepts every family accepts the x2
+    control, which is the one failure, with worst margin inf."""
+    monkeypatch.setattr(harness, "build_from_family", lambda family, tol=0.0: family.forms[-1])
+    (rep,) = run_suite(RunConfig(level=3, samples=2, suites=("compatibility",)))
+    assert (rep.failures, rep.worst_margin) == (1, np.inf)
+
+
+def test_compatibility_rejection_on_stabilization_alone_is_one_failure(monkeypatch):
+    """A family within eig_tol that build_from_family still rejects (as
+    for an unstable one) is one failure with worst margin inf, not its
+    passing deviation."""
+    def reject(family, tol=0.0):
+        raise harness.FamilyCompatibilityError(1, (0, 0), (0, 0), 0.0, 1.0)
+
+    monkeypatch.setattr(harness, "build_from_family", reject)
+    (rep,) = run_suite(RunConfig(level=3, samples=2, suites=("compatibility",)))
+    assert (rep.failures, rep.worst_margin) == (1, np.inf)
 
 
 def test_write_table_csv_format(tmp_path):
