@@ -3,36 +3,22 @@ derivations on the tower of 2^n x 2^n matrix algebras."""
 
 from .tower import (
     AlgebraElement,
-    identity,
-    matrix_unit,
-    diagonal_projection,
-    normalized_trace,
-    gns_inner,
-    gns_norm,
-    embed,
-    modular_conjugation,
-    random_element,
     clamp_spectrum,
-    element_to_json,
     element_from_json,
-    save_element,
     load_element,
 )
-from .expectations import cond_expect, project_P, project_Q
+from .expectations import cond_expect
 from .superop import (
     SuperOperator,
     DiagonalComplement,
-    SchurMultiplier,
     TransposeMap,
     DoubleCommutatorFamily,
     DenseMap,
     TowerProjection,
     ScaledMap,
     ComposedMap,
-    BlockwiseMap,
     SemigroupMap,
     SpectralResolution,
-    apply,
     densify,
     spectral_resolve,
     choi_matrix,
@@ -44,11 +30,8 @@ from .forms import (
     CompatibleFamily,
     FamilyCompatibilityError,
     commutator_generator,
-    eval_form,
     commutator_form_eval,
-    wedge_one,
     dirichlet_check,
-    amplified_form,
     build_from_family,
 )
 from .derivation import (

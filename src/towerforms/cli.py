@@ -146,16 +146,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_converge(args) -> int:
     a = load_element(args.input)
-    cfg = RunConfig(level=args.level, suites=("convergence",))
-    rows = converge_table(cfg, a)
+    if a.level != args.level:
+        raise ValueError(f"input element has level {a.level}, --level is {args.level}")
+    rows = converge_table(a.entries)
     write_table_csv(args.out, CONVERGE_COLUMNS, rows)
     print(f"wrote {len(rows)} rows -> {args.out}")
     return 0
 
 
 def _cmd_evolve(args) -> int:
-    a = load_element(args.input)
-    rows = evolve_table(a, args.t_grid)
+    rows = evolve_table(load_element(args.input).entries, args.t_grid)
     write_table_csv(args.out, EVOLVE_COLUMNS, rows)
     print(f"wrote {len(rows)} rows -> {args.out}")
     return 0

@@ -5,9 +5,8 @@ On a finite level a form is E(a) = <L a, a>_2 for its GNS-self-adjoint,
 positive generator L, and E and L determine each other; so every function
 here takes the form as its generator, a SuperOperator. The central example
 is the diagonal complement I - B of the diagonal expectation, together with
-the commutator presentation, block-matrix amplifications and the
-construction of a top-level form from a compatible family of per-level
-forms.
+the commutator presentation and the construction of a top-level form from
+a compatible family of per-level forms.
 
 A family is compared in Schur coefficients: the compression of a Schur
 generator c_{n+1} to the embedded level n multiplies entrywise by the
@@ -26,7 +25,6 @@ import numpy as np
 from .report import PropertyReport, fold
 from .tower import (
     AlgebraElement,
-    check_hermitian,
     check_nonnegative,
     clamp_spectrum,
     gaussian_chunks,
@@ -34,27 +32,17 @@ from .tower import (
     matrix_vdot,
 )
 from .expectations import cond_expect, partial_trace_matrix
-from .superop import (
-    DENSIFY_DIM_CAP,
-    SYM_TOL,
-    BlockwiseMap,
-    DoubleCommutatorFamily,
-    ScaledMap,
-    SuperOperator,
-)
+from .superop import DoubleCommutatorFamily, SuperOperator
 
 __all__ = [
     "CompatibleFamily",
     "FamilyCompatibilityError",
     "commutator_generator",
-    "eval_form",
     "form_energies",
     "eval_form_matrix",
     "commutator_energies",
     "commutator_form_eval",
-    "wedge_one",
     "dirichlet_check",
-    "amplified_form",
     "family_compatibility_margin",
     "build_from_family",
 ]
@@ -89,15 +77,6 @@ def eval_form_matrix(gen: SuperOperator, mat: np.ndarray) -> float:
     return float(form_energies(gen, mat))
 
 
-def eval_form(gen: SuperOperator, a: AlgebraElement) -> float:
-    """<gen(a), a>_2; real and nonnegative for the forms built here."""
-    if a.dim != gen.dim:
-        raise ValueError(
-            f"level mismatch: form acts on dimension {gen.dim}, element has {a.dim}"
-        )
-    return eval_form_matrix(gen, a.entries)
-
-
 def commutator_energies(b: np.ndarray) -> np.ndarray:
     """sum_i tau([p_i, b] [p_i, b]*) for a level-n matrix b, or for each
     matrix of a stack, over the rank-one diagonal projections p_i.
@@ -120,15 +99,6 @@ def commutator_form_eval(a: AlgebraElement, n: int) -> float:
     kept available on purpose.
     """
     return float(commutator_energies(cond_expect(a, n).entries))
-
-
-def wedge_one(a: AlgebraElement) -> AlgebraElement:
-    """GNS-Hilbert projection of a Hermitian element onto the operator
-    interval {x : 0 <= x <= 1}: eigenvalue clamping into [0, 1]. The
-    element must be finite and Hermitian within SYM_TOL."""
-    mat = check_hermitian("wedge input", a.entries, SYM_TOL)
-    sym = 0.5 * (mat + mat.conj().T)
-    return AlgebraElement(a.level, clamp_spectrum(sym, 0.0, 1.0))
 
 
 def dirichlet_check(
@@ -163,24 +133,6 @@ def dirichlet_check(
             form_energies(gen, g.conj().swapaxes(-1, -2)) - form_energies(gen, g)
         )
     return fold("dirichlet", level, seed, tol, margins)
-
-
-def amplified_form(gen: SuperOperator, k: int) -> SuperOperator:
-    """The generator of the extension to k x k block matrices whose energy
-    is the sum of the base-form energies of the blocks: k times gen acting
-    blockwise, the factor k compensating the normalized trace of the larger
-    space. k = 1 returns gen itself.
-    """
-    if k < 1:
-        raise ValueError(f"amplification order must be >= 1, got {k}")
-    if k == 1:
-        return gen
-    if k * gen.dim > DENSIFY_DIM_CAP:
-        raise ValueError(
-            f"amplified dimension {k * gen.dim} exceeds cap "
-            f"DENSIFY_DIM_CAP={DENSIFY_DIM_CAP}"
-        )
-    return ScaledMap(float(k), BlockwiseMap(gen, k))
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 import os
 import threading
 import zlib
@@ -22,14 +23,7 @@ import numpy as np
 
 from . import tower
 from .report import PropertyReport, fold
-from .tower import (
-    AlgebraElement,
-    check_nonnegative,
-    gaussian_chunks,
-    gns_inner,
-    matrix_vdot,
-    normalized_trace,
-)
+from .tower import check_nonnegative, gaussian_chunks, matrix_vdot
 from .expectations import partial_trace_matrix
 from .forms import (
     CompatibleFamily,
@@ -38,7 +32,6 @@ from .forms import (
     commutator_energies,
     commutator_generator,
     dirichlet_check,
-    eval_form,
     family_compatibility_margin,
     form_energies,
 )
@@ -59,7 +52,6 @@ from .superop import (
     SuperOperator,
     TowerProjection,
     TransposeMap,
-    apply,
     choi_min_eigenvalue,
     markov_check,
     symmetry_conservativity_check,
@@ -317,9 +309,8 @@ def _sqrt_energy(e: np.ndarray) -> np.ndarray:
 def _restricted_energies(gen: SuperOperator, a: np.ndarray):
     """(n, E(P_n a), E(Q_n a), ||Q_n a||_2^2) for n = 1 .. L of a level-L
     matrix a, or of each matrix of a stack, E the form of gen, with P_n a =
-    embed(cond_expect(a, n)) (the TowerProjection) and Q_n a = a - P_n a, by
-    the arithmetic of project_P, project_Q, eval_form and gns_inner on one
-    element."""
+    E_n(a) kron I (the TowerProjection) and Q_n a = a - P_n a; each matrix
+    of a stack gets the numbers of its own call."""
     level, top = gen.level, gen.dim
     for n in range(1, level + 1):
         pa = TowerProjection(level, n).apply_matrix(a)
@@ -435,8 +426,11 @@ class RunConfig:
             )
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        check_nonnegative("tol", self.tol)
-        check_nonnegative("eig_tol", self.eig_tol)
+        for name in ("tol", "eig_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, check_nonnegative(name, value))
         if isinstance(self.suites, str):
             raise ValueError(f"suites must be a tuple of names, got {self.suites!r}")
         names = [suite.name for suite in _SUITES]
@@ -522,17 +516,15 @@ EVOLVE_COLUMNS = ("t", "trace_re", "trace_im", "gns_norm", "energy", "min_eig", 
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite_rows fails closed
-def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
-    """Rows (n, E_n(a), E(Q_n a), ||Q_n a||_2^2, |sqrt(E_n) - sqrt(E)|) for
-    the diagonal form at the working level; the last row is exact. A
-    non-finite entry raises a ValueError (see _finite_rows)."""
-    if a.level != cfg.level:
-        raise ValueError(
-            f"input element has level {a.level}, configured working level is "
-            f"{cfg.level}"
-        )
-    gen = DiagonalComplement(2 ** cfg.level)
-    root = _sqrt_energy(form_energies(gen, a.entries))
+def converge_table(mat: np.ndarray) -> list[dict]:
+    """Rows (n, E_n(a), E(Q_n a), ||Q_n a||_2^2, |sqrt(E_n) - sqrt(E)|),
+    n = 1 .. L, for the diagonal form on a level-L matrix a, L >= 1; the
+    last row is exact. A non-finite entry raises a ValueError (see
+    _finite_rows)."""
+    gen = DiagonalComplement(mat.shape[-1])
+    if gen.level < 1:
+        raise ValueError("the converge table needs an element of level >= 1, got level 0")
+    root = _sqrt_energy(form_energies(gen, mat))
     rows = [
         {
             "n": n,
@@ -541,7 +533,7 @@ def converge_table(cfg: RunConfig, a: AlgebraElement) -> list[dict]:
             "Q_n_norm_sq": float(q_sq),
             "sqrt_gap": float(abs(_sqrt_energy(e_n) - root)),
         }
-        for n, e_n, e_q, q_sq in _restricted_energies(gen, a.entries)
+        for n, e_n, e_q, q_sq in _restricted_energies(gen, mat)
     ]
     return _finite_rows("converge", CONVERGE_COLUMNS, rows)
 
@@ -633,20 +625,21 @@ def _evolve_chunk(gen, a, times) -> list[dict]:
     """Rows of evolve_table for one chunk of the time grid, with all spectra
     from one eigvalsh call on the stacked Hermitian parts; the energy is that
     of the form of gen, the semigroup's generator."""
-    herms = np.empty((len(times), a.dim, a.dim), dtype=complex)
+    d = gen.dim
+    herms = np.empty((len(times), d, d), dtype=complex)
     rows = []
     for herm, t in zip(herms, times):
-        y = apply(SemigroupMap(gen, t), a)
-        tr = normalized_trace(y)
-        np.add(y.entries, y.entries.conj().T, out=herm)
+        y = SemigroupMap(gen, t).apply_matrix(a)
+        tr = np.trace(y) / d
+        np.add(y, y.conj().T, out=herm)
         herm *= 0.5
         rows.append(
             {
                 "t": t,
-                "trace_re": tr.real,
-                "trace_im": tr.imag,
-                "gns_norm": math.sqrt(max(gns_inner(y, y).real, 0.0)),
-                "energy": eval_form(gen, y),
+                "trace_re": float(tr.real),
+                "trace_im": float(tr.imag),
+                "gns_norm": math.sqrt(max(float((matrix_vdot(y, y) / d).real), 0.0)),
+                "energy": float(form_energies(gen, y)),
             }
         )
     for row, ev in zip(rows, np.linalg.eigvalsh(herms)):
@@ -655,9 +648,9 @@ def _evolve_chunk(gen, a, times) -> list[dict]:
     return rows
 
 
-def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
-    """Trajectory of a under the diagonal-complement semigroup at its own
-    level; min/max eigenvalues refer to the Hermitian part.
+def evolve_table(mat: np.ndarray, t_grid) -> list[dict]:
+    """Trajectory of a matrix under the diagonal-complement semigroup at its
+    own level; min/max eigenvalues refer to the Hermitian part.
 
     Every worker count uses the same chunks of at most POOL_CHUNK_BYTES of
     Hermitian parts (one row when a part exceeds it, level 9 on), each with
@@ -668,15 +661,15 @@ def evolve_table(a: AlgebraElement, t_grid) -> list[dict]:
     evaluation, so the output is byte-identical to it, in grid order. An
     error in any chunk is raised unchanged, and no rows are returned. A
     non-finite entry raises a ValueError (see _finite_rows)."""
-    gen = DiagonalComplement(a.dim)
+    gen = DiagonalComplement(mat.shape[-1])
     times = [float(t) for t in t_grid]
-    step = POOL_CHUNK_BYTES // (16 * a.dim * a.dim)
+    step = POOL_CHUNK_BYTES // (16 * gen.dim * gen.dim)
     workers = _pool_workers(os.environ, _available_cpus()) if step else 1
     step = max(step, 1)
     chunks = [times[i:i + step] for i in range(0, len(times), step)]
     # The chunks share gen, whose lazily cached Schur measure is a pure
     # function of gen: threads that fill it at once store equal values.
-    run = functools.partial(_evolve_chunk, gen, a)
+    run = functools.partial(_evolve_chunk, gen, mat)
     rows = [row for part in _pool_map(run, chunks, workers) for row in part]
     return _finite_rows("evolve", EVOLVE_COLUMNS, rows)
 

@@ -8,22 +8,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["PropertyReport", "fold", "worst_of", "worst_along"]
-
-
-def worst_of(*margins) -> float:
-    """The largest margin, NaN when any margin is NaN.
-
-    Python's max drops a NaN that is not its first argument, which would
-    let a NaN sample read as slack.
-    """
-    return float(np.max(margins))
+__all__ = ["PropertyReport", "fold", "worst_along"]
 
 
 def worst_along(margins) -> np.ndarray:
-    """worst_of folded along the last axis of an array of margins, for
-    chunks of samples: NaN when any margin is NaN, else the largest margin,
-    and of equal ones the last, as worst_of keeps the later of 0.0 and -0.0."""
+    """The worst margin along the last axis of an array of margins: NaN
+    when any margin is NaN, else the largest margin, and of equal ones the
+    last (the later of 0.0 and -0.0). Python's max would drop a NaN that is
+    not its first argument and let a NaN sample read as slack."""
     flipped = np.flip(np.asarray(margins), -1)
     last = np.argmax(flipped, axis=-1)[..., None]
     return np.take_along_axis(flipped, last, axis=-1)[..., 0]

@@ -1,7 +1,7 @@
 """Linear maps on a fixed-level matrix space.
 
 Maps are stored structurally (diagonal complement, double-commutator
-families, Schur multipliers, tower projections, scalings, compositions)
+families, tower projections, semigroups, scalings, compositions)
 and materialized to a dense matrix on vectorized inputs only on demand: each
 class with a closed form writes its dense body directly, the others probe
 the matrix-unit basis. Choi matrices are index reshuffles of dense bodies.
@@ -27,7 +27,6 @@ import numpy as np
 
 from .report import PropertyReport, fold
 from .tower import (
-    AlgebraElement,
     check_hermitian,
     check_nonnegative,
     clamp_spectrum,
@@ -45,18 +44,15 @@ __all__ = [
     "EIG_TOL",
     "SuperOperator",
     "DiagonalComplement",
-    "SchurMultiplier",
     "TransposeMap",
     "DoubleCommutatorFamily",
     "DenseMap",
     "TowerProjection",
     "ScaledMap",
     "ComposedMap",
-    "BlockwiseMap",
     "SemigroupMap",
     "SpectralResolution",
     "vec",
-    "apply",
     "densify",
     "spectral_resolve",
     "choi_matrix",
@@ -262,25 +258,11 @@ class DiagonalComplement(SuperOperator):
 
     def apply_matrix(self, mat):
         # A C-ordered copy, so that the reshape below is a view, with its
-        # diagonal set to x - x: the bits of mat - diagonal_part(mat) (x - 0 off it).
+        # diagonal set to x - x: the bits of mat minus its diagonal part (x - 0 off it).
         out = np.array(mat, dtype=np.complex128, order="C")
         diag = out.reshape(*out.shape[:-2], -1)[..., :: out.shape[-1] + 1]
         diag -= diag
         return out
-
-
-class SchurMultiplier(SuperOperator):
-    """Entrywise multiplication by a Hermitian coefficient matrix."""
-
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = check_hermitian("Schur coefficient matrix", coeffs, _DATA_HERM_TOL)
-        if coeffs.ndim != 2 or coeffs.shape[0] != coeffs.shape[1]:
-            raise ValueError("Schur coefficient matrix must be square")
-        super().__init__(coeffs.shape[0])
-        self.schur = coeffs
-
-    def apply_matrix(self, mat):
-        return self.schur * np.asarray(mat, dtype=np.complex128)
 
 
 class TransposeMap(SuperOperator):
@@ -473,7 +455,7 @@ class ComposedMap(SuperOperator):
     def __init__(self, maps):
         maps = tuple(maps)
         if not maps:
-            raise ValueError("empty composition; use SchurMultiplier(ones)")
+            raise ValueError("empty composition; compose at least one map")
         if len({m.dim for m in maps}) != 1:
             raise ValueError("composition factors must share one dimension")
         super().__init__(maps[0].dim)
@@ -486,39 +468,9 @@ class ComposedMap(SuperOperator):
         return out
 
 
-class BlockwiseMap(SuperOperator):
-    """Apply an inner map to every d x d block of a (k*d) x (k*d) matrix.
-
-    This is the canonical amplification of a map to k x k block matrices.
-    """
-
-    def __init__(self, inner: SuperOperator, k: int):
-        if k < 1:
-            raise ValueError(f"block count must be >= 1, got {k}")
-        super().__init__(k * inner.dim)
-        self.inner = inner
-        self.k = int(k)
-
-    def apply_matrix(self, mat):
-        k, d = self.k, self.inner.dim
-        mat = np.asarray(mat, dtype=np.complex128)
-        # the (..., k, k, d, d) view whose [..., i, j] is block (i, j)
-        blocks = mat.reshape(*mat.shape[:-2], k, d, k, d).swapaxes(-3, -2)
-        return self.inner.apply_matrix(blocks).swapaxes(-3, -2).reshape(mat.shape)
-
-
 # --------------------------------------------------------------------------
-# evaluation, densification, spectral analysis
+# densification, spectral analysis
 # --------------------------------------------------------------------------
-
-
-def apply(op: SuperOperator, a: AlgebraElement) -> AlgebraElement:
-    """Evaluate a map on a level-tagged element."""
-    if op.dim != a.dim:
-        raise ValueError(
-            f"level mismatch: map acts on dimension {op.dim}, element has {a.dim}"
-        )
-    return AlgebraElement(a.level, op.apply_matrix(a.entries))
 
 
 def _check_budget(dim: int, what: str) -> None:
@@ -551,7 +503,6 @@ class SpectralResolution:
     the SYM_TOL check, so a cached one needs no recheck.
     """
 
-    dim: int
     eigenvalues: np.ndarray
     basis: np.ndarray
 
@@ -562,14 +513,6 @@ class SpectralResolution:
     @property
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """The matrices u_k, shape (dim^2, dim, dim), orthonormal for the
-        GNS inner product: u_k is sqrt(dim) times the k-th basis vector."""
-        frame = self.basis.astype(np.complex128)
-        _mix_pairs(frame, _U_BLOCK)
-        return (frame.T * np.sqrt(self.dim)).reshape(-1, self.dim, self.dim)
 
     def function_body(self, func) -> np.ndarray:
         """Dense body of f(map): U W f(Lambda) W* U* with W the basis, one
@@ -618,7 +561,7 @@ def spectral_resolve(op: SuperOperator) -> SpectralResolution:
     if res is None:
         herm = _hermitian_in_units(densify(op).matrix, _NOT_SELF_ADJOINT)
         w, basis = np.linalg.eigh(herm)
-        res = op._spectral = SpectralResolution(dim=op.dim, eigenvalues=w, basis=basis)
+        res = op._spectral = SpectralResolution(eigenvalues=w, basis=basis)
     return res
 
 

@@ -1,10 +1,11 @@
-"""The 2^n matrix tower: level-tagged elements with normalized trace, GNS
-inner product, right-append embeddings, involution and seeded sampling.
+"""The 2^n matrix tower: the level-tagged element read from matrix JSON,
+input checks, seeded chunked sampling and the stacked matrix kernels the
+suites share (Hermitian parts, spectral clamps, GNS pairings).
 
 Index semantics are normative for everything built on top: a level-n matrix
 is an n-fold tensor product of 2x2 legs, with leg 1 occupying the most
-significant bits of the row/column index. Embedding a level-n element into
-level n+k appends k identity legs on the right, i.e. ``a -> kron(a, I)``.
+significant bits of the row/column index. The level-n subalgebra sits in
+level n+k by appending k identity legs on the right, i.e. ``a -> kron(a, I)``.
 """
 
 from __future__ import annotations
@@ -19,29 +20,14 @@ __all__ = [
     "AlgebraElement",
     "check_nonnegative",
     "check_hermitian",
-    "RANDOM_KINDS",
-    "identity",
-    "matrix_unit",
-    "diagonal_projection",
-    "normalized_trace",
-    "gns_inner",
-    "gns_norm",
-    "embed",
-    "modular_conjugation",
-    "random_element",
     "SAMPLE_CHUNK_BYTES",
     "gaussian_chunks",
     "complex_gaussian",
-    "gaussian_general",
     "hermitian_part",
-    "gaussian_hermitian",
-    "random_matrix",
     "finite_spectra",
     "clamp_spectrum",
     "matrix_vdot",
-    "element_to_json",
     "element_from_json",
-    "save_element",
     "load_element",
 ]
 
@@ -68,10 +54,9 @@ def check_hermitian(what: str, mat, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """A dense complex 2^level x 2^level matrix tagged with its tower level.
-
-    Entries are copied and frozen at construction; all operations on
-    elements are pure functions.
+    """A dense complex 2^level x 2^level matrix tagged with its tower level:
+    what load_element reads, and what the element API of expectations and
+    derivation takes. Entries are copied and frozen at construction.
     """
 
     level: int
@@ -95,57 +80,8 @@ class AlgebraElement:
     def dim(self) -> int:
         return 2 ** self.level
 
-    def _check_level(self, other: "AlgebraElement") -> None:
-        if self.level != other.level:
-            raise ValueError(
-                f"level mismatch: {self.level} vs {other.level}"
-            )
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_level(other)
-        return AlgebraElement(self.level, self.entries + other.entries)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_level(other)
-        return AlgebraElement(self.level, self.entries - other.entries)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.level, -self.entries)
-
-    def __mul__(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement(self.level, self.entries * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_level(other)
-        return AlgebraElement(self.level, self.entries @ other.entries)
-
     def __repr__(self) -> str:
         return f"AlgebraElement(level={self.level}, dim={self.dim})"
-
-
-def identity(level: int) -> AlgebraElement:
-    """The unit of the level-n algebra."""
-    return AlgebraElement(level, np.eye(2 ** level))
-
-
-def matrix_unit(level: int, i: int, j: int) -> AlgebraElement:
-    """The matrix unit e_ij at the given level."""
-    d = 2 ** level
-    mat = np.zeros((d, d), dtype=np.complex128)
-    mat[i, j] = 1.0
-    return AlgebraElement(level, mat)
-
-
-def diagonal_projection(level: int, i: int) -> AlgebraElement:
-    """The rank-one diagonal projection with 1 in entry (i, i)."""
-    return matrix_unit(level, i, i)
-
-
-def normalized_trace(a: AlgebraElement) -> complex:
-    """Trace divided by dimension, so the unit has trace 1."""
-    return complex(np.trace(a.entries) / a.dim)
 
 
 def matrix_vdot(x: np.ndarray, y: np.ndarray):
@@ -156,42 +92,9 @@ def matrix_vdot(x: np.ndarray, y: np.ndarray):
     return np.vecdot(x.reshape(*lead, rows * cols), y.reshape(*lead, rows * cols))
 
 
-def gns_inner(a: AlgebraElement, b: AlgebraElement) -> complex:
-    """GNS inner product tau(a* b), conjugate-linear in the first slot."""
-    a._check_level(b)
-    return complex(matrix_vdot(a.entries, b.entries) / a.dim)
-
-
-def gns_norm(a: AlgebraElement) -> float:
-    return float(np.sqrt(max(gns_inner(a, a).real, 0.0)))
-
-
-def embed(a: AlgebraElement, target_level: int) -> AlgebraElement:
-    """Unital *-embedding into a higher level by right-appending identity legs.
-
-    Trace preserving and isometric for the GNS inner product because the
-    traces are normalized.
-    """
-    if target_level < a.level:
-        raise ValueError(
-            f"cannot embed level {a.level} into lower level {target_level}"
-        )
-    k = target_level - a.level
-    if k == 0:
-        return a
-    return AlgebraElement(target_level, np.kron(a.entries, np.eye(2 ** k)))
-
-
-def modular_conjugation(a: AlgebraElement) -> AlgebraElement:
-    """The involution a -> a*; its fixed points are the Hermitian elements."""
-    return AlgebraElement(a.level, a.entries.conj().T)
-
-
 # --------------------------------------------------------------------------
 # random sampling
 # --------------------------------------------------------------------------
-
-RANDOM_KINDS = ("hermitian", "general", "contraction", "psd")
 
 # Bytes of standard normals one chunk of samples draws at once; it also
 # bounds the blocks of products derivation.max_abs_factors multiplies out.
@@ -205,9 +108,9 @@ def gaussian_chunks(rng: np.random.Generator, samples: int, dim: int, count: int
     Yields (rows, mats): rows is the slice of the chunk's sample positions,
     and mats holds one complex (S, dim, dim) stack per matrix of a sample.
     A chunk of S samples comes from one rng.standard_normal call, which
-    yields the numbers of drawing each sample's matrices in turn as
-    gaussian_general draws one, so chunked and per-sample evaluation see
-    the same samples. Each chunk holds at most SAMPLE_CHUNK_BYTES of
+    yields the numbers of drawing each sample's matrices in turn, one
+    rng.standard_normal((2, dim, dim)) per matrix, so chunked and per-sample
+    evaluation see the same samples. Each chunk holds at most SAMPLE_CHUNK_BYTES of
     normals (one sample when a single sample is larger).
     """
     step = max(1, SAMPLE_CHUNK_BYTES // (16 * count * dim * dim))
@@ -224,18 +127,9 @@ def complex_gaussian(z: np.ndarray) -> np.ndarray:
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def gaussian_general(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian matrix with independent unit-variance re/im entries."""
-    return complex_gaussian(rng.standard_normal((2, dim, dim)))
-
-
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
     """(mat + mat*) / 2 over the last two axes."""
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-
-
-def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitian_part(gaussian_general(dim, rng))
 
 
 def finite_spectra(decompose, mat: np.ndarray):
@@ -265,40 +159,9 @@ def clamp_spectrum(mat: np.ndarray, lo=None, hi=None) -> np.ndarray:
     return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def random_matrix(dim: int, kind: str, rng: np.random.Generator) -> np.ndarray:
-    """Raw-matrix sampler of random_element; see there."""
-    if kind == "general":
-        return gaussian_general(dim, rng)
-    if kind == "hermitian":
-        return gaussian_hermitian(dim, rng)
-    if kind == "contraction":
-        return clamp_spectrum(gaussian_hermitian(dim, rng), 0.0, 1.0)
-    if kind == "psd":
-        return clamp_spectrum(gaussian_hermitian(dim, rng), 0.0, None)
-    raise ValueError(f"unknown kind {kind!r}; expected one of {RANDOM_KINDS}")
-
-
-def random_element(level: int, kind: str, seed: int) -> AlgebraElement:
-    """Seed-reproducible random element.
-
-    hermitian: Gaussian-ensemble Hermitian with unit-scale entries;
-    contraction / psd: Hermitian with spectrum clamped into [0, 1] / [0, inf).
-    """
-    rng = np.random.default_rng(seed)
-    return AlgebraElement(level, random_matrix(2 ** level, kind, rng))
-
-
 # --------------------------------------------------------------------------
 # matrix JSON format: {"level": n, "re": [[...]], "im": [[...]]}
 # --------------------------------------------------------------------------
-
-
-def element_to_json(a: AlgebraElement) -> dict:
-    return {
-        "level": a.level,
-        "re": a.entries.real.tolist(),
-        "im": a.entries.imag.tolist(),
-    }
 
 
 def _parse_square(part, d: int, key: str) -> np.ndarray:
@@ -340,10 +203,6 @@ def element_from_json(obj: dict) -> AlgebraElement:
     re = _parse_square(obj["re"], d, "re")
     im = _parse_square(obj["im"], d, "im")
     return AlgebraElement(level, re + 1j * im)
-
-
-def save_element(a: AlgebraElement, path) -> None:
-    Path(path).write_text(json.dumps(element_to_json(a)) + "\n")
 
 
 def load_element(path) -> AlgebraElement:

@@ -1,6 +1,7 @@
 """The randomized suites draw and check their samples a chunk at a time.
 Each is compared here with a plain per-sample loop built from the element
-API: the reports must be equal byte for byte, whatever the chunk size."""
+API of tests/reference.py: the reports must be equal byte for byte,
+whatever the chunk size."""
 
 import math
 
@@ -8,34 +9,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towerforms import forms, harness, superop, tower
-from towerforms.derivation import bimodule_inner, bimodule_left, bimodule_right, derive
-from towerforms.expectations import (
-    cond_expect,
+from reference import (
+    BlockwiseMap,
+    amplified_form,
+    apply,
     diagonal_part,
-    partial_trace_matrix,
-    project_P,
-    project_Q,
-)
-from towerforms.forms import (
-    commutator_form_eval,
-    commutator_generator,
     eval_form,
-    eval_form_matrix,
-)
-from towerforms.harness import SEMIGROUP_LEVEL_CAP, SEMIGROUP_TIMES, RunConfig, run_suite
-from towerforms.report import PropertyReport, fold, worst_along, worst_of
-from towerforms.superop import DiagonalComplement, SemigroupMap, apply
-from towerforms.tower import (
-    AlgebraElement,
-    clamp_spectrum,
-    gaussian_chunks,
     gaussian_general,
     gaussian_hermitian,
     gns_inner,
     normalized_trace,
+    product,
+    project_P,
+    project_Q,
+    random_element,
     random_matrix,
+    worst_of,
 )
+from towerforms import forms, harness, superop, tower
+from towerforms.derivation import bimodule_inner, bimodule_left, bimodule_right, derive
+from towerforms.expectations import cond_expect, partial_trace_matrix
+from towerforms.forms import commutator_form_eval, commutator_generator, eval_form_matrix
+from towerforms.harness import SEMIGROUP_LEVEL_CAP, SEMIGROUP_TIMES, RunConfig, run_suite
+from towerforms.report import PropertyReport, fold, worst_along
+from towerforms.superop import DiagonalComplement, SemigroupMap
+from towerforms.tower import AlgebraElement, clamp_spectrum, gaussian_chunks
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +135,7 @@ def ref_leibniz(cfg):
         ]
         amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rngs[-1]))
         for n, (a, b), e_n in zip(levels, pairs, ref_tower(amb)):
-            lhs = derive(a @ b, n)
+            lhs = derive(product(a, b), n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
             margin = np.abs((lhs - rhs).stack).max()
             df = derive(e_n, n)
@@ -192,7 +190,7 @@ def ref_per_level_ambient_top(cfg, suite):
         if suite == "leibniz":
             a = AlgebraElement(n, gaussian_general(2 ** n, rng))
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
-            lhs = derive(a @ b, n)
+            lhs = derive(product(a, b), n)
             rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
             margin = np.abs((lhs - rhs).stack).max()
             amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
@@ -237,13 +235,13 @@ def ref_convergence(cfg):
     return [_report("convergence", cfg.level, cfg.samples, failures, worst, seed, cfg.tol)]
 
 
-def ref_converge_table(cfg, a):
+def ref_converge_table(a):
     """converge_table's rows through the element API, one projection at a
     time."""
-    form = DiagonalComplement(2 ** cfg.level)
+    form = DiagonalComplement(a.dim)
     energy = eval_form(form, a)
     rows = []
-    for n in range(1, cfg.level + 1):
+    for n in range(1, a.level + 1):
         pa = project_P(a, n)
         qa = project_Q(a, n)
         e_n = eval_form(form, pa)
@@ -435,7 +433,7 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
     y = np.stack([gaussian_general(2 * d, rng) for _ in range(5)])
     h = tower.hermitian_part(x)
     level = (2 * d).bit_length() - 1
-    amplified = forms.amplified_form(DiagonalComplement(d), 2)
+    amplified = amplified_form(DiagonalComplement(d), 2)
     full = superop.DoubleCommutatorFamily(
         [tower.hermitian_part(gaussian_general(2 * d, rng)) / d for _ in range(2)]
     )
@@ -467,11 +465,11 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
 @pytest.mark.parametrize(
     "check, subject",
     [
-        (forms.dirichlet_check, lambda: forms.amplified_form(DiagonalComplement(2), 3)),
-        (superop.markov_check, lambda: superop.BlockwiseMap(DiagonalComplement(2), 3)),
+        (forms.dirichlet_check, lambda: amplified_form(DiagonalComplement(2), 3)),
+        (superop.markov_check, lambda: BlockwiseMap(DiagonalComplement(2), 3)),
         (
             superop.symmetry_conservativity_check,
-            lambda: superop.BlockwiseMap(DiagonalComplement(2), 3),
+            lambda: BlockwiseMap(DiagonalComplement(2), 3),
         ),
     ],
     ids=["dirichlet", "markov", "symmetry"],
@@ -507,11 +505,10 @@ def test_worst_along_is_the_worst_of_fold():
 def test_converge_table_equals_the_element_api(level):
     """converge_table and the convergence suite share one stacked kernel;
     on one element it gives the element API's numbers bit for bit."""
-    cfg = RunConfig(level=level, suites=("convergence",))
     for kind, seed in [("general", level), ("hermitian", 100 + level)]:
-        a = tower.random_element(level, kind, seed)
-        got = harness.converge_table(cfg, a)
-        assert got == ref_converge_table(cfg, a)
+        a = random_element(level, kind, seed)
+        got = harness.converge_table(a.entries)
+        assert got == ref_converge_table(a)
         assert all(type(v) is float for row in got for k, v in row.items() if k != "n")
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import towerforms.cli as cli
+from reference import element_to_json, random_element, save_element
 from towerforms.cli import MAX_TIME_GRID_ROWS, main, _parse_time_grid
 from towerforms.superop import (
     SemigroupMap,
@@ -16,13 +17,7 @@ from towerforms.superop import (
     choi_min_eigenvalue,
     square_matrix_to_json,
 )
-from towerforms.tower import (
-    AlgebraElement,
-    element_from_json,
-    element_to_json,
-    random_element,
-    save_element,
-)
+from towerforms.tower import AlgebraElement, element_from_json
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -294,6 +289,26 @@ def test_converge_level_mismatch_fails(tmp_path, capsys):
     code = main(["converge", "--level", "3", "--input", str(inp), "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert "level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["0", "13", "64"])
+def test_converge_names_the_element_level_it_mismatches(tmp_path, capsys, level):
+    """converge checks --level against the element itself, not against
+    verify's working-level rules, and writes no table."""
+    inp, out = tmp_path / "a.json", tmp_path / "t.csv"
+    save_element(random_element(2, "hermitian", 503), inp)
+    assert main(["converge", "--level", level, "--input", str(inp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"input element has level 2, --level is {level}" in err
+    assert "DENSIFY_DIM_CAP" not in err and not out.exists()
+
+
+def test_converge_rejects_a_level_zero_element(tmp_path, capsys):
+    inp, out = tmp_path / "a.json", tmp_path / "t.csv"
+    save_element(AlgebraElement(0, [[2.0]]), inp)
+    assert main(["converge", "--level", "0", "--input", str(inp), "--out", str(out)]) == 2
+    assert "level >= 1, got level 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_writes_trajectory(tmp_path):

