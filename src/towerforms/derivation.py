@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tower
 from .tower import AlgebraElement
 from .expectations import cond_expect
 
@@ -33,7 +32,6 @@ __all__ = [
     "left_action",
     "right_action",
     "inner_factors",
-    "max_abs_factors",
 ]
 
 
@@ -158,22 +156,6 @@ def inner_factors(f_left, f_right, g_left, g_right) -> np.ndarray:
     rows_g = (gram @ g_right).reshape(*lead, k * rf, d)
     rows_f = f_right.reshape(*lead, k * rf, d)
     return rows_f.conj().swapaxes(-1, -2) @ rows_g
-
-
-def max_abs_factors(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """max |entry| of the components left[..., j, :, :] @ right[..., j, :, :]
-    of a vector, or of each vector of a stack (shape of the leading axes),
-    NaN when any entry is NaN. The components are multiplied out in blocks
-    of at most tower.SAMPLE_CHUNK_BYTES, so no full stack is held."""
-    *lead, k, d, r = left.shape
-    lefts, rights = left.reshape(-1, d, r), right.reshape(-1, r, d)
-    block = max(1, tower.SAMPLE_CHUNK_BYTES // (16 * d * d))
-    comp = np.empty(len(lefts))
-    for s in range(0, len(lefts), block):
-        prod = lefts[s:s + block] @ rights[s:s + block]
-        comp[s:s + block] = np.abs(prod).max(axis=(-2, -1))
-        del prod
-    return comp.reshape(*lead, k).max(axis=-1)
 
 
 # --------------------------------------------------------------------------

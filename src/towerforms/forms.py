@@ -106,7 +106,6 @@ def dirichlet_check(
     samples: int,
     seed: int,
     tol: float,
-    level: int | None = None,
 ) -> PropertyReport:
     """Randomized Dirichlet-property suite for the form of gen.
 
@@ -121,7 +120,7 @@ def dirichlet_check(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    level = gen.level if level is None else level
+    level = gen.level  # read before any sample is drawn
     rng = np.random.default_rng(seed)
     margins = np.full((samples, 2), np.nan)  # row i: sample i
     for rows, (a, g) in gaussian_chunks(rng, samples, gen.dim, 2):

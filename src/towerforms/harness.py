@@ -35,13 +35,7 @@ from .forms import (
     family_compatibility_margin,
     form_energies,
 )
-from .derivation import (
-    derive_factors,
-    inner_factors,
-    left_action,
-    max_abs_factors,
-    right_action,
-)
+from .derivation import derive_factors, left_action, right_action
 from .superop import (
     DENSIFY_DIM_CAP,
     SEMIGROUP_LEVEL_CAP,
@@ -124,11 +118,32 @@ def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     return reports
 
 
-def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max |d(ab) - (d(a) b + a d(b))| for each pair of a stack of level-n
-    pairs: the factors of derive(a @ b, n) - (bimodule_right(derive(a, n), b)
-    + bimodule_left(a, derive(b, n))) in the order that sum and difference
-    concatenate them, each built as for one pair, then max_abs_factors."""
+def _leibniz_probes(seed: int, level: int) -> np.ndarray:
+    """The (2^level, 2) probe block of level's product-rule check: entries
+    +-1 +-i, drawn from the level's own "leibniz-probes" stream, so no
+    sample stream moves."""
+    rng = np.random.default_rng(_suite_seed(seed, "leibniz-probes", level))
+    re, im = rng.choice((-1.0, 1.0), size=(2, 2 ** level, 2))
+    return re + 1j * im
+
+
+def _probed_max(left: np.ndarray, right: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """max |D_j v| over the components D_j = left[..., j, :, :] @
+    right[..., j, :, :] of a vector, or of each vector of a stack, and the
+    columns v of probes (Freivalds' check): right @ probes, then left @
+    that, O(k d r) per column instead of the O(k d^2 r) of multiplying the
+    components out. NaN when any entry is NaN. With entries +-1 +-i, a
+    component with the one nonzero entry e reads sqrt(2) |e|, and
+    E|(D_j v)_p|^2 = 2 sum_q |(D_j)_pq|^2 >= 2 max_q |(D_j)_pq|^2."""
+    return np.abs(left @ (right @ probes)).max(axis=(-3, -2, -1))
+
+
+def _leibniz_defects(a: np.ndarray, b: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The product-rule defect d(ab) - (d(a) b + a d(b)) of each pair of a
+    stack of level-n pairs, probed by probes (see _probed_max): its factors
+    are those of derive(a @ b, n) - (bimodule_right(derive(a, n), b) +
+    bimodule_left(a, derive(b, n))) in the order that sum and difference
+    concatenate them, d(ab)'s first, each built as for one pair."""
     *lead, d, _ = a.shape
     left = np.empty((*lead, d, d, 6), dtype=np.complex128)
     right = np.empty((*lead, d, 6, d), dtype=np.complex128)
@@ -140,7 +155,7 @@ def _leibniz_defects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     db_left, right[..., 4:6, :] = derive_factors(b)
     np.negative(left_action(a, db_left), out=left[..., 4:6])
     del db_left
-    return max_abs_factors(left, right)
+    return _probed_max(left, right, probes)
 
 
 def _conditioned_down(held: list, rows: slice, level: int):
@@ -179,13 +194,18 @@ def _expectation_towers(ambients, level: int):
 
 def _energy_gaps(b: np.ndarray) -> np.ndarray:
     """|tau(<db, db>) - commutator energy of b| for each matrix of a stack of
-    level-n expectations b, as derive, bimodule_inner and
-    commutator_form_eval compute them for one."""
-    d = b.shape[-1]
-    df_left, df_right = derive_factors(b)
-    inner = inner_factors(df_left, df_right, df_left, df_right)
-    del df_left, df_right
-    energy = (np.trace(inner, axis1=-2, axis2=-1) / d).real
+    level-n expectations b. Of the product inner_factors forms for <db, db>,
+    the row-stacked right factors against the row-stacked G_j right[j],
+    only the diagonal that the trace reads is formed: entry i is the dot of
+    column i of the one with column i of the other, of length 2d as in the
+    product, O(d^2) instead of its O(d^3)."""
+    *lead, d, _ = b.shape
+    left, right = derive_factors(b)
+    weighted = (left.conj().swapaxes(-1, -2) @ left @ right).reshape(*lead, 2 * d, d)
+    rows = right.reshape(*lead, 2 * d, d)
+    del left
+    diagonal = np.einsum("...ki,...ki->...i", rows.conj(), weighted)
+    energy = (diagonal.sum(axis=-1) / d).real
     return np.abs(energy - commutator_energies(b))
 
 
@@ -198,22 +218,27 @@ def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
     ambient i, which the working level's stream draws after its own pair i;
     every level reads its E_n off that one ambient (see _expectation_towers).
     The stream is drawn and checked a chunk at a time (see
-    tower.gaussian_chunks); every margin comes from the arithmetic of the
-    per-sample element API (derive, bimodule_*, commutator_form_eval).
+    tower.gaussian_chunks). A pair's defect is its product-rule defect,
+    built from the factors of the per-sample element API (derive,
+    bimodule_*) and probed by the unit's one probe block (see
+    _leibniz_probes, _probed_max) instead of multiplied out; a gap comes
+    from the arithmetic of derive and commutator_form_eval, with the trace
+    read off the diagonal of bimodule_inner's product (see _energy_gaps).
     Returns the defects of the unit's level, one per sample, and at the
     working level the gaps of every level (one row per level), else None.
     A sample that is never checked keeps a NaN defect or gap."""
     level, samples, d = cfg.level, cfg.samples, 2 ** unit.level
     rng = np.random.default_rng(_suite_seed(cfg.seed, "leibniz", unit.level))
+    probes = _leibniz_probes(cfg.seed, unit.level)
     defects = np.full(samples, np.nan)
     if unit.level < level:
         for rows, (a, b) in gaussian_chunks(rng, samples, d, 2):
-            defects[rows] = _leibniz_defects(a, b)
+            defects[rows] = _leibniz_defects(a, b, probes)
         return defects, None
 
     def ambients():  # the working level's stream: its pairs, then the ambient
         for rows, (a, b, ambient) in gaussian_chunks(rng, samples, d, 3):
-            defects[rows] = _leibniz_defects(a, b)
+            defects[rows] = _leibniz_defects(a, b, probes)
             del a, b  # freed while the ambient is conditioned
             yield rows, ambient
 

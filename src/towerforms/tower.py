@@ -97,7 +97,7 @@ def matrix_vdot(x: np.ndarray, y: np.ndarray):
 # --------------------------------------------------------------------------
 
 # Bytes of standard normals one chunk of samples draws at once; it also
-# bounds the blocks of products derivation.max_abs_factors multiplies out.
+# bounds the expectations harness gathers below the working level.
 SAMPLE_CHUNK_BYTES = 2 ** 17
 
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from towerforms import tower
+from towerforms.derivation import BimoduleVector
 from towerforms.expectations import cond_expect
 from towerforms.forms import eval_form_matrix
 from towerforms.superop import (
@@ -238,11 +240,25 @@ def wedge_one(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.level, clamp_spectrum(sym, 0.0, 1.0))
 
 
+class AmplifiedForm(ScaledMap):
+    """k times gen acting blockwise (see amplified_form). Its level is
+    gen's, whose blocks it acts on, so a check reports the amplification at
+    the base level, also where k gen.dim is no power of two."""
+
+    def __init__(self, gen: SuperOperator, k: int):
+        super().__init__(float(k), BlockwiseMap(gen, k))
+        self.base = gen
+
+    @property
+    def level(self) -> int:
+        return self.base.level
+
+
 def amplified_form(gen: SuperOperator, k: int) -> SuperOperator:
     """The generator of the extension to k x k block matrices whose energy
     is the sum of the base-form energies of the blocks: k times gen acting
     blockwise, the factor k compensating the normalized trace of the larger
-    space. k = 1 returns gen itself."""
+    space, at gen's level (see AmplifiedForm). k = 1 returns gen itself."""
     if k < 1:
         raise ValueError(f"amplification order must be >= 1, got {k}")
     if k == 1:
@@ -252,7 +268,7 @@ def amplified_form(gen: SuperOperator, k: int) -> SuperOperator:
             f"amplified dimension {k * gen.dim} exceeds cap "
             f"DENSIFY_DIM_CAP={DENSIFY_DIM_CAP}"
         )
-    return ScaledMap(float(k), BlockwiseMap(gen, k))
+    return AmplifiedForm(gen, k)
 
 
 # --------------------------------------------------------------------------
@@ -264,3 +280,38 @@ def worst_of(*margins) -> float:
     """The largest margin, NaN when any margin is NaN (Python's max drops a
     NaN that is not its first argument)."""
     return float(np.max(margins))
+
+
+def probed_max_abs(f: BimoduleVector, probes: np.ndarray) -> float:
+    """max |f(j) v| over the components of f and the columns v of probes,
+    with f(j) v formed as left[j] @ (right[j] @ v): the leibniz suite's
+    product-rule margin of one sample."""
+    return float(np.abs(f.left @ (f.right @ probes)).max())
+
+
+def inner_trace(f: BimoduleVector) -> complex:
+    """tau(<f, f>) as the leibniz suite forms it: the normalized sum of the
+    diagonal of bimodule_inner(f, f)'s product, each entry one dot of a
+    column of the row-stacked right factors with the same column of the
+    row-stacked G_j right[j]."""
+    d = 2 ** f.carrier_level
+    weighted = (f.left.conj().swapaxes(-1, -2) @ f.left @ f.right).reshape(-1, d)
+    rows = f.right.reshape(-1, d)
+    return complex(np.einsum("ki,ki->i", rows.conj(), weighted).sum() / d)
+
+
+def max_abs_factors(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """max |entry| of the components left[..., j, :, :] @ right[..., j, :, :]
+    of a vector, or of each vector of a stack (shape of the leading axes),
+    NaN when any entry is NaN: the full product that the leibniz suite's
+    probes stand in for. The components are multiplied out in blocks of at
+    most tower.SAMPLE_CHUNK_BYTES, so no full stack is held."""
+    *lead, k, d, r = left.shape
+    lefts, rights = left.reshape(-1, d, r), right.reshape(-1, r, d)
+    block = max(1, tower.SAMPLE_CHUNK_BYTES // (16 * d * d))
+    comp = np.empty(len(lefts))
+    for s in range(0, len(lefts), block):
+        prod = lefts[s:s + block] @ rights[s:s + block]
+        comp[s:s + block] = np.abs(prod).max(axis=(-2, -1))
+        del prod
+    return comp.reshape(*lead, k).max(axis=-1)

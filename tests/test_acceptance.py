@@ -271,7 +271,6 @@ def test_criterion_9_completely_dirichlet_amplification():
                 samples=500,
                 seed=9000 + 10 * n + k,
                 tol=1e-10,
-                level=n,
             )
             failures += rep.failures
             worst = max(worst, rep.worst_margin)

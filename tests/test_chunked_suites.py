@@ -18,7 +18,9 @@ from reference import (
     gaussian_general,
     gaussian_hermitian,
     gns_inner,
-    normalized_trace,
+    inner_trace,
+    max_abs_factors,
+    probed_max_abs,
     product,
     project_P,
     project_Q,
@@ -27,12 +29,12 @@ from reference import (
     worst_of,
 )
 from towerforms import forms, harness, superop, tower
-from towerforms.derivation import bimodule_inner, bimodule_left, bimodule_right, derive
+from towerforms.derivation import BimoduleVector, bimodule_left, bimodule_right, derive
 from towerforms.expectations import cond_expect, partial_trace_matrix
 from towerforms.forms import commutator_form_eval, commutator_generator, eval_form_matrix
 from towerforms.harness import SEMIGROUP_LEVEL_CAP, SEMIGROUP_TIMES, RunConfig, run_suite
 from towerforms.report import PropertyReport, fold, worst_along
-from towerforms.superop import DiagonalComplement, SemigroupMap
+from towerforms.superop import DiagonalComplement, ScaledMap, SemigroupMap
 from towerforms.tower import AlgebraElement, clamp_spectrum, gaussian_chunks
 
 
@@ -120,12 +122,29 @@ def ref_tower(a):
     return tower[::-1]
 
 
+def ref_product_rule(a, b, probes):
+    """The product-rule margin of the pair (a, b): its defect
+    d(ab) - (d(a) b + a d(b)) probed by probes."""
+    n = a.level
+    lhs = derive(product(a, b), n)
+    rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
+    return probed_max_abs(lhs - rhs, probes)
+
+
+def ref_energy_gap(e_n, n):
+    """|tau(<d e_n, d e_n>) - commutator energy of e_n| at level n."""
+    df = derive(e_n, n)
+    return abs(inner_trace(df).real - commutator_form_eval(e_n, n))
+
+
 def ref_leibniz(cfg):
     """Sample i of level n: pair i of level n's stream, and E_n of the
-    ambient that the working level's stream draws after its own pair i."""
+    ambient that the working level's stream draws after its own pair i.
+    Each level probes its pairs' defects with its own probe block."""
     levels = range(1, cfg.level + 1)
     seeds = [harness._suite_seed(cfg.seed, "leibniz", n) for n in levels]
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    probes = [harness._leibniz_probes(cfg.seed, n) for n in levels]
     worst, failures = [-np.inf] * cfg.level, [0] * cfg.level
     for _ in range(cfg.samples):
         pairs = [
@@ -135,12 +154,7 @@ def ref_leibniz(cfg):
         ]
         amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rngs[-1]))
         for n, (a, b), e_n in zip(levels, pairs, ref_tower(amb)):
-            lhs = derive(product(a, b), n)
-            rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = np.abs((lhs - rhs).stack).max()
-            df = derive(e_n, n)
-            energy = normalized_trace(bimodule_inner(df, df)).real
-            margin = worst_of(margin, abs(energy - commutator_form_eval(e_n, n)))
+            margin = worst_of(ref_product_rule(a, b, probes[n - 1]), ref_energy_gap(e_n, n))
             worst[n - 1] = worst_of(worst[n - 1], margin)
             failures[n - 1] += not margin <= cfg.tol
     return [
@@ -190,13 +204,11 @@ def ref_per_level_ambient_top(cfg, suite):
         if suite == "leibniz":
             a = AlgebraElement(n, gaussian_general(2 ** n, rng))
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
-            lhs = derive(product(a, b), n)
-            rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-            margin = np.abs((lhs - rhs).stack).max()
             amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
-            df = derive(amb, n)
-            energy = normalized_trace(bimodule_inner(df, df)).real
-            margin = worst_of(margin, abs(energy - commutator_form_eval(amb, n)))
+            margin = worst_of(
+                ref_product_rule(a, b, harness._leibniz_probes(cfg.seed, n)),
+                ref_energy_gap(amb, n),
+            )
         else:
             a = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
             energy = eval_form(DiagonalComplement(2 ** n), cond_expect(a, n))
@@ -392,6 +404,89 @@ def test_planted_right_action_defect_fails_the_product_rule(monkeypatch, level):
     assert all(r.failures == r.samples for r in reports)
 
 
+def _plant_one_entry(left, right, tol):
+    """The defect factors with one entry of one component moved by 100 tol
+    of its row's scale: d(ab)'s factors come first and left[..., 0, :, 0] is
+    e_0, so right[..., 0, 0, :] is row 0 of ab, and moving its last entry
+    moves entry (0, d - 1) of component 0 alone."""
+    right = np.array(right)
+    right[..., 0, 0, -1] += 100 * tol * np.abs(right[..., 0, 0, :]).max(axis=-1)
+    return left, right
+
+
+def test_planted_entry_moves_one_entry_of_one_component():
+    """The one-entry control changes entry (0, d - 1) of component 0 of the
+    defect, by 100 tol of the largest entry of row 0 of ab, and nothing else."""
+    rng = np.random.default_rng(12)
+    a, b = (AlgebraElement(3, gaussian_general(8, rng)) for _ in range(2))
+    lhs = derive(product(a, b), 3)
+    f = lhs - (bimodule_right(derive(a, 3), b) + bimodule_left(a, derive(b, 3)))
+    moved = BimoduleVector(3, *_plant_one_entry(f.left, f.right, 1e-10)).stack - f.stack
+    assert list(zip(*np.nonzero(moved))) == [(0, 0, 7)]
+    assert moved[0, 0, 7] == pytest.approx(1e-8 * np.abs(lhs.stack[0, 0]).max(), rel=1e-6)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_planted_entry_defect_fails_the_product_rule(monkeypatch, level):
+    """One entry of one component off by 100 tol of its scale fails every
+    leibniz sample at every level: a probe block misses no single entry."""
+    cfg = RunConfig(level=level, samples=5, suites=("leibniz",))
+    probed = harness._probed_max
+    monkeypatch.setattr(
+        harness, "_probed_max",
+        lambda left, right, probes: probed(*_plant_one_entry(left, right, cfg.tol), probes),
+    )
+    reports = run_suite(cfg)
+    assert [r.level for r in reports] == list(range(1, level + 1))
+    assert all(r.failures == r.samples for r in reports)
+
+
+@pytest.mark.parametrize("control", [None, "right-action", "one-entry"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_probes_and_the_full_product_agree_on_every_control(monkeypatch, level, control):
+    """The second certificate of the product rule: on the same defect
+    factors, the probed margin and the full max_abs_factors both pass every
+    honest sample and both fail every sample of each planted control; a
+    planted entry reads sqrt(2) times its size through the probes."""
+    cfg = RunConfig(level=level, samples=9, suites=("leibniz",))
+    probed, true_action, margins = harness._probed_max, harness.right_action, []
+
+    def both(left, right, probes):
+        if control == "one-entry":
+            left, right = _plant_one_entry(left, right, cfg.tol)
+        sketch = probed(left, right, probes)
+        margins.append((sketch, max_abs_factors(left, right)))
+        return sketch
+
+    monkeypatch.setattr(harness, "_probed_max", both)
+    if control == "right-action":
+        monkeypatch.setattr(
+            harness, "right_action", lambda r, a: true_action(r, a) * (1 + 100 * cfg.tol)
+        )
+    reports = run_suite(cfg)
+    sketch, full = np.concatenate(margins, axis=-1)
+    assert len(sketch) == level * cfg.samples
+    if control is None:
+        assert (sketch <= cfg.tol).all() and (full <= cfg.tol).all()
+        assert all(r.failures == 0 for r in reports)
+    else:
+        assert (sketch > cfg.tol).all() and (full > cfg.tol).all()
+        assert all(r.failures == r.samples for r in reports)
+    if control == "one-entry":
+        np.testing.assert_allclose(sketch, np.sqrt(2) * full, rtol=1e-4)
+
+
+def test_leibniz_probes_are_seeded_unimodular_blocks():
+    """Each level's probe block holds entries +-1 +-i and comes from its
+    own stream of the run's seed."""
+    for n in (1, 4, 8):
+        probes = harness._leibniz_probes(7, n)
+        assert probes.shape == (2 ** n, 2)
+        assert set(probes.real.flat) | set(probes.imag.flat) <= {-1.0, 1.0}
+        assert np.array_equal(probes, harness._leibniz_probes(7, n))
+        assert not np.array_equal(probes, harness._leibniz_probes(8, n))
+
+
 def test_gaussian_chunks_draw_the_per_sample_stream(monkeypatch):
     """One draw per chunk yields the matrices of drawing each sample's
     matrices in turn with gaussian_general; rows tile the samples in order,
@@ -462,10 +557,26 @@ def test_stacked_kernels_equal_their_per_matrix_calls(d):
         assert stacked["commutator"][s] == forms.commutator_energies(x[s])
 
 
+def test_max_abs_blocks_cover_every_component(monkeypatch):
+    """The full-product reference max_abs_factors: the blockwise max over
+    components equals the max over the whole stack, and a NaN in the last
+    block gives a NaN."""
+    k, d, r = 2 ** 5, 4, 2
+    # three components per block: several blocks and a partial last one
+    monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 3 * 16 * d * d)
+    rng = np.random.default_rng(402)
+    left = rng.standard_normal((k, d, r)) + 1j * rng.standard_normal((k, d, r))
+    right = rng.standard_normal((k, r, d))
+    f = BimoduleVector(5, left, right)
+    assert max_abs_factors(f.left, f.right) == np.abs(f.stack).max()
+    left[-1, 0, 0] = np.nan
+    assert np.isnan(max_abs_factors(left, right))
+
+
 @pytest.mark.parametrize(
     "check, subject",
     [
-        (forms.dirichlet_check, lambda: amplified_form(DiagonalComplement(2), 3)),
+        (forms.dirichlet_check, lambda: ScaledMap(3.0, BlockwiseMap(DiagonalComplement(2), 3))),
         (superop.markov_check, lambda: BlockwiseMap(DiagonalComplement(2), 3)),
         (
             superop.symmetry_conservativity_check,

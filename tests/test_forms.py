@@ -312,10 +312,8 @@ def test_amplified_dirichlet_contraction_k2_k3():
     for n in (1, 2):
         F = DiagonalComplement(2 ** n)
         for k in (2, 3):
-            rep = dirichlet_check(
-                amplified_form(F, k), samples=100, seed=154, tol=1e-10, level=n
-            )
-            assert rep.failures == 0
+            rep = dirichlet_check(amplified_form(F, k), samples=100, seed=154, tol=1e-10)
+            assert rep.failures == 0 and rep.level == n and rep.samples == 100
 
 
 def test_amplified_budget_rejected():
