@@ -119,10 +119,13 @@ def _check_carrier(a: AlgebraElement, f: BimoduleVector) -> None:
 def derive_factors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank factors of the derivation of a level-n expectation b, or of each
     matrix of a stack: component j is [p_j, b] = e_j b[j, :] - b[:, j] e_j^T,
-    so left[j] = [e_j, -b[:, j]] and right[j] = [b[j, :]; e_j^T]."""
+    so left[j] = [e_j, -b[:, j]] and right[j] = [b[j, :]; e_j^T]. left is a
+    view of the left factors stored side by side, one (d, 2d) array per
+    matrix, the layout left_action multiplies, so it reads them without a
+    copy."""
     *lead, d, _ = b.shape
     j = np.arange(d)
-    left = np.zeros((*lead, d, d, 2), dtype=np.complex128)
+    left = np.zeros((*lead, d, d, 2), dtype=np.complex128).swapaxes(-3, -2)
     left[..., j, j, 0] = 1.0
     left[..., 1] = -b.swapaxes(-1, -2)  # left[..., j, :, 1] = -b[..., :, j]
     right = np.zeros((*lead, d, 2, d), dtype=np.complex128)
@@ -132,9 +135,13 @@ def derive_factors(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def left_action(a: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Left factors of a . f: one (d, d) @ (d, r) product per component, so
-    each component rounds as a f(j) alone; a may carry leading axes."""
-    return a[..., None, :, :] @ left
+    """Left factors of a . f: one product of a with the left factors side
+    by side, (d, d) @ (d, k r), whose column block j is a f(j)'s left
+    factor, so no component's block reads another's entries; both may
+    carry leading axes. The result is a view of that product."""
+    *lead, k, d, r = left.shape
+    side = left.swapaxes(-3, -2).reshape(*lead, d, k * r)
+    return (a @ side).reshape(*lead, d, k, r).swapaxes(-3, -2)
 
 
 def right_action(right: np.ndarray, a: np.ndarray) -> np.ndarray:

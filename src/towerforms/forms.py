@@ -123,7 +123,12 @@ def dirichlet_check(
     level = gen.level  # read before any sample is drawn
     rng = np.random.default_rng(seed)
     margins = np.full((samples, 2), np.nan)  # row i: sample i
-    for rows, (a, g) in gaussian_chunks(rng, samples, gen.dim, 2):
+    # A sample's working bytes, in complex d x d matrices: g, the Hermitian
+    # part, and clamp_spectrum's eigenvectors, their scaled and conjugated
+    # copies and product (6), or the draw's normals and stacks (6); 8 leave
+    # room for a generator image and the eigenvalues.
+    nbytes = 16 * 8 * gen.dim ** 2
+    for rows, (a, g) in gaussian_chunks(rng, samples, gen.dim, 2, nbytes):
         a = hermitian_part(a)
         wedged = clamp_spectrum(a, 0.0, 1.0)
         margins[rows, 0] = form_energies(gen, wedged) - form_energies(gen, a)

@@ -127,35 +127,39 @@ def _leibniz_probes(seed: int, level: int) -> np.ndarray:
     return re + 1j * im
 
 
-def _probed_max(left: np.ndarray, right: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """max |D_j v| over the components D_j = left[..., j, :, :] @
-    right[..., j, :, :] of a vector, or of each vector of a stack, and the
-    columns v of probes (Freivalds' check): right @ probes, then left @
-    that, O(k d r) per column instead of the O(k d^2 r) of multiplying the
-    components out. NaN when any entry is NaN. With entries +-1 +-i, a
-    component with the one nonzero entry e reads sqrt(2) |e|, and
-    E|(D_j v)_p|^2 = 2 sum_q |(D_j)_pq|^2 >= 2 max_q |(D_j)_pq|^2."""
-    return np.abs(left @ (right @ probes)).max(axis=(-3, -2, -1))
+def _probe(left: np.ndarray, right: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """D_j V for the components D_j = left[..., j, :, :] @ right[..., j, :,
+    :] of a vector, or of each vector of a stack, and the probe block V
+    (Freivalds' check): one product of the row-stacked right factors with
+    V, then left_j @ that block of it, O(k d r) per column of V instead of
+    the O(k d^2 r) of multiplying the components out."""
+    *lead, k, r, d = right.shape
+    sketch = (right.reshape(*lead, k * r, d) @ probes).reshape(*lead, k, r, -1)
+    return left @ sketch
 
 
 def _leibniz_defects(a: np.ndarray, b: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """The product-rule defect d(ab) - (d(a) b + a d(b)) of each pair of a
-    stack of level-n pairs, probed by probes (see _probed_max): its factors
-    are those of derive(a @ b, n) - (bimodule_right(derive(a, n), b) +
-    bimodule_left(a, derive(b, n))) in the order that sum and difference
-    concatenate them, d(ab)'s first, each built as for one pair."""
-    *lead, d, _ = a.shape
-    left = np.empty((*lead, d, d, 6), dtype=np.complex128)
-    right = np.empty((*lead, d, 6, d), dtype=np.complex128)
-    left[..., 0:2], right[..., 0:2, :] = derive_factors(a @ b)
-    da_left, da_right = derive_factors(a)
-    np.negative(da_left, out=left[..., 2:4])
-    right[..., 2:4, :] = right_action(da_right, b)
-    del da_left, da_right
-    db_left, right[..., 4:6, :] = derive_factors(b)
-    np.negative(left_action(a, db_left), out=left[..., 4:6])
-    del db_left
-    return _probed_max(left, right, probes)
+    """max |D_j v| over the components D_j of the product-rule defect D =
+    d(ab) - (d(a) b + a d(b)) of each pair of a stack of level-n pairs and
+    the columns v of probes (Freivalds' check). D V is summed term by term,
+    each term probed as it is built and dropped before the next (see
+    _probe): d(ab) V from derive(a @ b, n), then minus d(a) b V from
+    bimodule_right(derive(a, n), b), then minus a d(b) V from
+    bimodule_left(a, derive(b, n)), each with the factors those build for
+    one pair. So no more than one term's rank-2 factors are held. NaN when
+    any entry is NaN. With entries +-1 +-i, a component with the one
+    nonzero entry e reads sqrt(2) |e|, and E|(D_j v)_p|^2 = 2 sum_q
+    |(D_j)_pq|^2 >= 2 max_q |(D_j)_pq|^2."""
+    probed = _probe(*derive_factors(a @ b), probes)
+    left, right = derive_factors(a)
+    right = right_action(right, b)  # d(a)'s own right factors are freed
+    probed -= _probe(left, right, probes)
+    del left, right
+    left, right = derive_factors(b)
+    left = left_action(a, left)  # d(b)'s own left factors are freed
+    probed -= _probe(left, right, probes)
+    del left, right
+    return np.abs(probed).max(axis=(-3, -2, -1))
 
 
 def _conditioned_down(held: list, rows: slice, level: int):
@@ -170,22 +174,26 @@ def _conditioned_down(held: list, rows: slice, level: int):
         yield n, rows, b
 
 
-def _expectation_towers(ambients, level: int):
+def _expectation_towers(ambients, level: int, nbytes: int):
     """(n, rows, E_n a) for n = level, ..., 1 of the (rows, a) that
     `ambients` yields: a a stack of level-`level` matrices, rows the
     positions of its samples in their stream.
 
     Level `level` comes a stack at a time. Below it, E_{level-1} a of
-    consecutive stacks is gathered until it holds tower.SAMPLE_CHUNK_BYTES
-    and then conditioned down a leg at a time (see _conditioned_down), so
-    the small levels go in stacks of many samples."""
+    consecutive stacks is gathered while one more stack of as many samples
+    would still fit tower.POOL_CHUNK_BYTES at nbytes per sample, the
+    working bytes the caller declares for checking one level-(level - 1)
+    sample, and then conditioned down a leg at a time (see
+    _conditioned_down), so the small levels go in stacks of many samples
+    (one stack at the least)."""
     held, first = [], 0
     for rows, a in ambients:
         yield level, rows, a
         if level > 1:
             held.append(partial_trace_matrix(a, level, level - 1))
         del a  # freed before the next chunk is drawn
-        if held and sum(b.nbytes for b in held) >= tower.SAMPLE_CHUNK_BYTES:
+        gathered = sum(len(b) for b in held) + rows.stop - rows.start
+        if held and gathered * nbytes > tower.POOL_CHUNK_BYTES:
             yield from _conditioned_down(held, slice(first, rows.stop), level - 1)
             held, first = [], rows.stop
     if held:
@@ -219,31 +227,41 @@ def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
     every level reads its E_n off that one ambient (see _expectation_towers).
     The stream is drawn and checked a chunk at a time (see
     tower.gaussian_chunks). A pair's defect is its product-rule defect,
-    built from the factors of the per-sample element API (derive,
-    bimodule_*) and probed by the unit's one probe block (see
-    _leibniz_probes, _probed_max) instead of multiplied out; a gap comes
-    from the arithmetic of derive and commutator_form_eval, with the trace
-    read off the diagonal of bimodule_inner's product (see _energy_gaps).
-    Returns the defects of the unit's level, one per sample, and at the
-    working level the gaps of every level (one row per level), else None.
-    A sample that is never checked keeps a NaN defect or gap."""
+    summed term by term from the factors of the per-sample element API
+    (derive, bimodule_*) and probed by the unit's one probe block (see
+    _leibniz_probes, _leibniz_defects) instead of multiplied out; a gap
+    comes from the arithmetic of derive and commutator_form_eval, with the
+    trace read off the diagonal of bimodule_inner's product (see
+    _energy_gaps). Returns the defects of the unit's level, one per sample,
+    and at the working level the gaps of every level (one row per level),
+    else None. A sample that is never checked keeps a NaN defect or gap."""
     level, samples, d = cfg.level, cfg.samples, 2 ** unit.level
     rng = np.random.default_rng(_suite_seed(cfg.seed, "leibniz", unit.level))
     probes = _leibniz_probes(cfg.seed, unit.level)
+    # A sample's working bytes, in complex d x d matrices: at the peak, in
+    # the d(a) b or the a d(b) term, the pair and the ambient (3), D V (2),
+    # the term's two factors (4), and the product that replaces one of them
+    # or the term's probe (2): 11, more than the draw (8); 13 leave room for
+    # the (d, 2, 2) sketches of _probe, which count at small d. An energy
+    # gap below the working level holds b and the stacks it was gathered
+    # from (2), b's factors, or the right one and its weighted copy (4), and
+    # one conjugated factor (2); 9 leave room for the Gram blocks (see
+    # _energy_gaps).
+    matrix = 16 * d * d
     defects = np.full(samples, np.nan)
     if unit.level < level:
-        for rows, (a, b) in gaussian_chunks(rng, samples, d, 2):
+        for rows, (a, b) in gaussian_chunks(rng, samples, d, 2, 13 * matrix):
             defects[rows] = _leibniz_defects(a, b, probes)
         return defects, None
 
     def ambients():  # the working level's stream: its pairs, then the ambient
-        for rows, (a, b, ambient) in gaussian_chunks(rng, samples, d, 3):
+        for rows, (a, b, ambient) in gaussian_chunks(rng, samples, d, 3, 13 * matrix):
             defects[rows] = _leibniz_defects(a, b, probes)
             del a, b  # freed while the ambient is conditioned
             yield rows, ambient
 
     gaps = np.full((level, samples), np.nan)
-    for n, rows, b in _expectation_towers(ambients(), level):
+    for n, rows, b in _expectation_towers(ambients(), level, 9 * (matrix // 4)):
         gaps[n - 1, rows] = _energy_gaps(b)
     return defects, gaps
 
@@ -310,8 +328,15 @@ def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyRepor
     gens = [DiagonalComplement(2 ** n) for n in range(1, level + 1)]
     # level n's row: column i is sample i, the generator's deviation last
     bridges = np.full((level, cfg.samples + 1), np.nan)
-    ambients = gaussian_chunks(rng, cfg.samples, 2 ** level, 1)
-    for n, rows, b in _expectation_towers(((r, a) for r, (a,) in ambients), level):
+    # A sample's working bytes, in complex matrices of its level: the draw
+    # (4: its normals and up to three stacks of complex_gaussian), more than
+    # a check's b, |b|^2 and the generator's image of b (3); 5 leave room for
+    # E_{L-1} a, held for the gather. A gathered sample holds b, the stacks
+    # it was gathered from, |b|^2 and the image: 4 matrices of its level.
+    matrix = 16 * 4 ** level
+    ambients = gaussian_chunks(rng, cfg.samples, 2 ** level, 1, 5 * matrix)
+    ambients = ((r, a) for r, (a,) in ambients)
+    for n, rows, b in _expectation_towers(ambients, level, 4 * (matrix // 4)):
         bridges[n - 1, rows] = np.abs(
             commutator_energies(b) - 2.0 * form_energies(gens[n - 1], b)
         )
@@ -356,7 +381,12 @@ def _run_convergence(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     rng = np.random.default_rng(seed)
     gen = DiagonalComplement(2 ** cfg.level)
     margins = np.full((cfg.samples, 2 * cfg.level + 1), np.nan)  # row i: sample i
-    for rows, (a,) in gaussian_chunks(rng, cfg.samples, gen.dim, 1):
+    # A sample's working bytes, in complex d x d matrices: the draw (4: its
+    # normals and up to three stacks of complex_gaussian), more than a
+    # check's a, P_n a or Q_n a, and the generator's image of it (3); 5 leave
+    # room for E_n a.
+    nbytes = 16 * 5 * gen.dim ** 2
+    for rows, (a,) in gaussian_chunks(rng, cfg.samples, gen.dim, 1, nbytes):
         root = _sqrt_energy(form_energies(gen, a))
         for n, e_n, e_q, q_sq in _restricted_energies(gen, a):
             margins[rows, 2 * n - 2] = np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q)
@@ -484,9 +514,9 @@ def run_suite(cfg: RunConfig) -> list[PropertyReport]:
     lists, each run by one call of its suite's _SUITE_RUNNERS entry. The
     units of all selected suites share max(1, CPUs // BLAS threads)
     threads, as in evolve_table (one worker runs them in the calling
-    thread). Every unit whose sample exceeds POOL_CHUNK_BYTES (levels 8
-    and above) runs first, one at a time; the others then share the
-    workers. Both go highest level first, ties in registry order. Each
+    thread). Every unit whose sample exceeds tower.POOL_CHUNK_BYTES
+    (levels 8 and above) runs first, one at a time; the others then share
+    the workers. Both go highest level first, ties in registry order. Each
     suite's results are folded in registry order, so the reports are
     byte-identical to one thread. An error in any unit is raised
     unchanged, and no report is written."""
@@ -499,8 +529,8 @@ def run_suite(cfg: RunConfig) -> list[PropertyReport]:
 
     workers = _pool_workers(os.environ, _available_cpus())
     by_level = sorted(range(len(units)), key=lambda i: -units[i][1].level)
-    alone = [i for i in by_level if units[i][1].nbytes > POOL_CHUNK_BYTES]
-    shared = [i for i in by_level if units[i][1].nbytes <= POOL_CHUNK_BYTES]
+    alone = [i for i in by_level if units[i][1].nbytes > tower.POOL_CHUNK_BYTES]
+    shared = [i for i in by_level if units[i][1].nbytes <= tower.POOL_CHUNK_BYTES]
     results = {}
     for order, n in [(alone, 1), (shared, workers)]:
         results.update(zip(order, _pool_map(run, [units[i] for i in order], n)))
@@ -573,11 +603,6 @@ def _finite_rows(table: str, columns, rows: list[dict]) -> list[dict]:
                 )
     return rows
 
-
-# Bytes of stacked samples each of several pool workers holds at once: 8
-# evolve rows at level 7. From level 9 on one evolve row exceeds it, and
-# from level 8 on the largest suite units do; those run on one thread.
-POOL_CHUNK_BYTES = 2 * 2 ** 20
 
 # The variables a BLAS reads its thread count from, first taking precedence:
 # OpenBLAS and MKL each let their own variable override OMP_NUM_THREADS.
@@ -677,18 +702,19 @@ def evolve_table(mat: np.ndarray, t_grid) -> list[dict]:
     """Trajectory of a matrix under the diagonal-complement semigroup at its
     own level; min/max eigenvalues refer to the Hermitian part.
 
-    Every worker count uses the same chunks of at most POOL_CHUNK_BYTES of
-    Hermitian parts (one row when a part exceeds it, level 9 on), each with
-    its spectra from one stacked eigvalsh call (a stack releases the GIL).
-    They run on max(1, CPUs // BLAS threads) threads (see _pool_workers),
-    one worker in the calling thread, and one from level 9 on. There is no
-    setting. Every row comes from the same operations as in sequential
-    evaluation, so the output is byte-identical to it, in grid order. An
-    error in any chunk is raised unchanged, and no rows are returned. A
-    non-finite entry raises a ValueError (see _finite_rows)."""
+    Every worker count uses the same chunks of at most
+    tower.POOL_CHUNK_BYTES of Hermitian parts (one row when a part exceeds
+    it, level 9 on), each with its spectra from one stacked eigvalsh call
+    (a stack releases the GIL). They run on max(1, CPUs // BLAS threads)
+    threads (see _pool_workers), one worker in the calling thread, and one
+    from level 9 on. There is no setting. Every row comes from the same
+    operations as in sequential evaluation, so the output is byte-identical
+    to it, in grid order. An error in any chunk is raised unchanged, and no
+    rows are returned. A non-finite entry raises a ValueError (see
+    _finite_rows)."""
     gen = DiagonalComplement(mat.shape[-1])
     times = [float(t) for t in t_grid]
-    step = POOL_CHUNK_BYTES // (16 * gen.dim * gen.dim)
+    step = tower.POOL_CHUNK_BYTES // (16 * gen.dim * gen.dim)
     workers = _pool_workers(os.environ, _available_cpus()) if step else 1
     step = max(step, 1)
     chunks = [times[i:i + step] for i in range(0, len(times), step)]

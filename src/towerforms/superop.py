@@ -702,7 +702,11 @@ def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> Prop
     maps = _semigroup_maps(op)
     rng = np.random.default_rng(seed)
     margins = np.full((samples, 2 * len(SEMIGROUP_TIMES)), np.nan)  # row i: sample i
-    for rows, (x,) in gaussian_chunks(rng, samples, op.dim, 1):
+    # A sample's working bytes, in complex d x d matrices: clamp_spectrum's
+    # as in dirichlet_check (5), or a map's image with the two stacks of its
+    # Hermitian part (3); 7 leave room for the draw (4) and the spectra.
+    nbytes = 16 * 7 * op.dim ** 2
+    for rows, (x,) in gaussian_chunks(rng, samples, op.dim, 1, nbytes):
         x = clamp_spectrum(hermitian_part(x), 0.0, 1.0)
         for k, phi in enumerate(maps):
             y = phi.apply_matrix(x)
@@ -734,7 +738,11 @@ def symmetry_conservativity_check(
     margins = np.full((samples + 1, len(SEMIGROUP_TIMES)), np.nan)
     margins[0] = [np.abs(phi.apply_matrix(eye) - eye).max() for phi in maps]
     pairs = margins[1:]  # row i: pair i, after the unit's row
-    for rows, (x, y) in gaussian_chunks(rng, samples, d, 2):
+    # A sample's working bytes, in complex d x d matrices: the pair, its
+    # stack and that stack's image (6), and the two products (2); 11 leave
+    # room for the draw (6) and a map's own copies of its input.
+    nbytes = 16 * 11 * d * d
+    for rows, (x, y) in gaussian_chunks(rng, samples, d, 2, nbytes):
         for k, phi in enumerate(maps):
             phi_x, phi_y = phi.apply_matrix(np.stack((x, y)))
             lhs = np.trace(phi_x @ y, axis1=-2, axis2=-1) / d

@@ -20,7 +20,7 @@ __all__ = [
     "AlgebraElement",
     "check_nonnegative",
     "check_hermitian",
-    "SAMPLE_CHUNK_BYTES",
+    "POOL_CHUNK_BYTES",
     "gaussian_chunks",
     "complex_gaussian",
     "hermitian_part",
@@ -96,12 +96,20 @@ def matrix_vdot(x: np.ndarray, y: np.ndarray):
 # random sampling
 # --------------------------------------------------------------------------
 
-# Bytes of standard normals one chunk of samples draws at once; it also
-# bounds the expectations harness gathers below the working level.
-SAMPLE_CHUNK_BYTES = 2 ** 17
+# Bytes of stacked samples each of several pool workers holds at once. A
+# chunk of suite samples holds as many as fit it by the working bytes its
+# caller declares per sample (see gaussian_chunks), a gather of
+# expectations below the working level likewise, and evolve 8 rows at
+# level 7. From level 7 on a suite sample declares more than half of it,
+# so a chunk holds one sample; from level 8 on the largest suite units, and
+# from level 9 on one evolve row, exceed it: those units run on one
+# thread, and evolve runs its rows one at a time.
+POOL_CHUNK_BYTES = 2 * 2 ** 20
 
 
-def gaussian_chunks(rng: np.random.Generator, samples: int, dim: int, count: int):
+def gaussian_chunks(
+    rng: np.random.Generator, samples: int, dim: int, count: int, nbytes: int
+):
     """The complex Gaussian dim x dim matrices of `samples` samples of
     `count` matrices each, one chunk at a time.
 
@@ -110,10 +118,13 @@ def gaussian_chunks(rng: np.random.Generator, samples: int, dim: int, count: int
     A chunk of S samples comes from one rng.standard_normal call, which
     yields the numbers of drawing each sample's matrices in turn, one
     rng.standard_normal((2, dim, dim)) per matrix, so chunked and per-sample
-    evaluation see the same samples. Each chunk holds at most SAMPLE_CHUNK_BYTES of
-    normals (one sample when a single sample is larger).
+    evaluation see the same samples. nbytes is the caller's working bytes
+    per sample, from the shapes it allocates while it checks a chunk: the
+    normals, the matrices and the temporaries of its kernels. A chunk holds
+    as many samples as fit POOL_CHUNK_BYTES by that count, and one sample
+    when a single sample is larger.
     """
-    step = max(1, SAMPLE_CHUNK_BYTES // (16 * count * dim * dim))
+    step = max(1, POOL_CHUNK_BYTES // nbytes)
     for start in range(0, samples, step):
         rows = slice(start, min(start + step, samples))
         shape = (rows.stop - start, count, 2, dim, dim)

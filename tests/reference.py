@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from towerforms import tower
-from towerforms.derivation import BimoduleVector
+from towerforms.derivation import BimoduleVector, derive_factors, left_action, right_action
 from towerforms.expectations import cond_expect
 from towerforms.forms import eval_form_matrix
 from towerforms.superop import (
@@ -282,11 +282,13 @@ def worst_of(*margins) -> float:
     return float(np.max(margins))
 
 
-def probed_max_abs(f: BimoduleVector, probes: np.ndarray) -> float:
-    """max |f(j) v| over the components of f and the columns v of probes,
-    with f(j) v formed as left[j] @ (right[j] @ v): the leibniz suite's
-    product-rule margin of one sample."""
-    return float(np.abs(f.left @ (f.right @ probes)).max())
+def probe(f: BimoduleVector, probes: np.ndarray) -> np.ndarray:
+    """f(j) v for the components of f and the columns v of probes, formed
+    as left[j] @ (right[j] @ probes) with right @ probes one product of the
+    row-stacked right factors: the leibniz suite's probe of one term of
+    one sample's product-rule defect."""
+    k, r, d = f.right.shape
+    return f.left @ (f.right.reshape(k * r, d) @ probes).reshape(k, r, -1)
 
 
 def inner_trace(f: BimoduleVector) -> complex:
@@ -300,15 +302,35 @@ def inner_trace(f: BimoduleVector) -> complex:
     return complex(np.einsum("ki,ki->i", rows.conj(), weighted).sum() / d)
 
 
+def product_rule_factors(a: np.ndarray, b: np.ndarray):
+    """The rank-6 factors of the product-rule defect d(ab) - (d(a) b +
+    a d(b)) of a level-n pair, or of each pair of a stack, as BimoduleVector
+    difference and sum concatenate them: d(ab)'s, then d(a) b's with its
+    left factor negated, then a d(b)'s likewise. Their full product
+    (max_abs_factors) is the second certificate of the probed margin."""
+    *lead, d, _ = a.shape
+    left = np.empty((*lead, d, d, 6), dtype=np.complex128)
+    right = np.empty((*lead, d, 6, d), dtype=np.complex128)
+    left[..., 0:2], right[..., 0:2, :] = derive_factors(a @ b)
+    da_left, da_right = derive_factors(a)
+    left[..., 2:4] = -da_left
+    right[..., 2:4, :] = right_action(da_right, b)
+    db_left, right[..., 4:6, :] = derive_factors(b)
+    left[..., 4:6] = -left_action(a, db_left)
+    return left, right
+
+
 def max_abs_factors(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """max |entry| of the components left[..., j, :, :] @ right[..., j, :, :]
     of a vector, or of each vector of a stack (shape of the leading axes),
     NaN when any entry is NaN: the full product that the leibniz suite's
-    probes stand in for. The components are multiplied out in blocks of at
-    most tower.SAMPLE_CHUNK_BYTES, so no full stack is held."""
+    probes stand in for. The components are multiplied out in blocks whose
+    products and their abs, 24 d^2 bytes a component, fit
+    tower.POOL_CHUNK_BYTES (one component at the least), so no full stack
+    is held."""
     *lead, k, d, r = left.shape
     lefts, rights = left.reshape(-1, d, r), right.reshape(-1, r, d)
-    block = max(1, tower.SAMPLE_CHUNK_BYTES // (16 * d * d))
+    block = max(1, tower.POOL_CHUNK_BYTES // (24 * d * d))
     comp = np.empty(len(lefts))
     for s in range(0, len(lefts), block):
         prod = lefts[s:s + block] @ rights[s:s + block]

@@ -3,12 +3,15 @@ Each is compared here with a plain per-sample loop built from the element
 API of tests/reference.py: the reports must be equal byte for byte,
 whatever the chunk size."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from reference import (
     BlockwiseMap,
     amplified_form,
@@ -20,8 +23,9 @@ from reference import (
     gns_inner,
     inner_trace,
     max_abs_factors,
-    probed_max_abs,
+    probe,
     product,
+    product_rule_factors,
     project_P,
     project_Q,
     random_element,
@@ -124,11 +128,12 @@ def ref_tower(a):
 
 def ref_product_rule(a, b, probes):
     """The product-rule margin of the pair (a, b): its defect
-    d(ab) - (d(a) b + a d(b)) probed by probes."""
+    d(ab) - (d(a) b + a d(b)) probed by probes, term by term."""
     n = a.level
-    lhs = derive(product(a, b), n)
-    rhs = bimodule_right(derive(a, n), b) + bimodule_left(a, derive(b, n))
-    return probed_max_abs(lhs - rhs, probes)
+    probed = probe(derive(product(a, b), n), probes)
+    probed -= probe(bimodule_right(derive(a, n), b), probes)
+    probed -= probe(bimodule_left(a, derive(b, n)), probes)
+    return float(np.abs(probed).max())
 
 
 def ref_energy_gap(e_n, n):
@@ -286,19 +291,19 @@ REFERENCES = {
 
 def chunks_of(monkeypatch, size) -> list:
     """Make every gaussian_chunks call of the suites yield chunks of `size`
-    samples (None: the default budget); return the chunk sizes of each call.
-    The budget is a module global set per call, so the suites run on one
-    worker here; the pooled path is compared with one worker in
+    samples (None: the default budget) by setting the budget to `size`
+    times the bytes the call declares per sample; return the chunk sizes of
+    each call. The budget is a module global set per call, so the suites
+    run on one worker here; the pooled path is compared with one worker in
     test_harness.py."""
     monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
     calls = []
 
-    def sized(rng, samples, dim, count):
+    def sized(rng, samples, dim, count, nbytes):
         if size is not None:
-            per_sample = 16 * count * dim * dim
-            monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", size * per_sample)
+            monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", size * nbytes)
         calls.append([])
-        for rows, mats in gaussian_chunks(rng, samples, dim, count):
+        for rows, mats in gaussian_chunks(rng, samples, dim, count, nbytes):
             calls[-1].append(len(mats[0]))
             yield rows, mats
 
@@ -340,8 +345,8 @@ def test_one_ambient_draw_per_sample(monkeypatch):
 
     drawn = []
 
-    def counted(rng, samples, dim, count):
-        for rows, mats in gaussian_chunks(rng, samples, dim, count):
+    def counted(rng, samples, dim, count, nbytes):
+        for rows, mats in gaussian_chunks(rng, samples, dim, count, nbytes):
             drawn.append(sum(2 * m.size for m in mats))  # a real and an imaginary normal
             yield rows, mats
 
@@ -360,14 +365,15 @@ def test_one_ambient_draw_per_sample(monkeypatch):
 def test_nan_in_one_ambient_fails_that_sample_at_every_level(monkeypatch):
     """A NaN in the ambient of one sample reaches every level through the
     tower: each leibniz report has a NaN worst margin and one failure."""
-    def poisoned(rng, samples, dim, count):
-        for rows, mats in gaussian_chunks(rng, samples, dim, count):
+    def poisoned(rng, samples, dim, count, nbytes):
+        monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", samples * nbytes)  # one chunk
+        for rows, mats in gaussian_chunks(rng, samples, dim, count, nbytes):
             if count == 3 and len(mats[2]) > 1:  # the working level's ambient
                 mats[2][1].flat[0] = np.nan
             yield rows, mats
 
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
     monkeypatch.setattr(harness, "gaussian_chunks", poisoned)
-    monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 2 ** 20)
     reports = run_suite(RunConfig(level=4, samples=12, suites=("leibniz",)))
     assert [r.level for r in reports] == [1, 2, 3, 4]
     for rep in reports:
@@ -408,22 +414,41 @@ def _plant_one_entry(left, right, tol):
     """The defect factors with one entry of one component moved by 100 tol
     of its row's scale: d(ab)'s factors come first and left[..., 0, :, 0] is
     e_0, so right[..., 0, 0, :] is row 0 of ab, and moving its last entry
-    moves entry (0, d - 1) of component 0 alone."""
+    moves entry (0, d - 1) of component 0 alone. The same holds for d(ab)'s
+    own factors, the first term the suite probes."""
     right = np.array(right)
     right[..., 0, 0, -1] += 100 * tol * np.abs(right[..., 0, 0, :]).max(axis=-1)
     return left, right
 
 
+def plant_in_the_product_term(monkeypatch, tol) -> None:
+    """Make the suite probe d(ab) with one entry planted (see
+    _plant_one_entry): _leibniz_defects probes three terms per chunk,
+    d(ab)'s first, so every third _probe call, counted from the first, is
+    d(ab)'s. The suite runs on one worker, so the calls come in order."""
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
+    probe_term, calls = harness._probe, itertools.count()
+
+    def planted(left, right, probes):
+        if next(calls) % 3 == 0:
+            left, right = _plant_one_entry(left, right, tol)
+        return probe_term(left, right, probes)
+
+    monkeypatch.setattr(harness, "_probe", planted)
+
+
 def test_planted_entry_moves_one_entry_of_one_component():
     """The one-entry control changes entry (0, d - 1) of component 0 of the
-    defect, by 100 tol of the largest entry of row 0 of ab, and nothing else."""
+    defect, by 100 tol of the largest entry of row 0 of ab, and nothing
+    else, planted in the defect's six factor columns or in d(ab)'s two."""
     rng = np.random.default_rng(12)
     a, b = (AlgebraElement(3, gaussian_general(8, rng)) for _ in range(2))
     lhs = derive(product(a, b), 3)
     f = lhs - (bimodule_right(derive(a, 3), b) + bimodule_left(a, derive(b, 3)))
-    moved = BimoduleVector(3, *_plant_one_entry(f.left, f.right, 1e-10)).stack - f.stack
-    assert list(zip(*np.nonzero(moved))) == [(0, 0, 7)]
-    assert moved[0, 0, 7] == pytest.approx(1e-8 * np.abs(lhs.stack[0, 0]).max(), rel=1e-6)
+    for g in (f, lhs):
+        moved = BimoduleVector(3, *_plant_one_entry(g.left, g.right, 1e-10)).stack - g.stack
+        assert list(zip(*np.nonzero(moved))) == [(0, 0, 7)]
+        assert moved[0, 0, 7] == pytest.approx(1e-8 * np.abs(lhs.stack[0, 0]).max(), rel=1e-6)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -431,11 +456,7 @@ def test_planted_entry_defect_fails_the_product_rule(monkeypatch, level):
     """One entry of one component off by 100 tol of its scale fails every
     leibniz sample at every level: a probe block misses no single entry."""
     cfg = RunConfig(level=level, samples=5, suites=("leibniz",))
-    probed = harness._probed_max
-    monkeypatch.setattr(
-        harness, "_probed_max",
-        lambda left, right, probes: probed(*_plant_one_entry(left, right, cfg.tol), probes),
-    )
+    plant_in_the_product_term(monkeypatch, cfg.tol)
     reports = run_suite(cfg)
     assert [r.level for r in reports] == list(range(1, level + 1))
     assert all(r.failures == r.samples for r in reports)
@@ -444,25 +465,32 @@ def test_planted_entry_defect_fails_the_product_rule(monkeypatch, level):
 @pytest.mark.parametrize("control", [None, "right-action", "one-entry"])
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
 def test_probes_and_the_full_product_agree_on_every_control(monkeypatch, level, control):
-    """The second certificate of the product rule: on the same defect
-    factors, the probed margin and the full max_abs_factors both pass every
-    honest sample and both fail every sample of each planted control; a
-    planted entry reads sqrt(2) times its size through the probes."""
+    """The second certificate of the product rule: for each pair the suite
+    checks, its probed margin and max_abs_factors of the same pair's full
+    six-column defect factors (reference.product_rule_factors) both pass
+    every honest sample and both fail every sample of each planted
+    control; a planted entry reads sqrt(2) times its size through the
+    probes."""
     cfg = RunConfig(level=level, samples=9, suites=("leibniz",))
-    probed, true_action, margins = harness._probed_max, harness.right_action, []
+    defects, true_action, margins = harness._leibniz_defects, harness.right_action, []
 
-    def both(left, right, probes):
+    def both(a, b, probes):
+        sketch = defects(a, b, probes)
+        left, right = product_rule_factors(a, b)
         if control == "one-entry":
             left, right = _plant_one_entry(left, right, cfg.tol)
-        sketch = probed(left, right, probes)
         margins.append((sketch, max_abs_factors(left, right)))
         return sketch
 
-    monkeypatch.setattr(harness, "_probed_max", both)
+    monkeypatch.setattr(harness, "_leibniz_defects", both)
     if control == "right-action":
-        monkeypatch.setattr(
-            harness, "right_action", lambda r, a: true_action(r, a) * (1 + 100 * cfg.tol)
-        )
+        def planted(r, a):
+            return true_action(r, a) * (1 + 100 * cfg.tol)
+
+        monkeypatch.setattr(harness, "right_action", planted)
+        monkeypatch.setattr(reference, "right_action", planted)
+    if control == "one-entry":
+        plant_in_the_product_term(monkeypatch, cfg.tol)
     reports = run_suite(cfg)
     sketch, full = np.concatenate(margins, axis=-1)
     assert len(sketch) == level * cfg.samples
@@ -490,32 +518,122 @@ def test_leibniz_probes_are_seeded_unimodular_blocks():
 def test_gaussian_chunks_draw_the_per_sample_stream(monkeypatch):
     """One draw per chunk yields the matrices of drawing each sample's
     matrices in turn with gaussian_general; rows tile the samples in order,
-    the budget bounds the chunk, and one sample is the least."""
-    for dim, count in [(1, 1), (4, 2), (8, 3)]:
-        per_sample = 16 * count * dim * dim
-        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 3 * per_sample + 7)
+    the chunk's declared bytes fit the budget, and one sample is the least."""
+    for dim, count, nbytes in [(1, 1, 16), (4, 2, 16 * 5 * 16), (8, 3, 16 * 15 * 64)]:
+        monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", 3 * nbytes + 7)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        chunks = list(gaussian_chunks(rng, 11, dim, count))
+        chunks = list(gaussian_chunks(rng, 11, dim, count, nbytes))
         assert [rows for rows, _ in chunks] == [
             slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 11)
         ]
         for rows, mats in chunks:
             size = rows.stop - rows.start
-            assert size * per_sample <= tower.SAMPLE_CHUNK_BYTES
+            assert size * nbytes <= tower.POOL_CHUNK_BYTES
             assert [m.shape for m in mats] == [(size, dim, dim)] * count
             for i in range(size):
                 for m in mats:
                     assert np.array_equal(m[i], gaussian_general(dim, ref))
         assert rng.standard_normal() == ref.standard_normal()  # same stream position
-        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 1)
-        chunks = list(gaussian_chunks(rng, 3, dim, count))
+        monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", 1)
+        chunks = list(gaussian_chunks(rng, 3, dim, count, nbytes))
         assert [rows for rows, _ in chunks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+# Bytes a chunk may hold beyond its declaration: the kernels' scalars,
+# views and buffers that do not grow with the samples of a chunk.
+CHUNK_ALLOWANCE = 16 * 2 ** 10
+
+
+class ChunkWindows:
+    """Traced peaks of each chunk a run draws and checks, on one worker: a
+    window opens when gaussian_chunks starts a draw and closes when the
+    suite asks for the next chunk, and a gather below the working level
+    (_conditioned_down) is a window of its own, declared by the bytes per
+    sample _expectation_towers was given. Each closed window is (samples,
+    declared bytes per sample, peak bytes above the traced size at its
+    start). With `size`, every call's chunks hold `size` samples (the
+    budget set to `size` times its declaration)."""
+
+    def __init__(self, monkeypatch, size=None):
+        self.closed, self.open, self.gather_nbytes = [], [], []
+        self.monkeypatch, self.size = monkeypatch, size
+        monkeypatch.setattr(harness, "_available_cpus", lambda: 1)  # one traced thread
+        for module in (harness, forms, superop):
+            monkeypatch.setattr(module, "gaussian_chunks", self.chunks)
+        towers, down = harness._expectation_towers, harness._conditioned_down
+
+        def declared_towers(ambients, level, nbytes):
+            self.gather_nbytes.append(nbytes)
+            return towers(ambients, level, nbytes)
+
+        def gathered(held, rows, level):
+            self._enter(sum(len(b) for b in held), self.gather_nbytes[-1])
+            yield from down(held, rows, level)
+            self._exit()
+
+        monkeypatch.setattr(harness, "_expectation_towers", declared_towers)
+        monkeypatch.setattr(harness, "_conditioned_down", gathered)
+
+    def _peak(self, window):
+        window[3] = max(window[3], tracemalloc.get_traced_memory()[1] - window[2])
+
+    def _enter(self, samples, nbytes):
+        if self.open:
+            self._peak(self.open[-1])
+        tracemalloc.reset_peak()
+        self.open.append([samples, nbytes, tracemalloc.get_traced_memory()[0], 0])
+
+    def _exit(self):
+        window = self.open.pop()
+        self._peak(window)
+        self.closed.append(tuple(window[:2]) + (window[3],))
+        tracemalloc.reset_peak()
+
+    def chunks(self, rng, samples, dim, count, nbytes):
+        if self.size is not None:
+            self.monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", self.size * nbytes)
+        drawn = gaussian_chunks(rng, samples, dim, count, nbytes)
+        while True:
+            self._enter(0, nbytes)
+            chunk = next(drawn, None)
+            if chunk is None:
+                self.open.pop()
+                return
+            self.open[-1][0] = len(chunk[1][0])
+            yield chunk
+            self._exit()
+
+
+@pytest.mark.parametrize("size", [None, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_declared_bytes_bound_every_chunk(monkeypatch, level, size):
+    """The working bytes each randomized unit declares per sample are an
+    upper bound: under tracemalloc, the peak of every chunk it draws and
+    checks, and of every gather of expectations below the working level,
+    stays within the declared bytes times the chunk's samples plus
+    CHUNK_ALLOWANCE, with default chunks and with chunks of three samples;
+    and no default chunk of more than one sample declares more than the
+    budget."""
+    budget = tower.POOL_CHUNK_BYTES
+    windows = ChunkWindows(monkeypatch, size)
+    suites = ("dirichlet", "markov", "symmetry", "leibniz", "normalization-bridge",
+              "convergence")
+    tracemalloc.start()
+    try:
+        run_suite(RunConfig(level=level, samples=23, suites=suites))
+    finally:
+        tracemalloc.stop()
+    assert windows.closed and any(samples > 1 for samples, _, _ in windows.closed)
+    for samples, nbytes, peak in windows.closed:
+        assert samples >= 1
+        assert peak <= samples * nbytes + CHUNK_ALLOWANCE, (samples, nbytes, peak)
+        assert size is not None or samples == 1 or samples * nbytes <= budget
 
 
 def test_gaussian_general_is_one_chunk_of_one_sample():
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     g = gaussian_general(4, rng)
-    ((rows, (mat,)),) = gaussian_chunks(ref, 1, 4, 1)
+    ((rows, (mat,)),) = gaussian_chunks(ref, 1, 4, 1, 16 * 16)
     assert rows == slice(0, 1) and np.array_equal(g, mat[0])
 
 
@@ -563,7 +681,7 @@ def test_max_abs_blocks_cover_every_component(monkeypatch):
     block gives a NaN."""
     k, d, r = 2 ** 5, 4, 2
     # three components per block: several blocks and a partial last one
-    monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", 3 * 16 * d * d)
+    monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", 3 * 24 * d * d)
     rng = np.random.default_rng(402)
     left = rng.standard_normal((k, d, r)) + 1j * rng.standard_normal((k, d, r))
     right = rng.standard_normal((k, r, d))

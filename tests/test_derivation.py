@@ -316,10 +316,12 @@ def test_energy_identity():
 def test_actions_are_componentwise_by_construction():
     """Strong-locality witness: the carrier is a direct sum of trivial
     one-component bimodules, i.e. both actions touch components
-    independently. Component j of a.f is a f(j) and of f.a is f(j) a,
-    computed on the rank factors of f(j) alone, bit for bit; changing one
-    component of f leaves every other component of a.f and f.a unchanged
-    bit for bit."""
+    independently. Component j of a.f is a f(j) and of f.a is f(j) a, bit
+    for bit: the left factor of a f(j) is block j of the one product of a
+    with the left factors side by side, and the right factor of f(j) a is
+    f(j)'s right factor times a, each reading the rank factors of f(j)
+    alone; changing one component of f leaves every other component of a.f
+    and f.a unchanged bit for bit."""
     rng = np.random.default_rng(96)
     f = derive(AlgebraElement(2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))), 2)
     a = random_element(2, "general", 97)
@@ -327,10 +329,14 @@ def test_actions_are_componentwise_by_construction():
     right = bimodule_right(f, a)
     np.testing.assert_array_equal(left.right, f.right)
     np.testing.assert_array_equal(right.left, f.left)
+    r = f.left.shape[-1]
+    side_by_side = a.entries @ np.concatenate(list(f.left), axis=1)  # (d, k r)
     for j in range(len(f.stack)):
-        a_left = a.entries @ f.left[j]
+        a_left = side_by_side[:, j * r:(j + 1) * r]
         right_a = f.right[j] @ a.entries
         np.testing.assert_array_equal(left.left[j], a_left)
+        # a product of a f(j) alone rounds apart from the block, at the ulp level
+        np.testing.assert_allclose(a_left, a.entries @ f.left[j], rtol=0, atol=1e-14)
         np.testing.assert_array_equal(right.right[j], right_a)
         np.testing.assert_array_equal(left.stack[j], a_left @ f.right[j])
         np.testing.assert_array_equal(right.stack[j], f.left[j] @ right_a)

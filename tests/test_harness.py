@@ -16,7 +16,7 @@ from reference import (
     normalized_trace,
     random_element,
 )
-from towerforms import harness
+from towerforms import harness, tower
 from towerforms.superop import ComposedMap, DiagonalComplement, ScaledMap, SemigroupMap
 from towerforms.tower import AlgebraElement
 from towerforms.harness import (
@@ -324,7 +324,7 @@ def test_evolve_table_many_workers_share_the_generator(monkeypatch):
     the generator's lazily cached Schur measure is filled by racing threads."""
     monkeypatch.setattr(harness, "_available_cpus", lambda: 8)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(harness, "POOL_CHUNK_BYTES", 16 * 16 * 16)
+    monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", 16 * 16 * 16)
     a = random_element(4, "general", 411)
     grid = [0.125 * k for k in range(64)]
     interval = sys.getswitchinterval()
@@ -363,7 +363,7 @@ def test_evolve_worker_rule(env, cpus, workers):
 def test_evolve_table_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(harness, "POOL_CHUNK_BYTES", 16 * 4 * 4)  # one row per chunk
+    monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", 16 * 4 * 4)  # one row per chunk
     raised = []
     threads = chunk_threads(monkeypatch, meet=2)
     chunk = harness._evolve_chunk
@@ -604,7 +604,7 @@ def test_units_larger_than_the_budget_run_alone(monkeypatch):
     cfg = RunConfig(level=3, samples=5)
     want = suite_jsons(monkeypatch, cfg, 1)
     budget = 16 * 4 ** 3
-    monkeypatch.setattr(harness, "POOL_CHUNK_BYTES", budget)
+    monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", budget)
     calls = []
     pool_map = harness._pool_map
 
@@ -632,7 +632,7 @@ def test_largest_units_run_alone_from_level_8():
         return {
             (name, unit.level)
             for name, unit in registry_units(cfg)
-            if unit.nbytes > harness.POOL_CHUNK_BYTES
+            if unit.nbytes > tower.POOL_CHUNK_BYTES
         }
 
     assert alone(7) == set()
@@ -760,13 +760,11 @@ def poison_mid_chunk(monkeypatch, index=5, chunk=4) -> list:
     """Make every gaussian_chunks call of the suites yield chunks of `chunk`
     samples and put a NaN into sample `index`; return (start, count) of each
     chunk that received one."""
-    from towerforms import tower
-
     hit = []
 
-    def poisoned(rng, samples, dim, count):
-        monkeypatch.setattr(tower, "SAMPLE_CHUNK_BYTES", chunk * 16 * count * dim * dim)
-        for rows, mats in tower.gaussian_chunks(rng, samples, dim, count):
+    def poisoned(rng, samples, dim, count, nbytes):
+        monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", chunk * nbytes)
+        for rows, mats in tower.gaussian_chunks(rng, samples, dim, count, nbytes):
             if rows.start <= index < rows.stop:
                 mats[0][index - rows.start].flat[0] = np.nan  # a_00: seen at every level
                 hit.append((rows.start, rows.stop - rows.start))
@@ -813,10 +811,8 @@ def test_dropped_last_chunk_fails_every_randomized_report(monkeypatch, level):
     """A sampler that loses its last chunk leaves samples unchecked: their
     NaN rows fail every randomized report, which still names every sample,
     at levels where that chunk is all the samples (1, 2) and one of many (6)."""
-    from towerforms import tower
-
-    def truncated(rng, samples, dim, count):
-        chunks = list(tower.gaussian_chunks(rng, samples, dim, count))
+    def truncated(rng, samples, dim, count, nbytes):
+        chunks = list(tower.gaussian_chunks(rng, samples, dim, count, nbytes))
         yield from chunks[:-1]
 
     patch_sampler(monkeypatch, truncated)

@@ -12,7 +12,7 @@ from reference import (
     random_element,
 )
 from towerforms import superop
-from towerforms.tower import SAMPLE_CHUNK_BYTES, AlgebraElement
+from towerforms.tower import POOL_CHUNK_BYTES, AlgebraElement
 from towerforms.expectations import partial_trace_matrix
 from towerforms.superop import (
     SEMIGROUP_TIMES,
@@ -418,7 +418,9 @@ def test_semigroup_checks_build_each_body_once(check, monkeypatch):
     """A non-Schur generator's semigroup body is built once per time in
     SEMIGROUP_TIMES, not once per chunk of samples."""
     n, d = 2, 4
-    samples = 2 * SAMPLE_CHUNK_BYTES // (16 * d * d) + 1  # at least 2 chunks
+    # each sample declares at least the bytes of its matrix, so a chunk
+    # holds at most POOL_CHUNK_BYTES // (16 d^2) samples: at least 2 chunks
+    samples = 2 * POOL_CHUNK_BYTES // (16 * d * d) + 1
     calls = []
     function_body = SpectralResolution.function_body
 
