@@ -175,8 +175,9 @@ def _cmd_choi(args) -> int:
     else:
         target = SemigroupMap(gen, t)
         label = f"semigroup at t={t}"
-    # With --out, the certificate and the JSON come from one Choi matrix;
-    # without it, choi_min_eigenvalue frees its Choi matrix before eigvalsh.
+    # With --out, the certificate and the JSON come from one Choi matrix,
+    # of which choi_min_eigenvalue converts a copy; without it, the Choi
+    # matrix is converted in place.
     choi = choi_matrix(target) if args.out else None
     min_eig = choi_min_eigenvalue(target if choi is None else choi)
     psd = min_eig >= -tol

@@ -125,7 +125,7 @@ def dirichlet_check(
     margins = np.full((samples, 2), np.nan)  # row i: sample i
     # A sample's working bytes, in complex d x d matrices: g, the Hermitian
     # part, and clamp_spectrum's eigenvectors, their scaled and conjugated
-    # copies and product (6), or the draw's normals and stacks (6); 8 leave
+    # copies and product (6), or the draw's normals and stacks (4); 8 leave
     # room for a generator image and the eigenvalues.
     nbytes = 16 * 8 * gen.dim ** 2
     for rows, (a, g) in gaussian_chunks(rng, samples, gen.dim, 2, nbytes):

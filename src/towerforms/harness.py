@@ -241,7 +241,7 @@ def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
     # A sample's working bytes, in complex d x d matrices: at the peak, in
     # the d(a) b or the a d(b) term, the pair and the ambient (3), D V (2),
     # the term's two factors (4), and the product that replaces one of them
-    # or the term's probe (2): 11, more than the draw (8); 13 leave room for
+    # or the term's probe (2): 11, more than the draw (6); 13 leave room for
     # the (d, 2, 2) sketches of _probe, which count at small d. An energy
     # gap below the working level holds b and the stacks it was gathered
     # from (2), b's factors, or the right one and its weighted copy (4), and
@@ -328,11 +328,12 @@ def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyRepor
     gens = [DiagonalComplement(2 ** n) for n in range(1, level + 1)]
     # level n's row: column i is sample i, the generator's deviation last
     bridges = np.full((level, cfg.samples + 1), np.nan)
-    # A sample's working bytes, in complex matrices of its level: the draw
-    # (4: its normals and up to three stacks of complex_gaussian), more than
-    # a check's b, |b|^2 and the generator's image of b (3); 5 leave room for
-    # E_{L-1} a, held for the gather. A gathered sample holds b, the stacks
-    # it was gathered from, |b|^2 and the image: 4 matrices of its level.
+    # A sample's working bytes, in complex matrices of its level: a check's
+    # b, |b|^2 and the generator's image of b (3), more than the draw (2:
+    # its normals and the stack complex_gaussian writes them into); 5 leave
+    # room for E_{L-1} a, held for the gather. A gathered sample holds b,
+    # the stacks it was gathered from, |b|^2 and the image: 4 matrices of
+    # its level.
     matrix = 16 * 4 ** level
     ambients = gaussian_chunks(rng, cfg.samples, 2 ** level, 1, 5 * matrix)
     ambients = ((r, a) for r, (a,) in ambients)
@@ -381,10 +382,10 @@ def _run_convergence(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     rng = np.random.default_rng(seed)
     gen = DiagonalComplement(2 ** cfg.level)
     margins = np.full((cfg.samples, 2 * cfg.level + 1), np.nan)  # row i: sample i
-    # A sample's working bytes, in complex d x d matrices: the draw (4: its
-    # normals and up to three stacks of complex_gaussian), more than a
-    # check's a, P_n a or Q_n a, and the generator's image of it (3); 5 leave
-    # room for E_n a.
+    # A sample's working bytes, in complex d x d matrices: a check's a,
+    # P_n a or Q_n a, and the generator's image of it (3), more than the
+    # draw (2: its normals and the stack complex_gaussian writes them into);
+    # 5 leave room for E_n a.
     nbytes = 16 * 5 * gen.dim ** 2
     for rows, (a,) in gaussian_chunks(rng, cfg.samples, gen.dim, 1, nbytes):
         root = _sqrt_energy(form_energies(gen, a))

@@ -142,17 +142,17 @@ def _from_hermitian_units(x: np.ndarray) -> None:
     _mix_pairs(x, _U_BLOCK.conj(), axis=1)
 
 
-_DEFECT_ROWS = 64
+_BLOCK = 64  # rows, or rows and columns, of a block of a d^2 x d^2 array
 
 
-def _hermitian_defect(mat: np.ndarray, herm: np.ndarray):
-    """(max|mat - herm|, its (row, column), max|mat|) for herm = mat*,
-    taken over blocks of rows so that no temporary is larger than a block.
-    The first largest entry is the witness; a NaN wins and ends the scan."""
+def _hermitian_defect(mat: np.ndarray):
+    """(max|mat - mat*|, its (row, column), max|mat|), taken over blocks of
+    rows so that no temporary is larger than a block. The first largest
+    entry is the witness; a NaN wins and ends the scan."""
     defect, where, size = 0.0, (0, 0), 0.0
-    for start in range(0, mat.shape[0], _DEFECT_ROWS):
-        rows = slice(start, start + _DEFECT_ROWS)
-        block = np.abs(mat[rows] - herm[rows])
+    for start in range(0, mat.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = np.abs(mat[rows] - np.conjugate(mat[:, rows].T))
         k = int(np.argmax(block))
         value = float(block.flat[k])
         size = max(size, float(np.abs(mat[rows]).max()))
@@ -164,35 +164,66 @@ def _hermitian_defect(mat: np.ndarray, herm: np.ndarray):
     return defect, where, size
 
 
+def _block_pairs(n: int, block: int):
+    """(rows, cols) of each block on or above the diagonal of an n x n grid
+    of block x block blocks; (cols, rows) is its mirror."""
+    for start in range(0, n, block):
+        for other in range(start, n, block):
+            yield slice(start, start + block), slice(other, other + block)
+
+
+def _hermitian_part_in_place(mat: np.ndarray) -> None:
+    """mat <- (mat + mat*)/2, a block and its mirror at a time, each with
+    the arithmetic of the whole-array conj(mat.T) + mat, * 0.5."""
+    for rows, cols in _block_pairs(mat.shape[0], _BLOCK):
+        upper = np.conjugate(mat[cols, rows].T, order="C")
+        upper += mat[rows, cols]
+        upper *= 0.5
+        lower = np.conjugate(mat[rows, cols].T, order="C")
+        lower += mat[cols, rows]
+        lower *= 0.5
+        mat[cols, rows] = lower
+        mat[rows, cols] = upper
+
+
 def _hermitian_in_units(mat: np.ndarray, what: str) -> np.ndarray:
     """T = U* H U for H = (mat + mat*)/2, mat a complex d^2 x d^2 matrix
     whose relative Hermitian defect max|mat - mat*| / (1 + max|mat|) is
     within SYM_TOL; otherwise (NaN and inf included) a ValueError starting
     with what names the largest defect entry.
 
-    The prelude of every eigenproblem here. Callers pass mat without
-    keeping a reference to it, so that it is freed before the basis change.
+    The prelude of every eigenproblem here. mat is overwritten: H and then
+    U* H U are written into it, block by block, so callers pass an array
+    they own and no longer need. The defect is scanned before any entry
+    changes, and a rejected mat is left as it was.
 
     T is real symmetric up to rounding for the bodies and Choi matrices
     named in the module docstring. Its imaginary part is then dropped,
-    and T returned as a real array, when that part has Frobenius norm at
+    and T returned as a real copy, when that part has Frobenius norm at
     most SYM_TOL (1 + max|T|): by Weyl's inequality this moves no
-    eigenvalue by more than the bound. Otherwise the complex T is returned.
+    eigenvalue by more than the bound. Otherwise mat itself is returned.
     """
-    herm = np.conjugate(mat.T, order="C")  # one transposed pass
-    defect, (i, j), size = _hermitian_defect(mat, herm)
+    defect, (i, j), size = _hermitian_defect(mat)
     if not defect / (1.0 + size) <= SYM_TOL:  # inf / inf is NaN: fails
         raise ValueError(f"{what}: |X - X*| has max {defect:.3e} at entry ({i}, {j})")
-    herm += mat
-    herm *= 0.5
-    del mat
+    _hermitian_part_in_place(mat)
     with np.errstate(over="ignore", invalid="ignore"):
-        _to_hermitian_units(herm)
-        imag = herm.imag
+        _to_hermitian_units(mat)
+        imag = mat.imag
         drift = np.sqrt(np.einsum("ij,ij->", imag, imag))
-        if drift <= SYM_TOL * (1.0 + np.abs(herm).max(initial=0.0)):
-            return herm.real.copy(order="K")
-    return herm
+        if drift <= SYM_TOL * (1.0 + np.abs(mat).max(initial=0.0)):
+            return mat.real.copy(order="K")
+    return mat
+
+
+def _transpose_in_place(x: np.ndarray, block: int) -> None:
+    """x <- x with its first two axes swapped, for x of shape (n, n, ...),
+    a block of block x block leading entries and its mirror at a time, so
+    that no temporary is larger than a block."""
+    for rows, cols in _block_pairs(x.shape[0], block):
+        upper = x[cols, rows].swapaxes(0, 1).copy()
+        x[cols, rows] = x[rows, cols].swapaxes(0, 1)
+        x[rows, cols] = upper
 
 
 class SuperOperator:
@@ -227,7 +258,8 @@ class SuperOperator:
         raise NotImplementedError
 
     def dense_body(self) -> np.ndarray:
-        """The dim^2 x dim^2 matrix of the map on row-stacked inputs.
+        """The dim^2 x dim^2 matrix of the map on row-stacked inputs, as a
+        new array that the caller owns and may overwrite.
 
         Besides diag(vec(schur)), this default probes the matrix units e_kl
         (column k*dim + l), one row k per call; closed forms override it.
@@ -407,7 +439,7 @@ class DenseMap(SuperOperator):
         return _apply_body(self.matrix, mat)
 
     def dense_body(self):
-        return self.matrix
+        return self.matrix.copy()
 
 
 class TowerProjection(SuperOperator):
@@ -645,30 +677,38 @@ def choi_matrix(op: SuperOperator) -> np.ndarray:
     The map is completely positive iff the result is positive
     semidefinite. It is the index reshuffle of the dense body D (Choi,
     Linear Algebra Appl. 10, 1975): entry (k*d + i, l*d + j) of the Choi
-    matrix is S(e_kl)_ij = D[i*d + j, k*d + l].
+    matrix is S(e_kl)_ij = D[i*d + j, k*d + l]. The reshuffle realigns the
+    body from ``dense_body`` in place, so the result is that array: the
+    d^2 x d^2 transpose, then the swap of the middle two legs.
     """
     _check_budget(op.dim, "Choi matrix")
     d = op.dim
-    body = op.dense_body().reshape(d, d, d, d)
-    return body.transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    body = op.dense_body()
+    _transpose_in_place(body, _BLOCK)  # [k*d + l, i*d + j] = D[i*d + j, k*d + l]
+    legs = body.reshape(d, d, d, d)  # [k, l, i, j]
+    # the middle legs swapped, in blocks of about _BLOCK^2 entries
+    _transpose_in_place(legs.transpose(1, 2, 0, 3), max(1, _BLOCK // d))  # [k, i, l, j]
+    return body
 
 
 def choi_min_eigenvalue(target) -> float:
     """Smallest Choi eigenvalue of a map, or of a Choi matrix already
-    built with ``choi_matrix`` (left unchanged); nonnegative up to
-    tolerance iff the map is completely positive. Rejects a Choi matrix
-    that is not Hermitian within SYM_TOL: the PSD test is undefined there.
+    built with ``choi_matrix`` (left unchanged: its copy is converted);
+    nonnegative up to tolerance iff the map is completely positive.
+    Rejects a Choi matrix that is not Hermitian within SYM_TOL: the PSD
+    test is undefined there.
 
     For a GNS-self-adjoint map, S(e_ij)_kl = conj(S(e_kl)_ij), so the
     Choi matrix C satisfies F C F = conj(C) with F the swap of the two
     tensor legs. As F U = conj(U), U* C U is then real symmetric and the
     eigenvalues come from a real ``eigvalsh`` (see ``_hermitian_in_units``).
+    A map's Choi matrix is built and converted in one d^2 x d^2 array.
     """
     what = "Choi matrix is not Hermitian"
     if isinstance(target, SuperOperator):
         herm = _hermitian_in_units(choi_matrix(target), what)
     else:
-        herm = _hermitian_in_units(np.asarray(target, np.complex128), what)
+        herm = _hermitian_in_units(np.array(target, np.complex128), what)
     return float(np.linalg.eigvalsh(herm)[0])
 
 
@@ -704,7 +744,7 @@ def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> Prop
     margins = np.full((samples, 2 * len(SEMIGROUP_TIMES)), np.nan)  # row i: sample i
     # A sample's working bytes, in complex d x d matrices: clamp_spectrum's
     # as in dirichlet_check (5), or a map's image with the two stacks of its
-    # Hermitian part (3); 7 leave room for the draw (4) and the spectra.
+    # Hermitian part (3); 7 leave room for the draw (2) and the spectra.
     nbytes = 16 * 7 * op.dim ** 2
     for rows, (x,) in gaussian_chunks(rng, samples, op.dim, 1, nbytes):
         x = clamp_spectrum(hermitian_part(x), 0.0, 1.0)
@@ -740,7 +780,7 @@ def symmetry_conservativity_check(
     pairs = margins[1:]  # row i: pair i, after the unit's row
     # A sample's working bytes, in complex d x d matrices: the pair, its
     # stack and that stack's image (6), and the two products (2); 11 leave
-    # room for the draw (6) and a map's own copies of its input.
+    # room for the draw (4) and a map's own copies of its input.
     nbytes = 16 * 11 * d * d
     for rows, (x, y) in gaussian_chunks(rng, samples, d, 2, nbytes):
         for k, phi in enumerate(maps):

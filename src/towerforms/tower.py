@@ -134,8 +134,12 @@ def gaussian_chunks(
 
 def complex_gaussian(z: np.ndarray) -> np.ndarray:
     """Complex Gaussian matrices from normals z of shape (..., 2, d, d):
-    real parts z[..., 0, :, :], imaginary parts z[..., 1, :, :]."""
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    real parts z[..., 0, :, :], imaginary parts z[..., 1, :, :], written
+    into one complex array, so that a draw holds only z and the result."""
+    out = np.empty(z.shape[:-3] + z.shape[-2:], dtype=np.complex128)
+    out.real = z[..., 0, :, :]
+    out.imag = z[..., 1, :, :]
+    return out
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:

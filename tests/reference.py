@@ -26,6 +26,7 @@ from towerforms.superop import (
     ScaledMap,
     SuperOperator,
     _mix_pairs,
+    _to_hermitian_units,
 )
 from towerforms.tower import (
     AlgebraElement,
@@ -220,6 +221,35 @@ def eigenvectors(res) -> np.ndarray:
     frame = res.basis.astype(np.complex128)
     _mix_pairs(frame, _U_BLOCK)
     return (frame.T * np.sqrt(d)).reshape(-1, d, d)
+
+
+def hermitian_in_units(mat: np.ndarray, what: str) -> np.ndarray:
+    """superop._hermitian_in_units with two buffers: the defect and its
+    first witness over the whole matrix, then (mat + mat*)/2 formed in a new
+    array from one conjugate transpose and taken into the Hermitian matrix
+    units. mat is left unchanged."""
+    herm = np.conjugate(mat.T, order="C")
+    asym = np.abs(mat - herm)
+    k = int(np.argmax(asym))
+    defect, (i, j) = float(asym.flat[k]), divmod(k, asym.shape[1])
+    if not defect / (1.0 + float(np.abs(mat).max())) <= SYM_TOL:
+        raise ValueError(f"{what}: |X - X*| has max {defect:.3e} at entry ({i}, {j})")
+    herm += mat
+    herm *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        _to_hermitian_units(herm)
+        imag = herm.imag
+        drift = np.sqrt(np.einsum("ij,ij->", imag, imag))
+        if drift <= SYM_TOL * (1.0 + np.abs(herm).max(initial=0.0)):
+            return herm.real.copy(order="K")
+    return herm
+
+
+def choi_reshuffle(body: np.ndarray) -> np.ndarray:
+    """The Choi matrix of a dense body D by one copying reshuffle: entry
+    (k*d + i, l*d + j) is D[i*d + j, k*d + l]."""
+    d = math.isqrt(body.shape[0])
+    return body.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def eval_form(gen: SuperOperator, a: AlgebraElement) -> float:

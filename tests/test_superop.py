@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from reference import (
     BlockwiseMap,
     SchurMultiplier,
     apply,
+    choi_reshuffle,
     diagonal_part,
     eigenvectors,
     gaussian_hermitian,
+    hermitian_in_units,
     identity,
     random_element,
 )
@@ -17,8 +21,10 @@ from towerforms.expectations import partial_trace_matrix
 from towerforms.superop import (
     SEMIGROUP_TIMES,
     _check_budget,
+    _NOT_SELF_ADJOINT,
     _from_hermitian_units,
     _hermitian_defect,
+    _hermitian_in_units,
     _to_hermitian_units,
     ComposedMap,
     DenseMap,
@@ -1111,6 +1117,123 @@ def test_infinite_maps_rejected_in_hermitian_units():
 
 
 # --------------------------------------------------------------------------
+# the certificate in place, against the two-buffer reference
+# --------------------------------------------------------------------------
+
+_NOT_HERMITIAN = "Choi matrix is not Hermitian"
+
+
+def _certificate_cases(n):
+    d = 2 ** n
+    rng = np.random.default_rng([95, n])
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return [
+        SemigroupMap(_lindblad(n, 92), 0.5),
+        SemigroupMap(DiagonalComplement(d), 1.0),
+        TransposeMap(d),
+        DenseMap(np.kron(k, k.conj())),  # CP, not self-adjoint: a complex T
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_in_place_certificate_has_the_bits_of_the_two_buffer_reference(n):
+    """The Choi matrix realigned in place, T converted in place and the
+    eigenvalues have the bits of the copying reshuffle and the two-buffer
+    conversion of tests/reference.py, for Lindblad data, the Schur
+    semigroup, the transpose control and a DenseMap; so does the spectral
+    resolution of the Lindblad generator and of its DenseMap."""
+    for op in _certificate_cases(n):
+        choi = choi_reshuffle(op.dense_body())
+        assert np.array_equal(_bits(choi_matrix(op)), _bits(choi)), repr(op)
+        expected = hermitian_in_units(choi, _NOT_HERMITIAN)
+        herm = _hermitian_in_units(choi_matrix(op), _NOT_HERMITIAN)
+        assert herm.dtype == expected.dtype, repr(op)
+        assert np.array_equal(_bits(herm), _bits(expected)), repr(op)
+        ev = np.linalg.eigvalsh(expected)
+        assert np.array_equal(_bits(np.linalg.eigvalsh(herm)), _bits(ev)), repr(op)
+        assert choi_min_eigenvalue(op) == ev[0] == choi_min_eigenvalue(choi), repr(op)
+    gen = _lindblad(n, 92)
+    w, basis = np.linalg.eigh(hermitian_in_units(gen.dense_body(), _NOT_SELF_ADJOINT))
+    for op in (gen, DenseMap(gen.dense_body())):
+        res = spectral_resolve(op)
+        assert np.array_equal(_bits(res.eigenvalues), _bits(w)), repr(op)
+        assert np.array_equal(_bits(res.basis), _bits(basis)), repr(op)
+
+
+def _planted(mat, value):
+    """mat with value added to entry (200, 70): its defect equals that of
+    the mirror entry (70, 200), which comes first, in a later block of rows
+    than the first."""
+    out = mat.copy()
+    out[200, 70] += value
+    return out
+
+
+@pytest.mark.parametrize("value", [1e-3, np.nan, np.inf])
+def test_in_place_certificate_rejects_with_the_reference_message(value):
+    """A planted non-Hermitian entry, NaN and inf included, in a body, in
+    the Choi matrix of a map or in a Choi matrix given as an array, fails
+    with the message of the two-buffer reference, witness included."""
+    gen = _lindblad(4, 97)  # d^2 = 256 rows: four blocks of the defect scan
+    body = gen.dense_body()
+    choi = choi_matrix(gen)
+    cases = [
+        (lambda: spectral_resolve(DenseMap(_planted(body, value))),
+         _NOT_SELF_ADJOINT, _planted(body, value)),
+        (lambda: choi_min_eigenvalue(DenseMap(_planted(body, value))),
+         _NOT_HERMITIAN, choi_reshuffle(_planted(body, value))),
+        (lambda: choi_min_eigenvalue(_planted(choi, value)),
+         _NOT_HERMITIAN, _planted(choi, value)),
+    ]
+    for certify, what, mat in cases:
+        with pytest.raises(ValueError) as expected:
+            hermitian_in_units(mat, what)
+        with pytest.raises(ValueError) as got:
+            certify()
+        assert str(got.value) == str(expected.value), what
+    assert str(expected.value).endswith("at entry (70, 200)")
+
+
+def test_certificates_leave_what_the_caller_keeps_unchanged():
+    """dense_body gives a new array, so that spectral_resolve, densify,
+    choi_matrix and choi_min_eigenvalue, which overwrite it, leave a
+    DenseMap's matrix bit for bit as it was; choi_min_eigenvalue of a Choi
+    matrix leaves that array as it was."""
+    gen = _lindblad(3, 98)
+    op = DenseMap(gen.dense_body())
+    kept = op.matrix.copy()
+    assert not np.shares_memory(op.dense_body(), op.matrix)
+    assert not np.shares_memory(densify(op).matrix, op.matrix)
+    spectral_resolve(op)
+    choi_matrix(op)
+    choi_min_eigenvalue(op)
+    choi_min_eigenvalue(SemigroupMap(op, 0.5))
+    assert np.array_equal(_bits(op.matrix), _bits(kept))
+    choi = choi_matrix(SemigroupMap(gen, 0.5))
+    kept = choi.copy()
+    choi_min_eigenvalue(choi)
+    assert np.array_equal(_bits(choi), _bits(kept))
+
+
+def test_lindblad_choi_certificate_peaks_within_four_real_bodies():
+    """Under tracemalloc, the Choi certificate of a non-Schur semigroup at
+    level 5 holds at most 4.1 real d^2 x d^2 arrays at once: the generator's
+    basis beside its complex body and one real product, or beside the
+    complex Choi matrix and its real T. A copy of the Hermitian part or of
+    the Choi reshuffle beside its source exceeds it."""
+    phi = SemigroupMap(_lindblad(5, 99), 0.5)
+    real_body = 8 * phi.dim ** 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        choi_min_eigenvalue(phi)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * real_body, peak / real_body
+
+
+# --------------------------------------------------------------------------
 # positivity relative to the generator's scale, overflow
 # --------------------------------------------------------------------------
 
@@ -1180,11 +1303,10 @@ def test_blockwise_hermitian_defect_matches_whole_matrix():
     rng = np.random.default_rng(94)
     mat = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     mat[200, 7] = mat[7, 200].conj() + 50.0  # largest defect, twice: (200, 7), (7, 200)
-    herm = np.conjugate(mat.T, order="C")
-    asym = np.abs(mat - herm)
-    defect, where, size = _hermitian_defect(mat, herm)
+    asym = np.abs(mat - np.conjugate(mat.T))
+    defect, where, size = _hermitian_defect(mat)
     assert defect == asym.max() and size == np.abs(mat).max()
     assert where == np.unravel_index(np.argmax(asym), asym.shape) == (7, 200)
     mat[250, 3] = np.nan
-    defect, where, _ = _hermitian_defect(mat, np.conjugate(mat.T, order="C"))
+    defect, where, _ = _hermitian_defect(mat)
     assert np.isnan(defect) and where == (3, 250)

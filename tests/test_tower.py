@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from reference import (
     random_element,
     save_element,
 )
-from towerforms.tower import AlgebraElement, element_from_json, load_element
+from towerforms.tower import (
+    AlgebraElement,
+    complex_gaussian,
+    element_from_json,
+    gaussian_chunks,
+    load_element,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -318,3 +326,35 @@ def test_json_missing_fields_rejected():
         with pytest.raises(ValueError, match="level"):
             element_from_json(dict(eye, level=level))
 
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_complex_gaussian_has_the_bits_of_real_plus_i_times_imaginary(seed):
+    """Writing the normals into the real and imaginary parts of one array
+    gives the bits of z0 + 1j * z1 for every nonzero finite normal, on one
+    matrix, on a stack and on the strided stacks gaussian_chunks passes."""
+    z = np.random.default_rng(seed).standard_normal((5, 3, 2, 8, 8))
+    assert np.all(np.isfinite(z)) and np.all(z != 0.0)
+    for normals in (z[0, 0], z[:, 0], *z.swapaxes(0, 1)):
+        got = complex_gaussian(normals)
+        want = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_draw_holds_its_normals_and_one_complex_stack():
+    """Under tracemalloc, one level-6 sample of three matrices from
+    gaussian_chunks peaks at its normals and the three complex matrices: 2
+    complex matrices per drawn one, where a product 1j * z1, a cast copy of
+    z0 and their sum would hold 4."""
+    d = 64
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chunks = gaussian_chunks(np.random.default_rng(7), 1, d, 3, 16 * d * d)
+        ((_, mats),) = list(chunks)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(mats) == 3
+    assert peak <= (2 * 3 + 0.1) * 16 * d * d, peak / (16 * d * d)
