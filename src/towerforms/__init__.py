@@ -23,8 +23,6 @@ from .superop import (
     spectral_resolve,
     choi_matrix,
     choi_min_eigenvalue,
-    markov_check,
-    symmetry_conservativity_check,
 )
 from .forms import (
     CompatibleFamily,

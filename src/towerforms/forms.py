@@ -22,12 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import PropertyReport, fold
 from .tower import (
     AlgebraElement,
     check_nonnegative,
     clamp_spectrum,
-    gaussian_chunks,
     hermitian_part,
     matrix_vdot,
 )
@@ -101,42 +99,19 @@ def commutator_form_eval(a: AlgebraElement, n: int) -> float:
     return float(commutator_energies(cond_expect(a, n).entries))
 
 
-def dirichlet_check(
-    gen: SuperOperator,
-    samples: int,
-    seed: int,
-    tol: float,
-) -> PropertyReport:
-    """Randomized Dirichlet-property suite for the form of gen.
-
-    For Hermitian samples checks the contraction E(a ^ 1) <= E(a); for
-    general samples checks the reality E(a*) = E(a).
-
-    The samples are drawn and checked a chunk at a time (see
-    tower.gaussian_chunks) with stacked eigh and energy calls that do the
-    per-sample arithmetic, so the report is byte-identical to evaluating
-    one sample at a time. A sample with a NaN margin counts as a failure,
-    and so does a sample that is never checked.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    level = gen.level  # read before any sample is drawn
-    rng = np.random.default_rng(seed)
-    margins = np.full((samples, 2), np.nan)  # row i: sample i
-    # A sample's working bytes, in complex d x d matrices: g, the Hermitian
-    # part, and clamp_spectrum's eigenvectors, their scaled and conjugated
-    # copies and product (6), or the draw's normals and stacks (4); 8 leave
-    # room for a generator image and the eigenvalues.
-    nbytes = 16 * 8 * gen.dim ** 2
-    for rows, (a, g) in gaussian_chunks(rng, samples, gen.dim, 2, nbytes):
-        a = hermitian_part(a)
-        wedged = clamp_spectrum(a, 0.0, 1.0)
-        margins[rows, 0] = form_energies(gen, wedged) - form_energies(gen, a)
-        del a, wedged
-        margins[rows, 1] = np.abs(
-            form_energies(gen, g.conj().swapaxes(-1, -2)) - form_energies(gen, g)
-        )
-    return fold("dirichlet", level, seed, tol, margins)
+def dirichlet_check(gen: SuperOperator, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Dirichlet-property margins of the form of gen on a stack of
+    samples (a, g), one row (contraction, reality) per sample: the
+    contraction E(h ^ 1) - E(h) on the Hermitian part h of a, and the
+    reality |E(g*) - E(g)|. Stacked eigh and energy calls do each sample's
+    own arithmetic, and a NaN entry gives NaN margins (see
+    tower.finite_spectra)."""
+    a = hermitian_part(a)
+    wedged = clamp_spectrum(a, 0.0, 1.0)
+    contraction = form_energies(gen, wedged) - form_energies(gen, a)
+    del a, wedged
+    reality = np.abs(form_energies(gen, g.conj().swapaxes(-1, -2)) - form_energies(gen, g))
+    return np.stack((contraction, reality), axis=-1)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,14 @@ import numpy as np
 
 from . import tower
 from .report import PropertyReport, fold
-from .tower import check_nonnegative, gaussian_chunks, matrix_vdot
+from .tower import (
+    check_nonnegative,
+    clamp_spectrum,
+    finite_spectra,
+    gaussian_chunks,
+    hermitian_part,
+    matrix_vdot,
+)
 from .expectations import partial_trace_matrix
 from .forms import (
     CompatibleFamily,
@@ -47,8 +54,6 @@ from .superop import (
     TowerProjection,
     TransposeMap,
     choi_min_eigenvalue,
-    markov_check,
-    symmetry_conservativity_check,
 )
 
 __all__ = [
@@ -92,18 +97,6 @@ class _Unit:
     nbytes: int
 
 
-def _levels(top: int, nbytes_per_entry: int) -> list[_Unit]:
-    """One unit per level 1 .. top whose samples hold nbytes_per_entry bytes
-    per entry of a level-n matrix."""
-    return [_Unit(n, nbytes_per_entry * 4 ** n) for n in range(1, top + 1)]
-
-
-def _level_check(check, suite: str, cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
-    """The report of check on the diagonal generator at the unit's level."""
-    seed = _suite_seed(cfg.seed, suite, unit.level)
-    return [check(DiagonalComplement(2 ** unit.level), cfg.samples, seed, cfg.tol)]
-
-
 def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Semigroup maps of the diagonal generator must be completely
     positive. The top unit also checks the transpose map, the injected
@@ -116,6 +109,47 @@ def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
         control = abs(choi_min_eigenvalue(TransposeMap(2)) + 1.0)
         reports.append(fold("choi-transpose-control", 1, cfg.seed, cfg.tol, [[control]]))
     return reports
+
+
+def _semigroup(cfg: RunConfig, level: int) -> list[SemigroupMap]:
+    """The semigroup of the level's diagonal generator at each time in
+    SEMIGROUP_TIMES, built once per unit: a Schur multiplier each."""
+    gen = DiagonalComplement(2 ** level)
+    return [SemigroupMap(gen, t) for t in SEMIGROUP_TIMES]
+
+
+def _markov_margins(maps: list, x: np.ndarray) -> np.ndarray:
+    """Markov margins of a stack of samples: each x is made a contraction
+    0 <= x <= 1 (its Hermitian part's spectrum clamped into [0, 1]), and
+    every Phi_t(x) must keep its spectrum inside [0, 1]. Row i holds, for
+    each map in turn, -(least eigenvalue) and (largest eigenvalue - 1) of
+    sample i's Phi_t(x), from one stacked eigvalsh call per map."""
+    x = clamp_spectrum(hermitian_part(x), 0.0, 1.0)
+    columns = []
+    for phi in maps:
+        ev = finite_spectra(np.linalg.eigvalsh, hermitian_part(phi.apply_matrix(x)))
+        columns += [-ev[:, 0], ev[:, -1] - 1.0]
+    return np.stack(columns, axis=-1)
+
+
+def _symmetry_margins(maps: list, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Trace-symmetry margins |tau(Phi_t(x) y) - tau(x Phi_t(y))| of a stack
+    of pairs, one column per map, from stacked products and traces."""
+    d = x.shape[-1]
+    columns = []
+    for phi in maps:
+        phi_x, phi_y = phi.apply_matrix(np.stack((x, y)))
+        lhs = np.trace(phi_x @ y, axis1=-2, axis2=-1) / d
+        rhs = np.trace(x @ phi_y, axis1=-2, axis2=-1) / d
+        diff = lhs - rhs
+        columns.append(np.hypot(diff.real, diff.imag))  # abs() of each scalar
+    return np.stack(columns, axis=-1)
+
+
+def _unit_drift(maps: list) -> list[float]:
+    """max |Phi_t(1) - 1| for each map: 0 when every Phi_t preserves the unit."""
+    eye = np.eye(maps[0].dim, dtype=np.complex128)
+    return [np.abs(phi.apply_matrix(eye) - eye).max() for phi in maps]
 
 
 def _leibniz_probes(seed: int, level: int) -> np.ndarray:
@@ -217,67 +251,6 @@ def _energy_gaps(b: np.ndarray) -> np.ndarray:
     return np.abs(energy - commutator_energies(b))
 
 
-def _run_leibniz(cfg: RunConfig, unit: _Unit) -> tuple:
-    """Product rule for the derivation on pairs at its own level, plus, at
-    the working level, the energy identity tau(<da, da>) = commutator
-    energy for ambient samples at every level.
-
-    Sample i of level n is the pair i of level n's stream with E_n of the
-    ambient i, which the working level's stream draws after its own pair i;
-    every level reads its E_n off that one ambient (see _expectation_towers).
-    The stream is drawn and checked a chunk at a time (see
-    tower.gaussian_chunks). A pair's defect is its product-rule defect,
-    summed term by term from the factors of the per-sample element API
-    (derive, bimodule_*) and probed by the unit's one probe block (see
-    _leibniz_probes, _leibniz_defects) instead of multiplied out; a gap
-    comes from the arithmetic of derive and commutator_form_eval, with the
-    trace read off the diagonal of bimodule_inner's product (see
-    _energy_gaps). Returns the defects of the unit's level, one per sample,
-    and at the working level the gaps of every level (one row per level),
-    else None. A sample that is never checked keeps a NaN defect or gap."""
-    level, samples, d = cfg.level, cfg.samples, 2 ** unit.level
-    rng = np.random.default_rng(_suite_seed(cfg.seed, "leibniz", unit.level))
-    probes = _leibniz_probes(cfg.seed, unit.level)
-    # A sample's working bytes, in complex d x d matrices: at the peak, in
-    # the d(a) b or the a d(b) term, the pair and the ambient (3), D V (2),
-    # the term's two factors (4), and the product that replaces one of them
-    # or the term's probe (2): 11, more than the draw (6); 13 leave room for
-    # the (d, 2, 2) sketches of _probe, which count at small d. An energy
-    # gap below the working level holds b and the stacks it was gathered
-    # from (2), b's factors, or the right one and its weighted copy (4), and
-    # one conjugated factor (2); 9 leave room for the Gram blocks (see
-    # _energy_gaps).
-    matrix = 16 * d * d
-    defects = np.full(samples, np.nan)
-    if unit.level < level:
-        for rows, (a, b) in gaussian_chunks(rng, samples, d, 2, 13 * matrix):
-            defects[rows] = _leibniz_defects(a, b, probes)
-        return defects, None
-
-    def ambients():  # the working level's stream: its pairs, then the ambient
-        for rows, (a, b, ambient) in gaussian_chunks(rng, samples, d, 3, 13 * matrix):
-            defects[rows] = _leibniz_defects(a, b, probes)
-            del a, b  # freed while the ambient is conditioned
-            yield rows, ambient
-
-    gaps = np.full((level, samples), np.nan)
-    for n, rows, b in _expectation_towers(ambients(), level, 9 * (matrix // 4)):
-        gaps[n - 1, rows] = _energy_gaps(b)
-    return defects, gaps
-
-
-def _leibniz_reports(cfg: RunConfig, parts: list) -> list[PropertyReport]:
-    """Level n's report from its defects and gaps, a sample's two margins."""
-    gaps = parts[-1][1]
-    return [
-        fold(
-            "leibniz", n, _suite_seed(cfg.seed, "leibniz", n), cfg.tol,
-            np.stack((defect, gap), axis=1),
-        )
-        for n, (defect, _), gap in zip(range(1, cfg.level + 1), parts, gaps)
-    ]
-
-
 def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     """Commutator-form family: compatibility margin on full matrix-unit
     bases, recovery of the top form (its Schur coefficients against 2 (1 -
@@ -315,43 +288,6 @@ def _run_compatibility(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
     ]
 
 
-def _run_normalization_bridge(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
-    """The commutator sum equals twice the diagonal-form energy of the
-    conditioned element, and the double-commutator generator over the
-    diagonal projections has exactly twice the Schur coefficients of the
-    diagonal complement. Every level conditions the same ambient samples,
-    drawn from the working level's stream a chunk at a time and read off
-    one tower of expectations (see _expectation_towers)."""
-    level = cfg.level
-    seed = _suite_seed(cfg.seed, "normalization-bridge", level)
-    rng = np.random.default_rng(seed)
-    gens = [DiagonalComplement(2 ** n) for n in range(1, level + 1)]
-    # level n's row: column i is sample i, the generator's deviation last
-    bridges = np.full((level, cfg.samples + 1), np.nan)
-    # A sample's working bytes, in complex matrices of its level: a check's
-    # b, |b|^2 and the generator's image of b (3), more than the draw (2:
-    # its normals and the stack complex_gaussian writes them into); 5 leave
-    # room for E_{L-1} a, held for the gather. A gathered sample holds b,
-    # the stacks it was gathered from, |b|^2 and the image: 4 matrices of
-    # its level.
-    matrix = 16 * 4 ** level
-    ambients = gaussian_chunks(rng, cfg.samples, 2 ** level, 1, 5 * matrix)
-    ambients = ((r, a) for r, (a,) in ambients)
-    for n, rows, b in _expectation_towers(ambients, level, 4 * (matrix // 4)):
-        bridges[n - 1, rows] = np.abs(
-            commutator_energies(b) - 2.0 * form_energies(gens[n - 1], b)
-        )
-    for n in range(1, level + 1):
-        bridges[n - 1, -1] = _commutator_deviation(commutator_generator(n))
-    return [
-        fold(
-            "normalization-bridge", n, seed, cfg.eig_tol, bridge[:, None],
-            samples=cfg.samples,
-        )
-        for n, bridge in enumerate(bridges, start=1)
-    ]
-
-
 def _sqrt_energy(e: np.ndarray) -> np.ndarray:
     """math.sqrt(max(e, 0.0)) of each energy: a NaN or -0.0 stays."""
     return np.sqrt(np.where(0.0 > e, 0.0, e))
@@ -373,83 +309,234 @@ def _restricted_energies(gen: SuperOperator, a: np.ndarray):
         yield n, e_n, e_q, q_sq
 
 
-def _run_convergence(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
-    """Restricted-energy chain for the diagonal form on random ambient
-    elements: |sqrt(E_n) - sqrt(E)| <= sqrt(E(Q_n a)), the tail bound
-    E(Q_n a) <= ||Q_n a||_2^2, and exactness at the top level, E(Q_L a)
-    within eig_tol. Samples go a chunk at a time (see _restricted_energies)."""
-    seed = _suite_seed(cfg.seed, "convergence", cfg.level)
-    rng = np.random.default_rng(seed)
-    gen = DiagonalComplement(2 ** cfg.level)
-    margins = np.full((cfg.samples, 2 * cfg.level + 1), np.nan)  # row i: sample i
-    # A sample's working bytes, in complex d x d matrices: a check's a,
-    # P_n a or Q_n a, and the generator's image of it (3), more than the
-    # draw (2: its normals and the stack complex_gaussian writes them into);
-    # 5 leave room for E_n a.
-    nbytes = 16 * 5 * gen.dim ** 2
-    for rows, (a,) in gaussian_chunks(rng, cfg.samples, gen.dim, 1, nbytes):
-        root = _sqrt_energy(form_energies(gen, a))
-        for n, e_n, e_q, q_sq in _restricted_energies(gen, a):
-            margins[rows, 2 * n - 2] = np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q)
-            margins[rows, 2 * n - 1] = e_q - q_sq
-        margins[rows, -1] = e_q  # E(Q_L a)
-    limits = [cfg.tol] * (2 * cfg.level) + [cfg.eig_tol]
-    return [fold("convergence", cfg.level, seed, cfg.tol, margins, limits=limits)]
-
-
-def _top_unit(cfg: RunConfig) -> list[_Unit]:
-    """The one unit of a suite that works on level-L matrices only."""
-    return [_Unit(cfg.level, 16 * 4 ** cfg.level)]
-
-
-def _concatenated(cfg: RunConfig, parts: list) -> list[PropertyReport]:
-    return [rep for part in parts for rep in part]
+def _convergence_margins(gen: SuperOperator, a: np.ndarray) -> np.ndarray:
+    """Restricted-energy margins of a stack of level-L samples a, E the form
+    of gen: for n = 1 .. L, the chain |sqrt(E_n) - sqrt(E)| - sqrt(E(Q_n a))
+    and the tail bound E(Q_n a) - ||Q_n a||_2^2, then E(Q_L a), which is 0
+    at the top level (see _restricted_energies)."""
+    margins = np.empty((len(a), 2 * gen.level + 1))
+    root = _sqrt_energy(form_energies(gen, a))
+    for n, e_n, e_q, q_sq in _restricted_energies(gen, a):
+        margins[:, 2 * n - 2] = np.abs(_sqrt_energy(e_n) - root) - _sqrt_energy(e_q)
+        margins[:, 2 * n - 1] = e_q - q_sq
+    margins[:, -1] = e_q  # E(Q_L a)
+    return margins
 
 
 @dataclass(frozen=True)
 class _Suite:
-    """One suite of the registry: units(cfg) lists its units in the order
-    their results fold, and fold(cfg, results) makes its reports from them
-    (by default, each unit's reports in unit order). Its runner, which runs
-    one unit, is its _SUITE_RUNNERS entry."""
+    """A suite whose runner run(cfg, unit) returns the reports of one of
+    the units that units(cfg) lists; fold keeps them in unit order."""
 
     name: str
     units: Callable
-    fold: Callable = _concatenated
+    run: Callable
+
+    def fold(self, cfg: RunConfig, parts: list) -> list[PropertyReport]:
+        return [rep for part in parts for rep in part]
 
 
-# The registry, in suite order.
+def _diagonal_form(cfg: RunConfig, level: int) -> DiagonalComplement:
+    return DiagonalComplement(2 ** level)
+
+
+@dataclass(frozen=True)
+class _Sampled:
+    """A randomized suite: one unit per level that levels(cfg) lists, each
+    drawing its own stream of samples of `draws` complex Gaussian matrices
+    of its level, `nbytes` such matrices of working bytes per sample.
+
+    kernel(operand, stacks) returns the margins of a chunk of samples, one
+    row per sample and one column per entry of limits(cfg, level), operand
+    being operand(cfg, level) and stacks the list of the chunk's stacks, one
+    per matrix of a sample. A kernel pops a stack it replaces (dirichlet's
+    a by its Hermitian part, markov's x by its clamp), so that the stack is
+    freed once the kernel drops it; the driver holds the others until the
+    next chunk is drawn, which keeps the heap from being trimmed and
+    regrown at every chunk. At the working level, a suite with a tower
+    kernel draws one more matrix per sample, its ambient a, and
+    tower(operand, E_n a) gives one more margin of each sample at every
+    level n (see _expectation_towers), within `tol`; the conditioned
+    expectations hold tower_nbytes level-(L - 1) matrices per sample. A
+    lone(operand) row is checked once per level, after the samples. Every
+    column is within `tol` (the name of a RunConfig field) unless limits
+    says otherwise, and `tol` is the reports' tol.
+
+    The kernels are lambdas that look their function up by name when they
+    run, so a wrapper bound in its place (a tracer, a test's planted
+    defect) is the one that runs."""
+
+    name: str
+    levels: Callable
+    draws: int
+    nbytes: int
+    kernel: Callable | None = None
+    limits: Callable | None = None
+    operand: Callable = _diagonal_form
+    tower: Callable | None = None
+    tower_nbytes: int = 0
+    tol: str = "tol"
+    lone: Callable | None = None
+
+    def units(self, cfg: RunConfig) -> list[_Unit]:
+        """A unit per level, each sample counted by its normals (the alone
+        rule of run_suite reads them)."""
+        return [
+            _Unit(n, 16 * 4 ** n * (self.draws + self._top(cfg, n)))
+            for n in self.levels(cfg)
+        ]
+
+    def _top(self, cfg: RunConfig, level: int) -> bool:
+        return self.tower is not None and level == cfg.level
+
+    def run(self, cfg: RunConfig, unit: _Unit) -> tuple:
+        """Draw the unit's samples a chunk at a time (see
+        tower.gaussian_chunks) and check each chunk with the kernel; at the
+        working level, feed each sample's ambient, drawn after its own
+        matrices, through the tower of expectations. Returns (seed, blocks,
+        lone): blocks the (level, margins, limits) of the kernel, then of
+        the tower at each level; lone the row of each level the unit
+        checks. A sample that is never checked keeps NaN margins."""
+        n, samples, matrix = unit.level, cfg.samples, 16 * 4 ** unit.level
+        seed = _suite_seed(cfg.seed, self.name, n)
+        top = self._top(cfg, n)
+        levels = range(1, n + 1) if top else [n]
+        operands = {m: self.operand(cfg, m) for m in levels}
+        blocks = []
+        if self.kernel is not None:
+            limits = self.limits(cfg, n)
+            own = np.full((samples, len(limits)), np.nan)
+            blocks.append((n, own, limits))
+        drawn = gaussian_chunks(
+            np.random.default_rng(seed), samples, 2 ** n, self.draws + top, self.nbytes * matrix
+        )
+
+        def checked():  # each chunk checked, its ambient passed on
+            for rows, mats in drawn:
+                stacks, ambient = list(mats[:self.draws]), mats[self.draws:]
+                del mats
+                if self.kernel is not None:
+                    own[rows] = self.kernel(operands[n], stacks)
+                if top:
+                    del stacks  # freed before the ambient is conditioned
+                yield rows, ambient
+
+        if top:
+            towers = np.full((n, samples), np.nan)
+            ambients = ((rows, a) for rows, (a,) in checked())
+            for m, rows, b in _expectation_towers(ambients, n, self.tower_nbytes * matrix // 4):
+                towers[m - 1, rows] = self.tower(operands[m], b)
+            tol = getattr(cfg, self.tol)
+            blocks += [(m, towers[m - 1, :, None], [tol]) for m in levels]
+        else:
+            for _ in checked():
+                pass
+        lone = {m: self.lone(operands[m]) for m in levels} if self.lone else {}
+        return seed, blocks, lone
+
+    def fold(self, cfg: RunConfig, parts: list) -> list[PropertyReport]:
+        """Level n's report joins the columns of every block at level n, in
+        unit order, and puts the lone row after the samples; it names
+        cfg.samples samples and the seed of the first unit with a block at
+        level n."""
+        joined = {}
+        for seed, blocks, lone in parts:
+            for n, margins, limits in blocks:
+                _, columns, bounds, _ = joined.setdefault(n, (seed, [], [], []))
+                columns.append(margins)
+                bounds.extend(limits)
+            for n, row in lone.items():
+                joined[n][3].append(row)
+        return [
+            fold(
+                self.name, n, seed, getattr(cfg, self.tol),
+                np.vstack([np.hstack(columns), *rows]), samples=cfg.samples, limits=bounds,
+            )
+            for n, (seed, columns, bounds, rows) in sorted(joined.items())
+        ]
+
+
+def _all_levels(cfg: RunConfig) -> range:
+    return range(1, cfg.level + 1)
+
+
+def _semigroup_levels(cfg: RunConfig) -> range:
+    return range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1)
+
+
+def _top_level(cfg: RunConfig) -> list[int]:
+    return [cfg.level]
+
+
+# The registry, in suite order. Working bytes per sample are counted in
+# complex matrices of the unit's level from the shapes its kernel allocates.
 _SUITES = (
-    _Suite("dirichlet", lambda cfg: _levels(cfg.level, 32)),
-    _Suite("markov", lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 16)),
-    _Suite("symmetry", lambda cfg: _levels(min(cfg.level, SEMIGROUP_LEVEL_CAP), 32)),
+    # g, the Hermitian part, and clamp_spectrum's eigenvectors, their scaled
+    # and conjugated copies and product (6), or the draw's normals and
+    # stacks (4); 8 leave room for a generator image and the eigenvalues.
+    _Sampled(
+        "dirichlet", _all_levels, draws=2, nbytes=8,
+        kernel=lambda gen, ag: dirichlet_check(gen, ag.pop(0), ag[0]),
+        limits=lambda cfg, n: [cfg.tol] * 2,
+    ),
+    # clamp_spectrum's as in dirichlet (5), or a map's image with the two
+    # stacks of its Hermitian part (3); 7 leave room for the draw (2) and
+    # the spectra.
+    _Sampled(
+        "markov", _semigroup_levels, draws=1, nbytes=7, operand=_semigroup,
+        kernel=lambda maps, x: _markov_margins(maps, x.pop()),
+        limits=lambda cfg, n: [cfg.tol] * 2 * len(SEMIGROUP_TIMES),
+    ),
+    # the pair, its stack and that stack's image (6), and the two products
+    # (2); 11 leave room for the draw (4) and a map's own copies of its input.
+    _Sampled(
+        "symmetry", _semigroup_levels, draws=2, nbytes=11, operand=_semigroup,
+        kernel=lambda maps, xy: _symmetry_margins(maps, *xy),
+        limits=lambda cfg, n: [cfg.tol] * len(SEMIGROUP_TIMES),
+        lone=lambda maps: _unit_drift(maps),
+    ),
     _Suite("choi", lambda cfg: [  # the largest matrix: the d^2 x d^2 Choi matrix
-        _Unit(n, 16 * 16 ** n) for n in range(1, min(cfg.level, SEMIGROUP_LEVEL_CAP) + 1)
-    ]),
-    _Suite("leibniz", lambda cfg: [  # a sample: pair a, pair b, at level L the ambient
-        _Unit(n, (48 if n == cfg.level else 32) * 4 ** n) for n in range(1, cfg.level + 1)
-    ], _leibniz_reports),
-    _Suite("compatibility", _top_unit),
-    _Suite("normalization-bridge", _top_unit),
-    _Suite("convergence", _top_unit),
+        _Unit(n, 16 * 16 ** n) for n in _semigroup_levels(cfg)
+    ], _run_choi),
+    # At the peak, in the d(a) b or the a d(b) term, the pair and the
+    # ambient (3), D V (2), the term's two factors (4), and the product that
+    # replaces one of them or the term's probe (2): 11, more than the draw
+    # (6); 13 leave room for the (d, 2, 2) sketches of _probe, which count at
+    # small d. An energy gap below the working level holds b and the stacks
+    # it was gathered from (2), b's factors, or the right one and its
+    # weighted copy (4), and one conjugated factor (2); 9 leave room for the
+    # Gram blocks (see _energy_gaps).
+    _Sampled(
+        "leibniz", _all_levels, draws=2, nbytes=13,
+        operand=lambda cfg, n: _leibniz_probes(cfg.seed, n),
+        kernel=lambda probes, ab: _leibniz_defects(*ab, probes)[:, None],
+        limits=lambda cfg, n: [cfg.tol],
+        tower=lambda probes, b: _energy_gaps(b), tower_nbytes=9,
+    ),
+    _Suite("compatibility", lambda cfg: [_Unit(cfg.level, 16 * 4 ** cfg.level)], _run_compatibility),
+    # A check's b, |b|^2 and the generator's image of b (3), more than the
+    # draw (2: its normals and the stack complex_gaussian writes them into);
+    # 5 leave room for E_{L-1} a, held for the gather. A gathered sample
+    # holds b, the stacks it was gathered from, |b|^2 and the image: 4.
+    _Sampled(
+        "normalization-bridge", _top_level, draws=0, nbytes=5, tol="eig_tol",
+        tower=lambda gen, b: np.abs(commutator_energies(b) - 2.0 * form_energies(gen, b)),
+        tower_nbytes=4,
+        lone=lambda gen: [_commutator_deviation(commutator_generator(gen.level))],
+    ),
+    # A check's a, P_n a or Q_n a, and the generator's image of it (3), more
+    # than the draw (2); 5 leave room for E_n a.
+    _Sampled(
+        "convergence", _top_level, draws=1, nbytes=5,
+        kernel=lambda gen, a: _convergence_margins(gen, *a),
+        limits=lambda cfg, n: [cfg.tol] * (2 * n) + [cfg.eig_tol],
+    ),
 )
 SUITE_NAMES = tuple(suite.name for suite in _SUITES)
 
 # Each suite's runner(cfg, unit), in registry order. run_suite looks a
-# runner up here for every unit, and a level check is looked up by name
-# when its runner is called, so a wrapper put in place of either runs.
-_SUITE_RUNNERS = {
-    "dirichlet": lambda cfg, unit: _level_check(dirichlet_check, "dirichlet", cfg, unit),
-    "markov": lambda cfg, unit: _level_check(markov_check, "markov", cfg, unit),
-    "symmetry": lambda cfg, unit: _level_check(
-        symmetry_conservativity_check, "symmetry", cfg, unit
-    ),
-    "choi": _run_choi,
-    "leibniz": _run_leibniz,
-    "compatibility": _run_compatibility,
-    "normalization-bridge": _run_normalization_bridge,
-    "convergence": _run_convergence,
-}
+# runner up here for every unit, so a wrapper put in its place runs.
+_SUITE_RUNNERS = {suite.name: suite.run for suite in _SUITES}
 
 
 @dataclass(frozen=True)

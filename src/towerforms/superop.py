@@ -25,15 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import PropertyReport, fold
-from .tower import (
-    check_hermitian,
-    check_nonnegative,
-    clamp_spectrum,
-    finite_spectra,
-    gaussian_chunks,
-    hermitian_part,
-)
+from .tower import check_hermitian, check_nonnegative
 from .expectations import partial_trace_matrix
 
 __all__ = [
@@ -57,8 +49,6 @@ __all__ = [
     "spectral_resolve",
     "choi_matrix",
     "choi_min_eigenvalue",
-    "markov_check",
-    "symmetry_conservativity_check",
     "square_matrix_to_json",
 ]
 
@@ -710,86 +700,6 @@ def choi_min_eigenvalue(target) -> float:
     else:
         herm = _hermitian_in_units(np.array(target, np.complex128), what)
     return float(np.linalg.eigvalsh(herm)[0])
-
-
-# --------------------------------------------------------------------------
-# randomized semigroup suites
-# --------------------------------------------------------------------------
-
-
-def _semigroup_maps(op: SuperOperator) -> list[SuperOperator]:
-    """The semigroup of op at each time in SEMIGROUP_TIMES, every body
-    built once: a non-Schur semigroup becomes the DenseMap of its body."""
-    maps = [SemigroupMap(op, t) for t in SEMIGROUP_TIMES]
-    return [m if m.schur is not None else DenseMap(m.dense_body()) for m in maps]
-
-
-def markov_check(op: SuperOperator, samples: int, seed: int, tol: float) -> PropertyReport:
-    """Sample contractions x with 0 <= x <= 1 and check that every Phi_t(x),
-    t in SEMIGROUP_TIMES, keeps its spectrum inside [-tol, 1 + tol].
-
-    The samples are drawn and checked a chunk at a time (see
-    tower.gaussian_chunks) with stacked eigh/eigvalsh calls that do the
-    per-sample arithmetic, so the report is byte-identical to evaluating
-    one sample at a time. A sample with a NaN margin counts as a failure,
-    and so does a sample that is never checked. Each Phi_t is built once,
-    before the draw: a non-Schur generator's body once per time, not once
-    per chunk.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    level = op.level
-    maps = _semigroup_maps(op)
-    rng = np.random.default_rng(seed)
-    margins = np.full((samples, 2 * len(SEMIGROUP_TIMES)), np.nan)  # row i: sample i
-    # A sample's working bytes, in complex d x d matrices: clamp_spectrum's
-    # as in dirichlet_check (5), or a map's image with the two stacks of its
-    # Hermitian part (3); 7 leave room for the draw (2) and the spectra.
-    nbytes = 16 * 7 * op.dim ** 2
-    for rows, (x,) in gaussian_chunks(rng, samples, op.dim, 1, nbytes):
-        x = clamp_spectrum(hermitian_part(x), 0.0, 1.0)
-        for k, phi in enumerate(maps):
-            y = phi.apply_matrix(x)
-            ev = finite_spectra(np.linalg.eigvalsh, hermitian_part(y))
-            margins[rows, 2 * k] = -ev[:, 0]
-            margins[rows, 2 * k + 1] = ev[:, -1] - 1.0
-    return fold("markov", level, seed, tol, margins)
-
-
-def symmetry_conservativity_check(
-    op: SuperOperator, samples: int, seed: int, tol: float
-) -> PropertyReport:
-    """Check trace symmetry tau(Phi_t(x) y) = tau(x Phi_t(y)) on random
-    pairs and unit preservation Phi_t(1) = 1, t in SEMIGROUP_TIMES.
-
-    A broken unit counts as one failure on top of the per-sample count, and
-    so does a pair that is never checked. The pairs are drawn and checked a
-    chunk at a time (see tower.gaussian_chunks) with stacked products and
-    traces that do the per-sample arithmetic, so the report is
-    byte-identical to evaluating one pair at a time. As in markov_check,
-    each Phi_t, and so each non-Schur body, is built once, before the draw.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    level, d = op.level, op.dim
-    maps = _semigroup_maps(op)
-    rng = np.random.default_rng(seed)
-    eye = np.eye(d, dtype=np.complex128)
-    margins = np.full((samples + 1, len(SEMIGROUP_TIMES)), np.nan)
-    margins[0] = [np.abs(phi.apply_matrix(eye) - eye).max() for phi in maps]
-    pairs = margins[1:]  # row i: pair i, after the unit's row
-    # A sample's working bytes, in complex d x d matrices: the pair, its
-    # stack and that stack's image (6), and the two products (2); 11 leave
-    # room for the draw (4) and a map's own copies of its input.
-    nbytes = 16 * 11 * d * d
-    for rows, (x, y) in gaussian_chunks(rng, samples, d, 2, nbytes):
-        for k, phi in enumerate(maps):
-            phi_x, phi_y = phi.apply_matrix(np.stack((x, y)))
-            lhs = np.trace(phi_x @ y, axis1=-2, axis2=-1) / d
-            rhs = np.trace(x @ phi_y, axis1=-2, axis2=-1) / d
-            diff = lhs - rhs
-            pairs[rows, k] = np.hypot(diff.real, diff.imag)  # abs() of each scalar
-    return fold("symmetry", level, seed, tol, margins, samples=samples)
 
 
 def square_matrix_to_json(mat: np.ndarray) -> dict:

@@ -14,16 +14,20 @@ from pathlib import Path
 
 import numpy as np
 
-from towerforms import tower
+from towerforms import harness, tower
 from towerforms.derivation import BimoduleVector, derive_factors, left_action, right_action
 from towerforms.expectations import cond_expect
 from towerforms.forms import eval_form_matrix
+from towerforms.report import PropertyReport, fold
 from towerforms.superop import (
     _DATA_HERM_TOL,
     _U_BLOCK,
     DENSIFY_DIM_CAP,
+    SEMIGROUP_TIMES,
     SYM_TOL,
+    DenseMap,
     ScaledMap,
+    SemigroupMap,
     SuperOperator,
     _mix_pairs,
     _to_hermitian_units,
@@ -33,6 +37,7 @@ from towerforms.tower import (
     check_hermitian,
     clamp_spectrum,
     complex_gaussian,
+    gaussian_chunks,
     hermitian_part,
     matrix_vdot,
 )
@@ -301,6 +306,14 @@ def amplified_form(gen: SuperOperator, k: int) -> SuperOperator:
     return AmplifiedForm(gen, k)
 
 
+def semigroup_maps(op: SuperOperator) -> list[SuperOperator]:
+    """The semigroup of op at each time in SEMIGROUP_TIMES, every body built
+    once: a non-Schur semigroup becomes the DenseMap of its body, so that a
+    kernel applies it to every chunk without rebuilding it."""
+    maps = [SemigroupMap(op, t) for t in SEMIGROUP_TIMES]
+    return [m if m.schur is not None else DenseMap(m.dense_body()) for m in maps]
+
+
 # --------------------------------------------------------------------------
 # margins
 # --------------------------------------------------------------------------
@@ -367,3 +380,20 @@ def max_abs_factors(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         comp[s:s + block] = np.abs(prod).max(axis=(-2, -1))
         del prod
     return comp.reshape(*lead, k).max(axis=-1)
+
+
+def suite_report(suite, op, operand, samples, seed, tol=1e-10) -> PropertyReport:
+    """The report of a randomized suite's check of op, at op's level,
+    through the suite's record in harness: its kernel(operand, stacks) on
+    `samples` samples of the record's draws of complex Gaussian op.dim x
+    op.dim matrices, drawn from seed's stream as the suites draw theirs
+    (tower.gaussian_chunks), then its lone row of operand, if it has one.
+    op's level is read before any sample is drawn."""
+    record = {record.name: record for record in harness._SUITES}[suite]
+    level = op.level
+    rng = np.random.default_rng(seed)
+    chunks = gaussian_chunks(rng, samples, op.dim, record.draws, 16 * record.draws * op.dim ** 2)
+    margins = [record.kernel(operand, list(mats)) for _, mats in chunks]
+    if record.lone is not None:
+        margins.append([record.lone(operand)])
+    return fold(suite, level, seed, tol, np.vstack(margins), samples=samples)

