@@ -91,10 +91,12 @@ class _Unit:
     """One independent part of a suite, with its own forms, generators and
     rng: level is the level it works at, nbytes the bytes of one of its
     samples (one sample's normals, or the largest matrix of a unit that
-    draws none)."""
+    draws none), and tower whether it is a randomized suite's tower unit
+    (see _Sampled)."""
 
     level: int
     nbytes: int
+    tower: bool = False
 
 
 def _run_choi(cfg: RunConfig, unit: _Unit) -> list[PropertyReport]:
@@ -342,9 +344,13 @@ def _diagonal_form(cfg: RunConfig, level: int) -> DiagonalComplement:
 
 @dataclass(frozen=True)
 class _Sampled:
-    """A randomized suite: one unit per level that levels(cfg) lists, each
-    drawing its own stream of samples of `draws` complex Gaussian matrices
-    of its level, `nbytes` such matrices of working bytes per sample.
+    """A randomized suite, whose units each do one job on their own stream
+    of samples. A kernel unit at each level that levels(cfg) lists draws
+    samples of `draws` complex Gaussian matrices of its level, `nbytes` such
+    matrices of working bytes per sample. A suite with a tower kernel also
+    has a tower unit at the working level L, which draws one level-L
+    ambient a per sample from the stream `ambient_stream`, `ambient_nbytes`
+    level-L matrices of working bytes per sample.
 
     kernel(operand, stacks) returns the margins of a chunk of samples, one
     row per sample and one column per entry of limits(cfg, level), operand
@@ -353,84 +359,74 @@ class _Sampled:
     a by its Hermitian part, markov's x by its clamp), so that the stack is
     freed once the kernel drops it; the driver holds the others until the
     next chunk is drawn, which keeps the heap from being trimmed and
-    regrown at every chunk. At the working level, a suite with a tower
-    kernel draws one more matrix per sample, its ambient a, and
-    tower(operand, E_n a) gives one more margin of each sample at every
-    level n (see _expectation_towers), within `tol`; the conditioned
-    expectations hold tower_nbytes level-(L - 1) matrices per sample. A
-    lone(operand) row is checked once per level, after the samples. Every
-    column is within `tol` (the name of a RunConfig field) unless limits
-    says otherwise, and `tol` is the reports' tol.
+    regrown at every chunk. tower(operand, E_n a) gives one margin of each
+    sample at every level n (see _expectation_towers), within `tol`; the
+    conditioned expectations hold tower_nbytes level-(L - 1) matrices per
+    sample. A lone(operand) row is checked once per level a unit checks,
+    after the samples. Every column is within `tol` (the name of a
+    RunConfig field) unless limits says otherwise, and `tol` is the
+    reports' tol.
 
     The kernels are lambdas that look their function up by name when they
     run, so a wrapper bound in its place (a tracer, a test's planted
     defect) is the one that runs."""
 
     name: str
-    levels: Callable
-    draws: int
-    nbytes: int
+    levels: Callable = lambda cfg: ()
+    draws: int = 0
+    nbytes: int = 0
     kernel: Callable | None = None
     limits: Callable | None = None
     operand: Callable = _diagonal_form
     tower: Callable | None = None
+    ambient_stream: str = ""
+    ambient_nbytes: int = 0
     tower_nbytes: int = 0
     tol: str = "tol"
     lone: Callable | None = None
 
     def units(self, cfg: RunConfig) -> list[_Unit]:
-        """A unit per level, each sample counted by its normals (the alone
-        rule of run_suite reads them)."""
-        return [
-            _Unit(n, 16 * 4 ** n * (self.draws + self._top(cfg, n)))
-            for n in self.levels(cfg)
-        ]
-
-    def _top(self, cfg: RunConfig, level: int) -> bool:
-        return self.tower is not None and level == cfg.level
+        """The kernel units in level order, then the tower unit, each
+        sample counted by its normals (the alone rule of run_suite reads
+        them)."""
+        units = [_Unit(n, 16 * 4 ** n * self.draws) for n in self.levels(cfg)]
+        if self.tower is not None:
+            units.append(_Unit(cfg.level, 16 * 4 ** cfg.level, tower=True))
+        return units
 
     def run(self, cfg: RunConfig, unit: _Unit) -> tuple:
         """Draw the unit's samples a chunk at a time (see
-        tower.gaussian_chunks) and check each chunk with the kernel; at the
-        working level, feed each sample's ambient, drawn after its own
-        matrices, through the tower of expectations. Returns (seed, blocks,
-        lone): blocks the (level, margins, limits) of the kernel, then of
-        the tower at each level; lone the row of each level the unit
-        checks. A sample that is never checked keeps NaN margins."""
+        tower.gaussian_chunks): a kernel unit checks each chunk with the
+        kernel, a tower unit feeds each chunk's ambients through the tower
+        of expectations. Returns (seed, blocks, lone): blocks the (level,
+        margins, limits) of the kernel, or of the tower at each level; lone
+        the row of each level the unit checks. A sample that is never
+        checked keeps NaN margins."""
         n, samples, matrix = unit.level, cfg.samples, 16 * 4 ** unit.level
-        seed = _suite_seed(cfg.seed, self.name, n)
-        top = self._top(cfg, n)
-        levels = range(1, n + 1) if top else [n]
+        if unit.tower:
+            stream, count, nbytes = self.ambient_stream, 1, self.ambient_nbytes
+            levels = range(1, n + 1)
+        else:
+            stream, count, nbytes, levels = self.name, self.draws, self.nbytes, [n]
+        seed = _suite_seed(cfg.seed, stream, n)
         operands = {m: self.operand(cfg, m) for m in levels}
-        blocks = []
-        if self.kernel is not None:
-            limits = self.limits(cfg, n)
-            own = np.full((samples, len(limits)), np.nan)
-            blocks.append((n, own, limits))
-        drawn = gaussian_chunks(
-            np.random.default_rng(seed), samples, 2 ** n, self.draws + top, self.nbytes * matrix
-        )
-
-        def checked():  # each chunk checked, its ambient passed on
-            for rows, mats in drawn:
-                stacks, ambient = list(mats[:self.draws]), mats[self.draws:]
-                del mats
-                if self.kernel is not None:
-                    own[rows] = self.kernel(operands[n], stacks)
-                if top:
-                    del stacks  # freed before the ambient is conditioned
-                yield rows, ambient
-
-        if top:
+        rng = np.random.default_rng(seed)
+        drawn = gaussian_chunks(rng, samples, 2 ** n, count, nbytes * matrix)
+        if unit.tower:
             towers = np.full((n, samples), np.nan)
-            ambients = ((rows, a) for rows, (a,) in checked())
+            ambients = ((rows, a) for rows, (a,) in drawn)
             for m, rows, b in _expectation_towers(ambients, n, self.tower_nbytes * matrix // 4):
                 towers[m - 1, rows] = self.tower(operands[m], b)
             tol = getattr(cfg, self.tol)
-            blocks += [(m, towers[m - 1, :, None], [tol]) for m in levels]
+            blocks = [(m, towers[m - 1, :, None], [tol]) for m in levels]
         else:
-            for _ in checked():
-                pass
+            limits = self.limits(cfg, n)
+            margins = np.full((samples, len(limits)), np.nan)
+            for rows, mats in drawn:
+                stacks = list(mats)
+                del mats  # the kernel frees a stack it pops
+                margins[rows] = self.kernel(operands[n], stacks)
+            blocks = [(n, margins, limits)]
         lone = {m: self.lone(operands[m]) for m in levels} if self.lone else {}
         return seed, blocks, lone
 
@@ -498,20 +494,21 @@ _SUITES = (
     _Suite("choi", lambda cfg: [  # the largest matrix: the d^2 x d^2 Choi matrix
         _Unit(n, 16 * 16 ** n) for n in _semigroup_levels(cfg)
     ], _run_choi),
-    # At the peak, in the d(a) b or the a d(b) term, the pair and the
-    # ambient (3), D V (2), the term's two factors (4), and the product that
-    # replaces one of them or the term's probe (2): 11, more than the draw
-    # (6); 13 leave room for the (d, 2, 2) sketches of _probe, which count at
-    # small d. An energy gap below the working level holds b and the stacks
-    # it was gathered from (2), b's factors, or the right one and its
-    # weighted copy (4), and one conjugated factor (2); 9 leave room for the
-    # Gram blocks (see _energy_gaps).
+    # At the peak, in the d(a) b or the a d(b) term, the pair (2), D V (2),
+    # the term's two factors (4), and the product that replaces one of them
+    # or the term's probe (2): 10, more than the draw (4); 13 leave room for
+    # the (d, 2, 2) sketches of _probe, which count at small d. An energy
+    # gap holds its b and the stacks b came from (2: the ambient and its
+    # normals, or the stacks of a gather), b's factors, or the right one and
+    # its weighted copy (4), and one conjugated factor (2); 9 leave room for
+    # the Gram blocks (see _energy_gaps).
     _Sampled(
         "leibniz", _all_levels, draws=2, nbytes=13,
         operand=lambda cfg, n: _leibniz_probes(cfg.seed, n),
         kernel=lambda probes, ab: _leibniz_defects(*ab, probes)[:, None],
         limits=lambda cfg, n: [cfg.tol],
-        tower=lambda probes, b: _energy_gaps(b), tower_nbytes=9,
+        tower=lambda probes, b: _energy_gaps(b), ambient_stream="leibniz-ambient",
+        ambient_nbytes=9, tower_nbytes=9,
     ),
     _Suite("compatibility", lambda cfg: [_Unit(cfg.level, 16 * 4 ** cfg.level)], _run_compatibility),
     # A check's b, |b|^2 and the generator's image of b (3), more than the
@@ -519,9 +516,9 @@ _SUITES = (
     # 5 leave room for E_{L-1} a, held for the gather. A gathered sample
     # holds b, the stacks it was gathered from, |b|^2 and the image: 4.
     _Sampled(
-        "normalization-bridge", _top_level, draws=0, nbytes=5, tol="eig_tol",
+        "normalization-bridge", tol="eig_tol",
         tower=lambda gen, b: np.abs(commutator_energies(b) - 2.0 * form_energies(gen, b)),
-        tower_nbytes=4,
+        ambient_stream="normalization-bridge", ambient_nbytes=5, tower_nbytes=4,
         lone=lambda gen: [_commutator_deviation(commutator_generator(gen.level))],
     ),
     # A check's a, P_n a or Q_n a, and the generator's image of it (3), more
@@ -603,8 +600,9 @@ def run_suite(cfg: RunConfig) -> list[PropertyReport]:
     units of all selected suites share max(1, CPUs // BLAS threads)
     threads, as in evolve_table (one worker runs them in the calling
     thread). Every unit whose sample exceeds tower.POOL_CHUNK_BYTES
-    (levels 8 and above) runs first, one at a time; the others then share
-    the workers. Both go highest level first, ties in registry order. Each
+    (levels 9 and above) runs first, one at a time; the others then share
+    the workers. Both go highest level first, a level's tower units (the
+    longer jobs) before its other units, ties in registry order. Each
     suite's results are folded in registry order, so the reports are
     byte-identical to one thread. An error in any unit is raised
     unchanged, and no report is written."""
@@ -616,7 +614,7 @@ def run_suite(cfg: RunConfig) -> list[PropertyReport]:
         return _SUITE_RUNNERS[name](cfg, unit)
 
     workers = _pool_workers(os.environ, _available_cpus())
-    by_level = sorted(range(len(units)), key=lambda i: -units[i][1].level)
+    by_level = sorted(range(len(units)), key=lambda i: (-units[i][1].level, not units[i][1].tower))
     alone = [i for i in by_level if units[i][1].nbytes > tower.POOL_CHUNK_BYTES]
     shared = [i for i in by_level if units[i][1].nbytes <= tower.POOL_CHUNK_BYTES]
     results = {}

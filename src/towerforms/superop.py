@@ -220,7 +220,7 @@ class SuperOperator:
     """Base class: a linear map on the dim x dim complex matrices.
 
     Instances are immutable after construction; ``apply_matrix`` is a pure
-    function of its input. Spectral resolutions are cached lazily.
+    function of its input.
     ``schur`` is the coefficient matrix c when the map is entrywise
     multiplication by c, else None: the dense body is then diag(vec(c))
     and the semigroup the Schur multiplier e^{-tc}.
@@ -232,7 +232,6 @@ class SuperOperator:
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = int(dim)
-        self._spectral: SpectralResolution | None = None
         self._schur_measure: tuple[np.ndarray, float, float] | None = None
 
     @property
@@ -522,7 +521,7 @@ class SpectralResolution:
     matrix units U of the module docstring. The basis of a
     Hermiticity-preserving map is real, so its eigenvectors u_k are
     Hermitian matrices. A resolution exists only for a map that passed
-    the SYM_TOL check, so a cached one needs no recheck.
+    the SYM_TOL check, so it needs no recheck.
     """
 
     eigenvalues: np.ndarray
@@ -573,18 +572,14 @@ def spectral_resolve(op: SuperOperator) -> SpectralResolution:
     GNS self-adjointness is equivalent to Hermiticity of the dense body
     (the GNS inner product is a positive multiple of the Euclidean one on
     vectorized matrices); a body whose relative Hermitian defect exceeds
-    SYM_TOL is rejected with the largest defect entry as witness. The
-    resolution is cached on the map; a rejected map caches nothing.
+    SYM_TOL is rejected with the largest defect entry as witness.
 
     The map is resolved in the Hermitian matrix-unit basis, with a real
     ``eigh`` when it preserves Hermiticity (see ``_hermitian_in_units``).
     """
-    res = op._spectral
-    if res is None:
-        herm = _hermitian_in_units(densify(op).matrix, _NOT_SELF_ADJOINT)
-        w, basis = np.linalg.eigh(herm)
-        res = op._spectral = SpectralResolution(eigenvalues=w, basis=basis)
-    return res
+    herm = _hermitian_in_units(densify(op).matrix, _NOT_SELF_ADJOINT)
+    w, basis = np.linalg.eigh(herm)
+    return SpectralResolution(eigenvalues=w, basis=basis)
 
 
 # --------------------------------------------------------------------------

@@ -101,9 +101,9 @@ def matrix_vdot(x: np.ndarray, y: np.ndarray):
 # caller declares per sample (see gaussian_chunks), a gather of
 # expectations below the working level likewise, and evolve 8 rows at
 # level 7. From level 7 on a suite sample declares more than half of it,
-# so a chunk holds one sample; from level 8 on the largest suite units, and
-# from level 9 on one evolve row, exceed it: those units run on one
-# thread, and evolve runs its rows one at a time.
+# so a chunk holds one sample; from level 9 on the largest suite units and
+# one evolve row exceed it: those units run on one thread, and evolve runs
+# its rows one at a time.
 POOL_CHUNK_BYTES = 2 * 2 ** 20
 
 

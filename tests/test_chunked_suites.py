@@ -143,12 +143,13 @@ def ref_energy_gap(e_n, n):
 
 
 def ref_leibniz(cfg):
-    """Sample i of level n: pair i of level n's stream, and E_n of the
-    ambient that the working level's stream draws after its own pair i.
-    Each level probes its pairs' defects with its own probe block."""
+    """Sample i of level n: pair i of level n's stream, and E_n of ambient
+    i of the stream leibniz-ambient at the working level. Each level probes
+    its pairs' defects with its own probe block."""
     levels = range(1, cfg.level + 1)
     seeds = [harness._suite_seed(cfg.seed, "leibniz", n) for n in levels]
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    ambients = np.random.default_rng(harness._suite_seed(cfg.seed, "leibniz-ambient", cfg.level))
     probes = [harness._leibniz_probes(cfg.seed, n) for n in levels]
     worst, failures = [-np.inf] * cfg.level, [0] * cfg.level
     for _ in range(cfg.samples):
@@ -157,7 +158,7 @@ def ref_leibniz(cfg):
              AlgebraElement(n, gaussian_general(2 ** n, rng)))
             for n, rng in zip(levels, rngs)
         ]
-        amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rngs[-1]))
+        amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, ambients))
         for n, (a, b), e_n in zip(levels, pairs, ref_tower(amb)):
             margin = worst_of(ref_product_rule(a, b, probes[n - 1]), ref_energy_gap(e_n, n))
             worst[n - 1] = worst_of(worst[n - 1], margin)
@@ -197,19 +198,21 @@ def ref_normalization_bridge(cfg):
 
 
 def ref_per_level_ambient_top(cfg, suite):
-    """The working-level report of leibniz or normalization-bridge as the
-    earlier layout computed it, with a fresh ambient per level: at level L
-    that layout drew what the one-ambient layout draws."""
+    """The working-level report of leibniz or normalization-bridge in a
+    layout with a fresh ambient per level, drawn from that level's ambient
+    stream (leibniz-ambient, or the bridge's own): at level L that layout
+    draws what the one-ambient layout draws."""
     n = cfg.level
     seed = harness._suite_seed(cfg.seed, suite, n)
     rng = np.random.default_rng(seed)
+    ambients = np.random.default_rng(harness._suite_seed(cfg.seed, "leibniz-ambient", n))
     tol = cfg.tol if suite == "leibniz" else cfg.eig_tol
     worst, failures = -np.inf, 0
     for _ in range(cfg.samples):
         if suite == "leibniz":
             a = AlgebraElement(n, gaussian_general(2 ** n, rng))
             b = AlgebraElement(n, gaussian_general(2 ** n, rng))
-            amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, rng))
+            amb = AlgebraElement(cfg.level, gaussian_general(2 ** cfg.level, ambients))
             margin = worst_of(
                 ref_product_rule(a, b, harness._leibniz_probes(cfg.seed, n)),
                 ref_energy_gap(amb, n),
@@ -394,8 +397,8 @@ def test_nan_in_one_ambient_fails_that_sample_at_every_level(monkeypatch):
     def poisoned(rng, samples, dim, count, nbytes):
         monkeypatch.setattr(tower, "POOL_CHUNK_BYTES", samples * nbytes)  # one chunk
         for rows, mats in gaussian_chunks(rng, samples, dim, count, nbytes):
-            if count == 3 and len(mats[2]) > 1:  # the working level's ambient
-                mats[2][1].flat[0] = np.nan
+            if count == 1 and len(mats[0]) > 1:  # the tower unit's ambients
+                mats[0][1].flat[0] = np.nan
             yield rows, mats
 
     monkeypatch.setattr(harness, "_available_cpus", lambda: 1)

@@ -527,10 +527,14 @@ def unit_threads(monkeypatch, meet=0) -> list:
     return runs
 
 
-def registry_units(cfg) -> list:
-    """(suite, unit) for every unit of every registered suite, in registry
-    order."""
-    return [(suite.name, unit) for suite in harness._SUITES for unit in suite.units(cfg)]
+def registry_units(cfg, *names) -> list:
+    """(suite, unit) for every unit of every registered suite, or of the
+    suites named, in registry order."""
+    return [
+        (suite.name, unit)
+        for suite in harness._SUITES if not names or suite.name in names
+        for unit in suite.units(cfg)
+    ]
 
 
 POOLED_CASES = [
@@ -599,8 +603,8 @@ def test_units_run_on_every_worker(monkeypatch, workers):
 
 def test_units_larger_than_the_budget_run_alone(monkeypatch):
     """Units whose sample exceeds POOL_CHUNK_BYTES run first, one at a time;
-    the others share the workers. Each batch goes highest level first, with
-    ties in registry order."""
+    the others share the workers. Each batch goes highest level first, a
+    level's tower units first, other ties in registry order."""
     cfg = RunConfig(level=3, samples=5)
     want = suite_jsons(monkeypatch, cfg, 1)
     budget = 16 * 4 ** 3
@@ -616,7 +620,7 @@ def test_units_larger_than_the_budget_run_alone(monkeypatch):
     monkeypatch.setattr(harness, "_pool_map", spy)
     assert suite_jsons(monkeypatch, cfg, 2) == want
     units = registry_units(cfg)
-    by_level = sorted(units, key=lambda item: -item[1].level)
+    by_level = sorted(units, key=lambda item: (-item[1].level, not item[1].tower))
     alone = [item for item in by_level if item[1].nbytes > budget]
     shared = [item for item in by_level if item[1].nbytes <= budget]
     assert alone and shared
@@ -624,9 +628,30 @@ def test_units_larger_than_the_budget_run_alone(monkeypatch):
     assert [item[1].level for item in shared][:3] == [3, 3, 3]
 
 
-def test_largest_units_run_alone_from_level_8():
-    """With the default budget every unit up to level 7 shares the workers,
-    and from level 8 on the largest do not."""
+def test_tower_units_run_first_and_kernel_units_name_the_reports(monkeypatch):
+    """Within a level, the tower units of leibniz and normalization-bridge
+    run before the other units, which keep registry order. The fold still
+    joins leibniz's kernel columns before its tower column, so every
+    leibniz report names its pairs' seed, and every normalization-bridge
+    report the seed of the bridge's stream at the working level."""
+    cfg = RunConfig(level=2, samples=3)
+    use_workers(monkeypatch, 1)
+    runs = unit_threads(monkeypatch)
+    reports = run_suite(cfg)
+    assert [(name, unit.level, unit.tower) for name, unit, _ in runs[:4]] == [
+        ("leibniz", 2, True), ("normalization-bridge", 2, True),
+        ("dirichlet", 2, False), ("markov", 2, False),
+    ]
+    seeds = {(r.suite, r.level): r.seed for r in reports}
+    for n in (1, 2):
+        assert seeds["leibniz", n] == harness._suite_seed(cfg.seed, "leibniz", n)
+        bridge = harness._suite_seed(cfg.seed, "normalization-bridge", 2)
+        assert seeds["normalization-bridge", n] == bridge
+
+
+def test_largest_units_run_alone_from_level_9():
+    """With the default budget every unit up to level 8 shares the workers,
+    and from level 9 on the largest do not."""
     def alone(level):
         cfg = RunConfig(level=level, samples=1)
         return {
@@ -636,7 +661,8 @@ def test_largest_units_run_alone_from_level_8():
         }
 
     assert alone(7) == set()
-    assert alone(8) == {("leibniz", 8)}
+    assert alone(8) == set()
+    assert {("dirichlet", 9), ("leibniz", 9)} <= alone(9)
     assert ("dirichlet", 9) in alone(10) and ("leibniz", 9) in alone(10)
 
 
@@ -774,14 +800,14 @@ def poison_mid_chunk(monkeypatch, index=5, chunk=4) -> list:
 def check_nan_sample_fails_alone(monkeypatch, suite):
     """A NaN entry in one drawn sample, in the middle of its chunk, must
     surface as a NaN worst margin and count as exactly one failed sample:
-    the fold keeps it, and its chunk neighbours still pass. Each report
-    draws its own stream, except that every normalization-bridge level
-    conditions the working level's one ambient stream."""
+    the fold keeps it, and its chunk neighbours still pass. Each unit
+    draws its own stream: a kernel unit's at its level, a tower unit's (of
+    leibniz and normalization-bridge) the ambients every level conditions."""
     hit = poison_mid_chunk(monkeypatch)
-    reports = run_suite(RunConfig(level=2, samples=10, suites=(suite,)))
+    cfg = RunConfig(level=2, samples=10, suites=(suite,))
+    reports = run_suite(cfg)
     assert hit and all(start < 5 < start + count - 1 for start, count in hit)
-    streams = 1 if suite == "normalization-bridge" else len(reports)
-    assert reports and len(hit) == streams
+    assert reports and len(hit) == len(registry_units(cfg, suite))
     for rep in reports:
         assert np.isnan(rep.worst_margin)
         assert rep.failures == 1

@@ -35,6 +35,7 @@ from towerforms.superop import (
     ScaledMap,
     SemigroupMap,
     SpectralResolution,
+    SuperOperator,
     TowerProjection,
     TransposeMap,
     choi_matrix,
@@ -403,8 +404,9 @@ def test_schur_semigroup_carries_its_coefficients(n):
 
 
 def test_semigroup_map_keeps_no_dense_body():
-    """A non-Schur semigroup builds its body on each call and keeps none:
-    a kept d^2 x d^2 body would add to the peak memory of a certificate."""
+    """A non-Schur semigroup builds its body on each call and keeps none,
+    and its generator keeps no spectral resolution: a kept d^2 x d^2 body
+    or basis would add to the peak memory of a certificate."""
     n = 3
     d = 2 ** n
     phi = SemigroupMap(_lindblad(n, 105), 0.5)
@@ -412,9 +414,14 @@ def test_semigroup_map_keeps_no_dense_body():
     choi_min_eigenvalue(phi)
     phi.dense_body()
     phi.apply_matrix(np.eye(d))
+
+    def large(value):
+        parts = vars(value).values() if isinstance(value, SpectralResolution) else [value]
+        return any(isinstance(x, np.ndarray) and x.size >= d ** 4 for x in parts)
+
     kept = [
-        name for name, value in vars(phi).items()
-        if isinstance(value, np.ndarray) and value.size >= d ** 4
+        name for owner in (phi, phi.generator)
+        for name, value in vars(owner).items() if large(value)
     ]
     assert kept == []
 
@@ -903,17 +910,19 @@ def test_semigroup_rejects_bad_time(t):
         apply(SemigroupMap(DiagonalComplement(2), t), identity(1))
 
 
-def test_spectral_cache_holds_only_resolved_maps():
+def test_spectral_resolve_rejects_a_skewed_map_on_every_call():
+    """A map that is not GNS-self-adjoint is rejected each time it is
+    resolved; a self-adjoint one resolves to the same bits each time."""
     rng = np.random.default_rng(83)
     body = densify(DoubleCommutatorFamily([gaussian_hermitian(2, rng)])).matrix
     op = DenseMap(body)
-    res = spectral_resolve(op)
-    assert spectral_resolve(op) is res
+    first, second = spectral_resolve(op), spectral_resolve(op)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.basis, second.basis)
     skewed = DenseMap(body + 1e-6 * rng.standard_normal(body.shape))  # not self-adjoint
     for _ in range(2):
         with pytest.raises(ValueError, match="self-adjoint"):
             spectral_resolve(skewed)
-    assert skewed._spectral is None
 
 
 def test_choi_certificate_rejects_nan_map():
@@ -1084,6 +1093,37 @@ def test_semigroup_checks_on_a_non_diagonal_lindblad_generator():
     rep = suite_report("symmetry", leaky, semigroup_maps(leaky), samples=50, seed=98)
     assert rep.failures >= 1
     assert rep.worst_margin > 1e-3
+
+
+class _RealSchur(SuperOperator):
+    """Entrywise multiplication by a real coefficient matrix that need not
+    be symmetric (reference.SchurMultiplier takes Hermitian ones only)."""
+
+    def __init__(self, coeffs: np.ndarray):
+        super().__init__(len(coeffs))
+        self.schur = np.asarray(coeffs, dtype=np.float64)
+
+    def apply_matrix(self, mat):
+        return self.schur * np.asarray(mat, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetry_flags_a_semigroup_that_is_not_trace_symmetric(n):
+    """The planted control of symmetry's trace-symmetry columns. The Schur
+    generator c with c[0, 1] = 1 and every other entry 0 is real and
+    nonnegative, so SemigroupMap accepts it as GNS-self-adjoint and
+    positive; but tau(Phi_t(x) y) - tau(x Phi_t(y)) = (e^{-t} - 1)
+    (x_01 y_10 - x_10 y_01) / d, so every sample fails. The unit-drift row
+    passes: c has a zero diagonal, so Phi_t(1) = 1."""
+    d = 2 ** n
+    c = np.zeros((d, d))
+    c[0, 1] = 1.0
+    gen = _RealSchur(c)
+    maps = semigroup_maps(gen)
+    assert all(m.schur is not None for m in maps)
+    rep = suite_report("symmetry", gen, maps, samples=200, seed=11)
+    assert rep.failures == 200  # of 201 rows: every sample, not the unit row
+    assert rep.worst_margin > 0.5
 
 
 def _choi_reference(op):
